@@ -3,9 +3,9 @@ and heralding, and exact-rational certification of interference zeros."""
 
 __version__ = "1.0.0"
 
-from .bs_core import (BALANCED, BeamSplitterSetting, FockPair, bs_coefficient,
-                      bs_prob_exact, cos_factor_residual, g_poly,
-                      measured_amplitude, transform_fock_pair)
+from .bs_core import (BALANCED, BeamSplitterSetting, amplitude_blocks,
+                      bs_coefficient, bs_prob_exact, cos_factor_residual,
+                      g_poly, measured_amplitude, transform_fock_pair)
 from .detector import (LossConfig, SqueezedSource, bernoulli_matrix,
                        herald_posterior, lossy_distribution,
                        spdc_detection_prob, squeezing_db, tmss_prob)

@@ -10,7 +10,9 @@ All zeros of the post-measurement amplitude live in the polynomial
     g(m_a, m_b | n) = sum_q C(n,q) (-1)^q (m_a)_{n-q} T^{n-q} (m_b)_q R^q,
 
 which has rational value whenever T is rational: this is what makes exact
-certification of destructive-interference zeros possible.
+certification of destructive-interference zeros possible.  Float amplitudes
+do not use it: they come from the orthogonal blocks of
+:func:`amplitude_blocks`, which stay accurate at any photon number.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -95,26 +96,9 @@ class BeamSplitterSetting:
             return self.theta
         return 2.0 * math.atan2(self.sin_half, self.cos_half)
 
-    def describe(self) -> str:
-        if self.exact_t is not None:
-            return f"T={self.exact_t}"
-        return f"theta={self.theta}"
-
 
 #: 50:50 configuration, T = R = 1/2 exactly
 BALANCED = BeamSplitterSetting.from_transmittance(Fraction(1, 2))
-
-
-@dataclass(frozen=True)
-class FockPair:
-    """Input basis state |n, m>: n photons in mode a, m photons in mode b."""
-
-    n: int
-    m: int
-
-    def __post_init__(self):
-        if self.n < 0 or self.m < 0:
-            raise ValueError("photon numbers must be non-negative")
 
 
 def g_poly(m_a: int, m_b: int, n: int, bs: BeamSplitterSetting) -> Real:
@@ -139,41 +123,47 @@ def g_poly(m_a: int, m_b: int, n: int, bs: BeamSplitterSetting) -> Real:
     return total
 
 
-def _coefficient_double_sum(n: int, m: int, p: int, c: float, s: float) -> float:
-    # fully expanded double sum; safe at theta in {0, pi} and for any p
-    norm = math.sqrt(math.factorial(p) * math.factorial(n + m - p)
-                     / (math.factorial(n) * math.factorial(m)))
-    total = 0.0
-    for q in range(max(0, p - m), min(n, p) + 1):
-        sign = -1.0 if (p - q) % 2 else 1.0
-        total += (binomial(n, q) * binomial(m, p - q) * sign
-                  * c ** (m + 2 * q - p) * s ** (n + p - 2 * q))
-    return norm * total
+def amplitude_blocks(bs: BeamSplitterSetting, s_max: int):
+    """Yield the orthogonal blocks U_s[p, n] = <p, s-p| B |n, s-n> (the Wigner
+    matrices d^{s/2}(theta)) for s = 0 .. s_max, keeping only the last one.
+
+    Each block adds a photon to the previous one,
+    |n, s-n> = (sqrt(n) a^dag |n-1, s-n> + sqrt(s-n) b^dag |n, s-n-1>) / s,
+    with a^dag -> c a^dag + s_t b^dag and b^dag -> -s_t a^dag + c b^dag.
+    Every weight is at most 1, so rounding errors do not grow.  At T = 1/2
+    the mirror symmetry U_s[s-p, n] = (-1)^(s-n) U_s[p, n] holds bit for bit,
+    so the central zeros come out as exact 0.0.
+    """
+    c, sn = bs.cos_half, bs.sin_half
+    u = np.ones((1, 1))
+    for s in range(s_max + 1):
+        if s:
+            root = np.sqrt(np.arange(s + 1.0))
+            up = np.zeros((s + 1, s))    # up[p] = sqrt(p) U_{s-1}[p-1]
+            up[1:] = root[1:, None] * u
+            down = np.zeros((s + 1, s))  # down[p] = sqrt(s-p) U_{s-1}[p]
+            down[:-1] = root[:0:-1, None] * u
+            u = np.zeros((s + 1, s + 1))
+            u[:, 1:] = (c * up + sn * down) * root[1:]       # a^dag images
+            u[:, :-1] += (c * down - sn * up) * root[:0:-1]  # b^dag images
+            u /= s
+        yield u
+
+
+def amplitude_block(bs: BeamSplitterSetting, s: int) -> np.ndarray:
+    """The single block U_s of :func:`amplitude_blocks`."""
+    for u in amplitude_blocks(bs, s):
+        pass
+    return u
 
 
 def bs_coefficient(n: int, m: int, p: int, bs: BeamSplitterSetting) -> float:
-    """Amplitude f^(n,m)_p of |p, n+m-p> in the transformed basis state |n, m>.
-
-    The compact form carries cos^(m-p) and sin^(p-n) prefactors; whenever an
-    exponent is negative or a trig base vanishes we fall back to the expanded
-    double sum, which has only non-negative powers.
-    """
+    """Amplitude f^(n,m)_p of |p, n+m-p> in the transformed basis state |n, m>."""
+    if n < 0 or m < 0:
+        raise ValueError("photon numbers must be non-negative")
     if not (0 <= p <= n + m):
         raise ValueError(f"p={p} outside [0, {n + m}]")
-    c = bs.cos_half
-    s = bs.sin_half
-    if m - p < 0 or p - n < 0 or c == 0.0 or s == 0.0:
-        return _coefficient_double_sum(n, m, p, c, s)
-    sign = -1.0 if (p + n) % 2 else 1.0
-    norm = sign * math.sqrt(binomial(m + n, p)
-                            / (math.factorial(n) * falling_factorial(m + n, n)))
-    g = float(g_poly(p, m + n - p, n, bs))
-    return norm * c ** (m - p) * s ** (p - n) * g
-
-
-@lru_cache(maxsize=None)
-def _coefficient_cached(n: int, m: int, p: int, bs: BeamSplitterSetting) -> float:
-    return bs_coefficient(n, m, p, bs)
+    return float(amplitude_block(bs, n + m)[p, n])
 
 
 def measured_amplitude(n: int, m_a: int, m_b: int, bs: BeamSplitterSetting) -> float:
@@ -183,7 +173,7 @@ def measured_amplitude(n: int, m_a: int, m_b: int, bs: BeamSplitterSetting) -> f
     m = m_a + m_b - n
     if m < 0:
         return 0.0
-    return _coefficient_cached(n, m, m_a, bs)
+    return bs_coefficient(n, m, m_a, bs)
 
 
 def bs_prob_exact(n: int, m_a: int, m_b: int, t) -> Fraction:
@@ -218,7 +208,9 @@ def bs_prob_exact(n: int, m_a: int, m_b: int, t) -> Fraction:
 
 def transform_fock_pair(n: int, m: int, bs: BeamSplitterSetting) -> np.ndarray:
     """Amplitude vector over p in [0, n+m] for the transformed state |n, m>."""
-    return np.array([bs_coefficient(n, m, p, bs) for p in range(n + m + 1)])
+    if n < 0 or m < 0:
+        raise ValueError("photon numbers must be non-negative")
+    return amplitude_block(bs, n + m)[:, n].copy()
 
 
 def cos_factor_residual(m_prime: int, n: int, bs: BeamSplitterSetting) -> Real:

@@ -15,19 +15,15 @@ import sys
 import tempfile
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
 from .bs_core import BALANCED, BeamSplitterSetting
 from .detector import (LossConfig, SqueezedSource, herald_posterior,
                        lossy_distribution, spdc_detection_prob, squeezing_db)
-from .dicke import central_probability
-from .joint_dist import (JointDistribution, joint_fs_fs, joint_fs_mixed,
-                         joint_fs_pure, joint_general, joint_pure_mixed,
-                         joint_pure_pure)
+from .dicke import central_zero_sweep
+from .joint_dist import JointDistribution, joint_general
 from .nodal import (KNOWN_FAMILIES, bfs_zeros, cnl_scan, search_parametric,
                     verify_parametric)
-from .states import MixedState, PureState, parse_state
+from .states import parse_state
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -149,39 +145,6 @@ def _require(args, *names) -> None:
             raise _CliError(EXIT_USAGE, f"--{name.replace('_', '-')}: missing required value")
 
 
-# ---------------------------------------------------------------------------
-# joint-distribution dispatch
-# ---------------------------------------------------------------------------
-
-
-def _fock_number(state) -> int | None:
-    if not isinstance(state, PureState):
-        return None
-    amps = state.amplitudes
-    hits = np.nonzero(amps)[0]
-    if hits.size == 1 and amps[hits[0]] == 1.0:
-        return int(hits[0])
-    return None
-
-
-def compute_joint(state_a, state_b, bs: BeamSplitterSetting,
-                  grid_max: int | None = None) -> JointDistribution:
-    """Route an input pair to the most specialized distribution path."""
-    n = _fock_number(state_a)
-    if n is not None:
-        m = _fock_number(state_b)
-        if m is not None:
-            return joint_fs_fs(n, m, bs, grid_max=grid_max)
-        if isinstance(state_b, PureState):
-            return joint_fs_pure(n, state_b, bs, grid_max=grid_max)
-        return joint_fs_mixed(n, state_b, bs, grid_max=grid_max)
-    if isinstance(state_a, PureState):
-        if isinstance(state_b, PureState):
-            return joint_pure_pure(state_a, state_b, bs, grid_max=grid_max)
-        return joint_pure_mixed(state_a, state_b, bs, grid_max=grid_max)
-    return joint_general((state_a, state_b), bs, grid_max=grid_max)
-
-
 def _parse_states(args):
     try:
         state_a = parse_state(args.a, cutoff=args.cutoff_a)
@@ -203,9 +166,9 @@ def cmd_dist(args) -> int:
     _require(args, "a", "b")
     state_a, state_b, bs = _parse_states(args)
     try:
-        dist = compute_joint(state_a, state_b, bs, grid_max=args.grid_max)
+        dist = joint_general((state_a, state_b), bs, grid_max=args.grid_max)
     except ValueError as exc:
-        raise _CliError(EXIT_DOMAIN, f"--grid-max: {exc}")
+        raise _CliError(EXIT_DOMAIN, str(exc))
     _emit(_grid_document("dist", dist, args), args.output, args.format)
     return EXIT_OK
 
@@ -216,7 +179,7 @@ def cmd_lossy(args) -> int:
     try:
         loss = LossConfig(eta_a=float(args.eta_a), eta_b=float(args.eta_b))
         dist = lossy_distribution(
-            compute_joint(state_a, state_b, bs, grid_max=args.grid_max), loss)
+            joint_general((state_a, state_b), bs, grid_max=args.grid_max), loss)
     except ValueError as exc:
         raise _CliError(EXIT_DOMAIN, str(exc))
     _emit(_grid_document("lossy", dist, args), args.output, args.format)
@@ -291,8 +254,8 @@ def cmd_dicke(args) -> int:
     _require(args, "j_max")
     bs = BeamSplitterSetting.parse(args.bs) if args.bs else BALANCED
     try:
-        sweep = [{"J": j, "P_central": central_probability(j, 0, bs)}
-                 for j in range(int(args.j_max) + 1)]
+        sweep = [{"J": j, "P_central": float(p)}
+                 for j, p in enumerate(central_zero_sweep(int(args.j_max), 0, bs))]
     except ValueError as exc:
         raise _CliError(EXIT_DOMAIN, str(exc))
     doc = {

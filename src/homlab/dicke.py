@@ -14,7 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bs_core import BALANCED, BeamSplitterSetting, bs_coefficient, bs_prob_exact
+from .bs_core import (BALANCED, BeamSplitterSetting, amplitude_block,
+                      amplitude_blocks, bs_prob_exact)
 
 
 @dataclass(frozen=True)
@@ -67,25 +68,23 @@ def fock_to_jm(n: int, m: int) -> AngularState:
 
 def wigner_d(j, m_out, m_in, bs: BeamSplitterSetting) -> float:
     """Wigner small-d element d^J_{M', M}(theta) = <J, M'| exp(-i theta Jy) |J, M>
-    at the mixing angle of ``bs``."""
+    at the mixing angle of ``bs``: the entry U_2J[J + M', J + M] of the
+    beam-splitter block."""
     src = AngularState.make(j, m_in)
     dst = AngularState.make(j, m_out)
     if src.twice_j != dst.twice_j:
         raise ValueError("M' and M must belong to the same J")
-    n, m = src.to_fock_pair()
-    p = (dst.twice_j + dst.twice_m) // 2
-    return bs_coefficient(n, m, p, bs)
+    n = src.to_fock_pair()[0]
+    p = dst.to_fock_pair()[0]
+    return float(amplitude_block(bs, src.twice_j)[p, n])
 
 
 def rotation_distribution(j, m_in, bs: BeamSplitterSetting) -> dict[Fraction, float]:
     """Probability of each M' after rotating |J, M_in> by the mixing angle."""
     src = AngularState.make(j, m_in)
     tj = src.twice_j
-    out: dict[Fraction, float] = {}
-    for tm in range(-tj, tj + 1, 2):
-        amp = wigner_d(src.j, Fraction(tm, 2), src.m, bs)
-        out[Fraction(tm, 2)] = amp ** 2
-    return out
+    column = amplitude_block(bs, tj)[:, src.to_fock_pair()[0]]
+    return {Fraction(2 * p - tj, 2): float(column[p]) ** 2 for p in range(tj + 1)}
 
 
 def central_probability(j, m_in, bs: BeamSplitterSetting = BALANCED) -> float:
@@ -109,5 +108,11 @@ def central_probability_exact(j, m_in, t) -> Fraction:
 
 def central_zero_sweep(j_max: int, m_in=0,
                        bs: BeamSplitterSetting = BALANCED) -> np.ndarray:
-    """P(M' = 0) for integer J = 0 .. j_max at fixed input projection."""
-    return np.array([central_probability(j, m_in, bs) for j in range(j_max + 1)])
+    """P(M' = 0) for integer J = 0 .. j_max at fixed input projection, read
+    off the even blocks of one pass of :func:`amplitude_blocks`."""
+    sweep = []
+    for twice_j, u in enumerate(amplitude_blocks(bs, 2 * j_max)):
+        if twice_j % 2 == 0:
+            n = AngularState.make(twice_j // 2, m_in).to_fock_pair()[0]
+            sweep.append(u[twice_j // 2, n] ** 2)
+    return np.array(sweep)

@@ -1,25 +1,42 @@
 """Output joint photon-number distributions P(m_a, m_b) for a beam splitter.
 
-Five specialized input classes (Fock/Fock, Fock/pure, Fock/mixed, pure/pure,
-pure/mixed) plus the fully general bipartite path, which doubles as the
-oracle every specialized path must agree with.
+One engine serves every input.  The splitter conserves the total photon
+number s, so the grid is filled one anti-diagonal m_a + m_b = s at a time
+from the amplitude block U_s (:func:`~homlab.bs_core.amplitude_blocks`) and
+the input's s-photon part:
+
+* pure input psi:          P(., s - .) = |U_s psi_s|^2
+* density or table rho:    P(., s - .) = diag(U_s rho_s U_s^T), evaluated as
+  U_s^2 diag(rho_s) when rho_s is diagonal (a Fock or thermal mode makes it so)
+
+Pure and diagonal inputs are thus sums of squares with non-negative weights,
+so their grids have no negative entry.  The ``joint_*`` functions are this
+engine applied to their input classes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bs_core import BALANCED, BeamSplitterSetting, bs_prob_exact, measured_amplitude
-from .states import EPS_NORM, MixedState, PureState, State
+from .bs_core import BeamSplitterSetting, amplitude_blocks, bs_prob_exact
+from .states import EPS_NORM, MixedState, PureState, fock
 
 _HERMITICITY_TOL = 1e-10
+#: rounding allowances of a float grid: most negative entry, excess mass
+NEGATIVE_TOL = 1e-14
+MASS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """Matrix of output joint probabilities P[m_a][m_b], 0 <= m <= grid_max."""
+    """Matrix of output joint probabilities P[m_a][m_b], 0 <= m <= grid_max.
+
+    The grid must be a probability distribution, possibly truncated: any
+    entry below -1e-14 (``NEGATIVE_TOL``) or a total mass above 1 + 1e-12
+    (``MASS_TOL``) raises ValueError.
+    """
 
     grid: np.ndarray
     bs: BeamSplitterSetting
@@ -31,6 +48,10 @@ class JointDistribution:
         object.__setattr__(self, "grid", grid)
         if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
             raise ValueError("grid must be square")
+        low, mass = float(grid.min()), float(grid.sum())
+        if not (low >= -NEGATIVE_TOL and mass <= 1.0 + MASS_TOL):
+            raise ValueError(f"grid is not a distribution: lowest entry {low:.3e}, "
+                             f"total mass {mass!r}")
 
     @property
     def grid_max(self) -> int:
@@ -64,15 +85,7 @@ def joint_fs_fs(n: int, m: int, bs: BeamSplitterSetting,
                 grid_max: int | None = None) -> JointDistribution:
     """Fock |n> in a, Fock |m> in b: mass lives on the anti-diagonal
     m_a + m_b = n + m."""
-    if grid_max is None:
-        grid_max = n + m
-    if grid_max < n + m:
-        raise ValueError(f"grid_max={grid_max} cannot hold total {n + m} photons")
-    grid = np.zeros((grid_max + 1, grid_max + 1))
-    for m_a in range(n + m + 1):
-        m_b = n + m - m_a
-        grid[m_a, m_b] = measured_amplitude(n, m_a, m_b, bs) ** 2
-    return JointDistribution(grid, bs, input_label=f"fock:{n} x fock:{m}")
+    return joint_general((fock(n), fock(m)), bs, grid_max)
 
 
 def joint_fs_fs_exact(n: int, m: int, t) -> dict[tuple[int, int], "object"]:
@@ -84,180 +97,98 @@ def joint_fs_fs_exact(n: int, m: int, t) -> dict[tuple[int, int], "object"]:
 
 def joint_fs_pure(n: int, phi_b: PureState, bs: BeamSplitterSetting,
                   grid_max: int | None = None) -> JointDistribution:
-    """Fock |n> in a, pure state in b: per-entry product of the b-state
-    photon-number weight and a single squared amplitude."""
-    if grid_max is None:
-        grid_max = default_grid_max(n, phi_b.cutoff)
-    weights = phi_b.density_weights()
-    grid = np.zeros((grid_max + 1, grid_max + 1))
-    for m_a in range(grid_max + 1):
-        for m_b in range(grid_max + 1):
-            m = m_a + m_b - n
-            if 0 <= m <= phi_b.cutoff and weights[m] != 0.0:
-                grid[m_a, m_b] = weights[m] * measured_amplitude(n, m_a, m_b, bs) ** 2
-    return JointDistribution(grid, bs, input_label=f"fock:{n} x {phi_b.label}")
+    """Fock |n> in a, pure state in b."""
+    return joint_general((fock(n), phi_b), bs, grid_max)
 
 
 def joint_fs_mixed(n: int, rho_b: MixedState, bs: BeamSplitterSetting,
                    grid_max: int | None = None) -> JointDistribution:
-    """Fock |n> in a, mixed state in b: only diagonal density entries enter."""
-    if grid_max is None:
-        grid_max = default_grid_max(n, rho_b.cutoff)
-    diag = np.real(np.diag(rho_b.rho))
-    grid = np.zeros((grid_max + 1, grid_max + 1))
-    for m_a in range(grid_max + 1):
-        for m_b in range(grid_max + 1):
-            m = m_a + m_b - n
-            if 0 <= m <= rho_b.cutoff and diag[m] != 0.0:
-                grid[m_a, m_b] = diag[m] * measured_amplitude(n, m_a, m_b, bs) ** 2
-    return JointDistribution(grid, bs, input_label=f"fock:{n} x {rho_b.label}")
+    """Fock |n> in a, mixed state in b."""
+    return joint_general((fock(n), rho_b), bs, grid_max)
 
 
 def joint_pure_pure(psi_a: PureState, phi_b: PureState, bs: BeamSplitterSetting,
                     grid_max: int | None = None) -> JointDistribution:
-    """Pure states in both modes: coherent amplitude sum over the a-mode
-    photon number before squaring."""
-    if grid_max is None:
-        grid_max = psi_a.cutoff + phi_b.cutoff
-    ca = psi_a.amplitudes
-    db = phi_b.amplitudes
-    grid = np.zeros((grid_max + 1, grid_max + 1))
-    for m_a in range(grid_max + 1):
-        for m_b in range(grid_max + 1):
-            s = m_a + m_b
-            amp = 0.0 + 0.0j
-            for n in range(max(0, s - phi_b.cutoff), min(psi_a.cutoff, s) + 1):
-                if ca[n] == 0 or db[s - n] == 0:
-                    continue
-                amp += ca[n] * db[s - n] * measured_amplitude(n, m_a, m_b, bs)
-            grid[m_a, m_b] = abs(amp) ** 2
-    return JointDistribution(grid, bs, input_label=f"{psi_a.label} x {phi_b.label}")
+    """Pure states in both modes."""
+    return joint_general((psi_a, phi_b), bs, grid_max)
 
 
 def joint_pure_mixed(psi_a: PureState, rho_b: MixedState, bs: BeamSplitterSetting,
                      grid_max: int | None = None) -> JointDistribution:
-    """Pure state in a, mixed state in b: bilinear trace sum.
-
-    The result of the double sum is already a probability (real, from
-    Hermiticity); no outer modulus-square is applied, which is what makes
-    this path reduce exactly from the general bipartite formula.
-    """
-    if rho_b.hermiticity_residual() > _HERMITICITY_TOL:
-        raise ValueError("density matrix is not Hermitian within tolerance")
-    if grid_max is None:
-        grid_max = psi_a.cutoff + rho_b.cutoff
-    ca = psi_a.amplitudes
-    rho = rho_b.rho
-    support = [n for n in range(ca.size) if ca[n] != 0]
-    grid = np.zeros((grid_max + 1, grid_max + 1))
-    for m_a in range(grid_max + 1):
-        for m_b in range(grid_max + 1):
-            s = m_a + m_b
-            total = 0.0 + 0.0j
-            for n in support:
-                m = s - n
-                if not (0 <= m <= rho_b.cutoff):
-                    continue
-                fn = measured_amplitude(n, m_a, m_b, bs)
-                if fn == 0.0:
-                    continue
-                for np_ in support:
-                    mp = s - np_
-                    if not (0 <= mp <= rho_b.cutoff):
-                        continue
-                    r = rho[m, mp]
-                    if r == 0:
-                        continue
-                    total += ca[n] * np.conj(ca[np_]) * r * fn \
-                        * measured_amplitude(np_, m_a, m_b, bs)
-            grid[m_a, m_b] = total.real
-    return JointDistribution(grid, bs, input_label=f"{psi_a.label} x {rho_b.label}")
+    """Pure state in a, mixed state in b."""
+    return joint_general((psi_a, rho_b), bs, grid_max)
 
 
 def joint_general(rho_ab, bs: BeamSplitterSetting,
                   grid_max: int | None = None,
                   eps_norm: float = EPS_NORM) -> JointDistribution:
-    """Full bipartite trace formula; the oracle for every specialized path.
+    """Joint distribution of any bipartite input (see the module docstring).
 
     ``rho_ab`` is either a pair ``(state_a, state_b)`` of pure/mixed states
-    (product input, evaluated without materializing the four-index table) or
-    a four-index ndarray ``rho[n, m, n', m']``.
+    or density matrices (product input, evaluated without materializing the
+    four-index table) or a four-index ndarray ``rho[n, m, n', m']``.
+    ``grid_max`` defaults to the largest photon number the input reaches; a
+    grid that cannot hold the input's lowest total photon number raises
+    ValueError, as does a density matrix that is not Hermitian.
     """
     if isinstance(rho_ab, tuple):
         state_a, state_b = rho_ab
-        rho_a = _as_density(state_a)
-        rho_b = _as_density(state_b)
-        if grid_max is None:
-            grid_max = (rho_a.shape[0] - 1) + (rho_b.shape[0] - 1)
-        grid = _general_product(rho_a, rho_b, bs, grid_max)
-        trace = float(np.real(np.trace(rho_a)) * np.real(np.trace(rho_b)))
-        label = f"general({_label(state_a)} x {_label(state_b)})"
+        label = f"{getattr(state_a, 'label', 'array')} x {getattr(state_b, 'label', 'array')}"
+        if isinstance(state_a, PureState) and isinstance(state_b, PureState):
+            amps = np.outer(state_a.amplitudes, state_b.amplitudes)
+            weights = np.abs(amps) ** 2
+
+            def block_probs(u, n, s):
+                amp = np.einsum("pn,n->p", u, amps[n, s - n])
+                return amp.real ** 2 + amp.imag ** 2
+        else:
+            rho_a, rho_b = _density(state_a), _density(state_b)
+            weights = np.outer(np.diag(rho_a).real, np.diag(rho_b).real)
+
+            def block_probs(u, n, s):
+                return _sandwich(u, rho_a[np.ix_(n, n)] * rho_b[np.ix_(s - n, s - n)])
     else:
         table = np.asarray(rho_ab, dtype=complex)
         if table.ndim != 4:
             raise ValueError("coefficient table must be four-index rho[n, m, n', m']")
-        if grid_max is None:
-            grid_max = (table.shape[0] - 1) + (table.shape[1] - 1)
-        grid = _general_table(table, bs, grid_max)
-        trace = float(np.real(np.einsum("nmnm->", table)))
-        label = "general(table)"
+        weights = np.einsum("nmnm->nm", table).real
+        label = "table"
+
+        def block_probs(u, n, s):
+            return _sandwich(u, table[n[:, None], (s - n)[:, None], n, s - n])
+
+    dim_a, dim_b = weights.shape
+    if grid_max is None:
+        grid_max = dim_a + dim_b - 2
+    support = np.argwhere(weights != 0)
+    fewest = int(support.sum(axis=1).min()) if support.size else 0
+    if grid_max < fewest:
+        raise ValueError(f"grid_max={grid_max} cannot hold total {fewest} photons")
+    grid = np.zeros((grid_max + 1, grid_max + 1))
+    for s, u in enumerate(amplitude_blocks(bs, min(dim_a + dim_b - 2, 2 * grid_max))):
+        lo, hi = max(0, s - dim_b + 1), min(dim_a - 1, s)
+        probs = block_probs(u[:, lo:hi + 1], np.arange(lo, hi + 1), s)
+        m_a = np.arange(max(0, s - grid_max), min(s, grid_max) + 1)
+        grid[m_a, s - m_a] = probs[m_a]
+    trace = float(weights.sum())
     warnings = ()
     if 1.0 - trace > eps_norm:
         warnings = (f"input trace deficit {1.0 - trace:.3e} exceeds {eps_norm:g}",)
     return JointDistribution(grid, bs, input_label=label, warnings=warnings)
 
 
-def _as_density(state) -> np.ndarray:
+def _sandwich(u: np.ndarray, rho_s: np.ndarray) -> np.ndarray:
+    """diag(u rho_s u^T); a sum of squares when rho_s is diagonal."""
+    weights = np.diag(rho_s)
+    if np.array_equal(rho_s, np.diag(weights)):
+        return np.einsum("pn,n->p", u * u, weights.real)
+    return np.einsum("pn,nk,pk->p", u, rho_s, u).real
+
+
+def _density(state) -> np.ndarray:
     if isinstance(state, PureState):
         return state.to_mixed().rho
-    if isinstance(state, MixedState):
-        return state.rho
-    return np.asarray(state, dtype=complex)
-
-
-def _label(state) -> str:
-    return getattr(state, "label", "array")
-
-
-def _general_product(rho_a: np.ndarray, rho_b: np.ndarray,
-                     bs: BeamSplitterSetting, grid_max: int) -> np.ndarray:
-    dim_a = rho_a.shape[0]
-    dim_b = rho_b.shape[0]
-    grid = np.zeros((grid_max + 1, grid_max + 1))
-    for m_a in range(grid_max + 1):
-        for m_b in range(grid_max + 1):
-            s = m_a + m_b
-            total = 0.0 + 0.0j
-            for n in range(max(0, s - dim_b + 1), min(dim_a - 1, s) + 1):
-                fn = measured_amplitude(n, m_a, m_b, bs)
-                if fn == 0.0:
-                    continue
-                for np_ in range(max(0, s - dim_b + 1), min(dim_a - 1, s) + 1):
-                    ra = rho_a[n, np_]
-                    if ra == 0:
-                        continue
-                    rb = rho_b[s - n, s - np_]
-                    if rb == 0:
-                        continue
-                    total += ra * rb * fn * measured_amplitude(np_, m_a, m_b, bs)
-            grid[m_a, m_b] = total.real
-    return grid
-
-
-def _general_table(table: np.ndarray, bs: BeamSplitterSetting,
-                   grid_max: int) -> np.ndarray:
-    dim_a, dim_b = table.shape[0], table.shape[1]
-    grid = np.zeros((grid_max + 1, grid_max + 1))
-    for m_a in range(grid_max + 1):
-        for m_b in range(grid_max + 1):
-            s = m_a + m_b
-            total = 0.0 + 0.0j
-            for n in range(max(0, s - dim_b + 1), min(dim_a - 1, s) + 1):
-                fn = measured_amplitude(n, m_a, m_b, bs)
-                for np_ in range(max(0, s - dim_b + 1), min(dim_a - 1, s) + 1):
-                    coeff = table[n, s - n, np_, s - np_]
-                    if coeff == 0:
-                        continue
-                    total += coeff * fn * measured_amplitude(np_, m_a, m_b, bs)
-            grid[m_a, m_b] = total.real
-    return grid
+    rho = state.rho if isinstance(state, MixedState) else np.asarray(state, dtype=complex)
+    if np.max(np.abs(rho - rho.conj().T)) > _HERMITICITY_TOL:
+        raise ValueError("density matrix is not Hermitian within tolerance")
+    return rho

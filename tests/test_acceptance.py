@@ -35,10 +35,9 @@ def test_criterion_2_central_nodal_line():
     b_states = [h.coherent(3), h.thermal(9), h.fock(4)]
     t0 = time.perf_counter()
     worst = 0.0
-    from homlab.cli import compute_joint
     for sa in a_states:
         for sb in b_states:
-            d = compute_joint(sa, sb, h.BALANCED, grid_max=40)
+            d = h.joint_general((sa, sb), h.BALANCED, grid_max=40)
             worst = max(worst, float(np.max(np.abs(d.diagonal()))))
     # exact certification for rational-weight (Fock) cases
     for n in (1, 3, 5):

@@ -1,11 +1,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from homlab.bs_core import (BALANCED, BeamSplitterSetting, bs_coefficient,
-                            bs_prob_exact, cos_factor_residual, g_poly,
-                            measured_amplitude, transform_fock_pair)
+from homlab.bs_core import (BALANCED, BeamSplitterSetting, amplitude_blocks,
+                            bs_coefficient, bs_prob_exact, cos_factor_residual,
+                            g_poly, measured_amplitude, transform_fock_pair)
 from homlab.numerics import binomial, falling_factorial
 
 
@@ -145,6 +146,13 @@ class TestAmplitudes:
         bs1 = BeamSplitterSetting.from_transmittance(Fraction(0))
         assert abs(bs_coefficient(2, 3, 3, bs1)) == pytest.approx(1.0)
 
+    def test_rejects_negative_photon_numbers(self):
+        for n, m in ((-1, 3), (2, -1)):
+            with pytest.raises(ValueError):
+                bs_coefficient(n, m, 0, BALANCED)
+            with pytest.raises(ValueError):
+                transform_fock_pair(n, m, BALANCED)
+
     def test_measured_amplitude_below_threshold(self):
         assert measured_amplitude(3, 1, 1, BALANCED) == 0.0
 
@@ -152,6 +160,46 @@ class TestAmplitudes:
         amp = measured_amplitude(1, 1, 1, BALANCED)
         assert amp == 0.0
         assert measured_amplitude(1, 2, 0, BALANCED) ** 2 == pytest.approx(0.5)
+
+
+def _wigner_d_mp(s, p, n, theta):
+    """d^J_{M', M}(theta) with J = s/2, M' = p - J, M = n - J, from Wigner's
+    explicit sum in the working precision of mpmath."""
+    import mpmath
+    c, sn = mpmath.cos(mpmath.mpf(theta) / 2), mpmath.sin(mpmath.mpf(theta) / 2)
+    norm = mpmath.sqrt(mpmath.factorial(p) * mpmath.factorial(s - p)
+                       * mpmath.factorial(n) * mpmath.factorial(s - n))
+    total = mpmath.mpf(0)
+    for k in range(max(0, n - p), min(n, s - p) + 1):
+        term = norm / (mpmath.factorial(n - k) * mpmath.factorial(k)
+                       * mpmath.factorial(s - p - k) * mpmath.factorial(k - n + p))
+        total += (-1) ** (k - n + p) * term * c ** (s - 2 * k + n - p) * sn ** (2 * k - n + p)
+    return total
+
+
+class TestAmplitudeBlocks:
+    """The block recurrence against oracles that share none of its code."""
+
+    @pytest.mark.parametrize("bs", [BALANCED, BeamSplitterSetting.from_angle(1.1)])
+    def test_orthogonal_up_to_400(self, bs):
+        for s, u in enumerate(amplitude_blocks(bs, 400)):
+            assert np.max(np.abs(u.T @ u - np.eye(s + 1))) <= 1e-12, s
+
+    def test_central_element_at_200_photons_per_mode(self):
+        # d^J_00(pi/2) = P_J(0) = C(J, J/2) / 2^J for J = 200
+        want = math.comb(200, 100) / 2 ** 200
+        assert bs_coefficient(200, 200, 200, BALANCED) == pytest.approx(want, rel=1e-12)
+
+    def test_mpmath_wigner_sum(self):
+        mpmath = pytest.importorskip("mpmath")
+        theta = 1.1
+        blocks = list(amplitude_blocks(BeamSplitterSetting.from_angle(theta), 120))
+        with mpmath.workdps(50):
+            for s, stride in ((40, 1), (120, 7)):
+                for p in range(0, s + 1, stride):
+                    for n in range(0, s + 1, stride):
+                        want = float(_wigner_d_mp(s, p, n, theta))
+                        assert abs(blocks[s][p, n] - want) <= 1e-13, (s, p, n)
 
 
 class TestParitySymmetry:

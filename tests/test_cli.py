@@ -3,25 +3,24 @@ import json
 import numpy as np
 import pytest
 
-from homlab.cli import (EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE,
-                        compute_joint, main)
+from homlab.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from homlab.bs_core import BALANCED
+from homlab.joint_dist import joint_general
 from homlab.states import coherent, fock, thermal
 
 
 class TestDispatch:
     def test_fock_fock(self):
-        d = compute_joint(fock(1), fock(1), BALANCED)
+        d = joint_general((fock(1), fock(1)), BALANCED)
         assert d.grid[1, 1] == 0.0
 
     def test_fock_pure_and_general_agree(self):
-        from homlab.joint_dist import joint_general
-        d = compute_joint(fock(1), coherent(1), BALANCED)
+        d = joint_general((fock(1), coherent(1)), BALANCED)
         ref = joint_general((fock(1), coherent(1)), BALANCED, grid_max=d.grid_max)
         assert np.max(np.abs(d.grid - ref.grid)) < 1e-10
 
     def test_mixed_input(self):
-        d = compute_joint(thermal(1), coherent(1), BALANCED)
+        d = joint_general((thermal(1), coherent(1)), BALANCED)
         assert d.total_mass == pytest.approx(1.0, abs=1e-8)
 
 
@@ -59,7 +58,7 @@ class TestDistCommand:
         main(["dist", "--a", "fock:1", "--b", "coherent:beta=1",
               "--bs", "theta=0.9", "-o", str(out)])
         doc = json.loads(out.read_text())
-        d = compute_joint(fock(1), coherent(1),
+        d = joint_general((fock(1), coherent(1)),
                           __import__("homlab").BeamSplitterSetting.from_angle(0.9))
         assert doc["grid"] == [[float(v) for v in row] for row in d.grid]
 
@@ -90,6 +89,14 @@ class TestDistCommand:
     def test_bad_grid_max_exits_3(self):
         assert main(["dist", "--a", "fock:2", "--b", "fock:3",
                      "--bs", "1/2", "--grid-max", "2"]) == EXIT_DOMAIN
+
+    def test_non_normalised_state_exits_3(self, tmp_path):
+        # amplitudes (1, 1) carry norm^2 = 2: the grid would hold mass 2
+        state = tmp_path / "doubled.json"
+        state.write_text(json.dumps({"type": "pure", "amplitudes": [[1, 0], [1, 0]]}))
+        modes = ["--a", f"custom:file={state}", "--b", "fock:1"]
+        assert main(["dist", *modes]) == EXIT_DOMAIN
+        assert main(["lossy", *modes, "--eta-a", "0.9", "--eta-b", "0.9"]) == EXIT_DOMAIN
 
     def test_missing_custom_file_exits_4(self):
         assert main(["dist", "--a", "custom:file=/nonexistent.json",

@@ -109,6 +109,17 @@ class TestCentralZero:
         assert sweep[1] == 0.0 and sweep[3] == 0.0 and sweep[5] == 0.0
         assert sweep[2] > 0 and sweep[4] > 0
 
+    def test_legendre_closed_form_to_j100(self):
+        # balanced rotation of |J, 0>: P(M' = 0) = P_J(0)^2 = (C(J, J/2) / 2^J)^2
+        sweep = central_zero_sweep(100)
+        for j in range(101):
+            if j % 2:
+                assert sweep[j] == 0.0
+            else:
+                want = (math.comb(j, j // 2) / 2 ** j) ** 2
+                assert sweep[j] == pytest.approx(want, rel=1e-12), j
+        assert central_probability(100, 0) == pytest.approx(sweep[100], rel=1e-12)
+
     def test_half_integer_rejected(self):
         with pytest.raises(ValueError):
             central_probability(Fraction(3, 2), Fraction(1, 2))

@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from homlab.bs_core import BALANCED, BeamSplitterSetting
-from homlab.joint_dist import (default_grid_max, joint_fs_fs,
+from homlab.bs_core import BALANCED, BeamSplitterSetting, bs_prob_exact
+from homlab.joint_dist import (JointDistribution, default_grid_max, joint_fs_fs,
                                joint_fs_fs_exact, joint_fs_mixed,
                                joint_fs_pure, joint_general, joint_pure_mixed,
                                joint_pure_pure)
@@ -65,6 +66,34 @@ class TestFockFock:
         assert d.grid.shape == (1, 1)
         assert d.grid[0, 0] == 1.0
 
+    @pytest.mark.parametrize("n", [20, 60])
+    def test_large_pairs_match_exact_probabilities(self, n):
+        d = joint_fs_fs(n, n, BALANCED)
+        for m_a in range(2 * n + 1):
+            want = float(bs_prob_exact(n, m_a, 2 * n - m_a, Fraction(1, 2)))
+            assert abs(d.grid[m_a, 2 * n - m_a] - want) <= 1e-12, m_a
+
+    @pytest.mark.parametrize("n", [60, 200])
+    def test_large_pairs_keep_unit_mass(self, n):
+        assert abs(joint_fs_fs(n, n, BALANCED).total_mass - 1.0) <= 1e-12
+
+
+class TestCoherentPair:
+    def test_poisson_product_closed_form(self):
+        # coherent inputs leave as coherent states (c a - s b, s a + c b)
+        theta = 1.1
+        bs = BeamSplitterSetting.from_angle(theta)
+        alpha, beta = 1.2 + 0.5j, -0.7 + 0.9j
+        c, s = math.cos(theta / 2), math.sin(theta / 2)
+        mu_a, mu_b = abs(c * alpha - s * beta) ** 2, abs(s * alpha + c * beta) ** 2
+        # cutoffs far past the 1e-10 default, so truncation is below rounding
+        d = joint_pure_pure(coherent(alpha, cutoff=50), coherent(beta, cutoff=50), bs)
+        k = np.arange(d.grid_max + 1)
+        lg = np.array([math.lgamma(x + 1) for x in k])
+        pa = np.exp(k * math.log(mu_a) - mu_a - lg)
+        pb = np.exp(k * math.log(mu_b) - mu_b - lg)
+        assert np.max(np.abs(d.grid - np.outer(pa, pb))) <= 1e-13
+
 
 class TestAgainstGeneralOracle:
     """Every specialized path must reproduce the full bipartite formula."""
@@ -121,6 +150,39 @@ class TestAgainstGeneralOracle:
             assert np.max(np.abs(got.grid - ref.grid)) < 1e-10
 
 
+def _mixture(vectors, weights):
+    rho = sum(w * np.outer(v, v.conj()) for v, w in zip(vectors, weights))
+    return MixedState(rho, label="mixture")
+
+
+class TestMixturesAgainstPurePath:
+    """A density is a mixture of pure states, so its grid is the weighted
+    sum of pure-input grids, which the engine computes with other code."""
+
+    def test_non_diagonal_densities(self):
+        rng = np.random.default_rng(11)
+        for bs in SETTINGS:
+            va = [_random_pure(rng, 3) for _ in range(2)]
+            vb = [_random_pure(rng, 2) for _ in range(3)]
+            wa, wb = rng.dirichlet(np.ones(2)), rng.dirichlet(np.ones(3))
+            got = joint_general((_mixture([v.amplitudes for v in va], wa),
+                                 _mixture([v.amplitudes for v in vb], wb)), bs)
+            want = sum(x * y * joint_pure_pure(a, b, bs).grid
+                       for a, x in zip(va, wa) for b, y in zip(vb, wb))
+            assert np.max(np.abs(got.grid - want)) < 1e-12
+
+    def test_diagonal_density(self):
+        rng = np.random.default_rng(12)
+        for bs in SETTINGS:
+            psi = _random_pure(rng, 3)
+            weights = rng.dirichlet(np.ones(4))
+            got = joint_pure_mixed(
+                psi, _mixture([fock(k, cutoff=3).amplitudes for k in range(4)], weights), bs)
+            want = sum(w * joint_pure_pure(psi, fock(k, cutoff=3), bs).grid
+                       for k, w in enumerate(weights))
+            assert np.max(np.abs(got.grid - want)) < 1e-12
+
+
 class TestConservation:
     def test_mass_conservation(self):
         for bs in SETTINGS:
@@ -167,6 +229,21 @@ class TestPlumbing:
         d = joint_fs_pure(1, coherent(1), BALANCED)
         assert d.marginal_a().sum() == pytest.approx(d.total_mass)
         assert d.marginal_b().sum() == pytest.approx(d.total_mass)
+
+    def test_grid_guard(self):
+        with pytest.raises(ValueError, match="lowest entry -1"):
+            JointDistribution(np.array([[0.5, -1e-13], [0.0, 0.5]]), BALANCED, "x")
+        with pytest.raises(ValueError, match="total mass 1.00000000001"):
+            JointDistribution(np.array([[0.5, 0.0], [0.0, 0.5 + 1e-11]]), BALANCED, "x")
+        with pytest.raises(ValueError):
+            JointDistribution(np.array([[np.nan]]), BALANCED, "x")
+        # rounding-sized excursions stay allowed
+        JointDistribution(np.array([[-1e-15, 0.0], [0.0, 1.0 + 1e-13]]), BALANCED, "x")
+
+    def test_non_normalised_input_rejected(self):
+        doubled = PureState(np.array([1.0, 1.0]), label="doubled")
+        with pytest.raises(ValueError, match="total mass"):
+            joint_general((doubled, fock(1)), BALANCED)
 
     def test_hermiticity_guard(self):
         bad = MixedState(np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex))
