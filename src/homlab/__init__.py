@@ -24,7 +24,6 @@ from .numerics import (FLOAT_ZERO_TOL, Real, binomial, falling_factorial,
                        is_exact, is_zero, parse_fraction)
 from .states import (EPS_NORM, MixedState, Parity, PureState, ValidationReport,
                      coherent, fock, fock_superposition, load_custom, odd_cat,
-                     parse_state, photon_added_smss, pure_from_amplitudes,
-                     thermal, validate)
+                     parse_state, photon_added_smss, thermal, validate)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -106,6 +106,7 @@ def _grid_document(command: str, dist: JointDistribution, args) -> dict:
         "diagnostics": {
             "tail_deficit": 1.0 - dist.total_mass,
             "cnl_verdict": report.verdict,
+            "warnings": list(dist.warnings),
         },
     }
 

@@ -19,11 +19,10 @@ from .joint_dist import JointDistribution
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Detector efficiencies per mode; source_max bounds the latent sums."""
+    """Detector efficiencies per mode."""
 
     eta_a: float
     eta_b: float
-    source_max: int | None = None
 
     def __post_init__(self):
         for eta in (self.eta_a, self.eta_b):
@@ -69,8 +68,6 @@ def bernoulli_matrix(eta: float, size: int) -> np.ndarray:
 def lossy_distribution(dist: JointDistribution, loss: LossConfig) -> JointDistribution:
     """Joint distribution seen by lossy detectors; total mass is preserved."""
     size = dist.grid.shape[0]
-    if loss.source_max is not None and loss.source_max < dist.grid_max:
-        raise ValueError("source_max must cover the distribution grid")
     a = bernoulli_matrix(loss.eta_a, size)
     b = bernoulli_matrix(loss.eta_b, size)
     grid = a @ dist.grid @ b.T

@@ -22,6 +22,9 @@ from .bs_core import BeamSplitterSetting, g_poly
 from .joint_dist import JointDistribution
 from .numerics import binomial, falling_factorial
 
+#: entries per block of the wrapping-int64 sieves, which bounds their memory
+_BLOCK = 1 << 17
+
 # ---------------------------------------------------------------------------
 # integer form of the zero polynomial at rational transmittance
 # ---------------------------------------------------------------------------
@@ -42,6 +45,27 @@ def _g_int(m_a: int, m_b: int, n: int, num: int, rnum: int) -> int:
         term = (binomial(n, q) * falling_factorial(m_a, n - q) * num ** (n - q)
                 * falling_factorial(m_b, q) * rnum ** q)
         total += -term if q % 2 else term
+    return total
+
+
+def _g_wrapped(x, y, n: int, num: int, rnum: int) -> np.ndarray:
+    """``_g_int`` at the broadcast arrays x, y in wrapping int64 arithmetic,
+    i.e. modulo 2**64.  That is a ring homomorphism, so every zero of g maps
+    to 0; a 0 may also be a nonzero multiple of 2**64, so callers that need
+    exact zeros recheck.  Horner's rule in the falling-factorial basis of y,
+    g = d_0 + y (d_1 + (y - 1) (d_2 + ...)), forms d_q on x alone."""
+    x = np.asarray(x, dtype=np.int64)
+    y = np.asarray(y, dtype=np.int64)
+    with np.errstate(over="ignore"):
+        ff_x = [np.ones_like(x)]
+        for j in range(n):
+            ff_x.append(ff_x[-1] * (x - j))
+        total = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=np.int64)
+        for q in range(n, -1, -1):
+            d_q = binomial(n, q) * (-rnum) ** q * num ** (n - q)
+            total += np.int64((d_q + 2 ** 63) % 2 ** 64 - 2 ** 63) * ff_x[n - q]
+            if q:
+                total *= y - (q - 1)
     return total
 
 
@@ -105,30 +129,19 @@ class ZeroSet:
 
 
 def bfs_zeros(n: int, t, m_max: int) -> ZeroSet:
-    """Exhaustive exact scan for integer zeros of g at rational T."""
+    """Exhaustive exact scan for integer zeros of g at rational T: a wrapping
+    int64 sieve over blocks of rows, each of its zeros confirmed by ``_g_int``."""
     t = Fraction(t)
     num, rnum, _ = _int_weights(n, t)
-    mb = np.arange(m_max + 1, dtype=object)
-    ff_b = [np.array([falling_factorial(int(v), q) for v in mb], dtype=object)
-            for q in range(n + 1)]
-    # int64 fast path when magnitudes provably fit
-    bound = sum(binomial(n, q) * falling_factorial(m_max + n, n)
-                * max(abs(num), abs(rnum)) ** n for q in range(n + 1))
-    use_int64 = bound < 2 ** 62
-    if use_int64:
-        ff_b = [arr.astype(np.int64) for arr in ff_b]
+    m_b = np.arange(m_max + 1, dtype=np.int64)
+    step = max(1, _BLOCK // max(m_b.size, 1))
     zeros: list[tuple[int, int]] = []
-    for m_a in range(1, m_max + 1):
-        row = ff_b[0] * 0
-        for q in range(n + 1):
-            coeff = (binomial(n, q) * falling_factorial(m_a, n - q)
-                     * num ** (n - q) * rnum ** q)
-            if q % 2:
-                coeff = -coeff
-            if coeff:
-                row = row + coeff * ff_b[q]
-        hits = np.nonzero(row == 0)[0]
-        zeros.extend((m_a, int(b)) for b in hits)
+    for first in range(1, m_max + 1, step):
+        m_a = np.arange(first, min(first + step, m_max + 1), dtype=np.int64)
+        rows, cols = np.divmod(np.flatnonzero(
+            _g_wrapped(m_a[:, None], m_b, n, num, rnum) == 0), m_b.size)
+        zeros.extend(z for z in zip((first + rows).tolist(), cols.tolist())
+                     if _g_int(*z, n, num, rnum) == 0)
     return ZeroSet(n=n, t=t, m_max=m_max, zeros=tuple(sorted(zeros)))
 
 
@@ -171,15 +184,10 @@ def _pfalling(p, q: int):
     return out
 
 
-def _pshift(p, c: int):
-    """Compose p(k + c)."""
-    out = (0,)
-    kc = (c, 1)
-    power = (1,)
-    for coeff in p:
-        out = _padd(out, _pscale(power, coeff))
-        power = _pmul(power, kc)
-    return _ptrim(out)
+def _taylor_shift(p, c: int):
+    """Compose p(k + c): coefficient j is sum_i C(i, j) p_i c^(i - j)."""
+    return tuple(sum(binomial(i, j) * p[i] * c ** (i - j) for i in range(j, len(p)))
+                 for j in range(len(p)))
 
 
 def _preflect(p):
@@ -284,85 +292,73 @@ def canonical_form(sol: ParametricSolution) -> ParametricSolution:
     the lexicographically smallest coefficient vector over a window of shifts
     wide enough to contain the orbit minimum for in-range families."""
     span = 3 * (max((abs(c) for c in sol.a_coeffs + sol.b_coeffs), default=0) + 1)
-    best = None
-    for reflect in (False, True):
-        pa = _preflect(sol.a_coeffs) if reflect else sol.a_coeffs
-        pb = _preflect(sol.b_coeffs) if reflect else sol.b_coeffs
-        for c in range(-span, span + 1):
-            cand = (_pshift(pa, c), _pshift(pb, c))
-            if best is None or cand < best:
-                best = cand
+    orbit = [(pa, pb, c)
+             for pa, pb in ((sol.a_coeffs, sol.b_coeffs),
+                            (_preflect(sol.a_coeffs), _preflect(sol.b_coeffs)))
+             for c in range(-span, span + 1)]
+    # a shift's first coefficient is p(c): only the shifts tying on the
+    # smallest one can hold the minimum, so only they are expanded
+    firsts = [_peval(pa, c) for pa, _, c in orbit]
+    lowest = min(firsts)
+    best = min((_taylor_shift(pa, c), _taylor_shift(pb, c))
+               for (pa, pb, c), first in zip(orbit, firsts) if first == lowest)
     return ParametricSolution(a_coeffs=best[0], b_coeffs=best[1], n=sol.n, t=sol.t)
 
 
-def _is_constant(coeffs) -> bool:
-    return all(c == 0 for c in coeffs[1:])
-
-
-def _zero_table(n: int, num: int, rnum: int, bound: int) -> np.ndarray:
-    """Boolean table Z[x + bound, y + bound] == (g(x, y) == 0) on the square
-    [-bound, bound]^2, evaluated exactly (int64 when provably safe)."""
-    vals = np.arange(-bound, bound + 1, dtype=np.int64)
-    ff_max = falling_factorial(bound + n, n)
-    worst = (n + 1) * max(binomial(n, q) for q in range(n + 1)) \
-        * ff_max * max(abs(num), abs(rnum), 1) ** n * max(ff_max, 1)
-    dtype = np.int64 if worst < 2 ** 62 else object
-    col = vals.astype(dtype)
-
-    def ff_vec(q: int) -> np.ndarray:
-        out = np.ones_like(col)
-        for j in range(q):
-            out = out * (col - j)
-        return out
-
-    total = np.zeros((vals.size, vals.size), dtype=dtype)
-    for q in range(n + 1):
-        coeff = binomial(n, q) * num ** (n - q) * rnum ** q
-        if q % 2:
-            coeff = -coeff
-        total = total + coeff * ff_vec(n - q)[:, None] * ff_vec(q)[None, :]
-    return total == 0
-
-
 def _search_strip(args):
-    """Scan all (a, b) coefficient tuples with the given a0 values."""
+    """Coefficient pairs (a, b), a_0 in ``a0_values``, both polynomials
+    non-constant, whose composite g(a(k), b(k)) is 0 modulo 2**64 at every
+    k = 0 .. degree * n.  Every family passes; ``verify_parametric`` rejects
+    the rest.
+
+    Two necessary conditions bound the enumeration.  (a_0, b_0) is a zero of
+    g.  At the highest index D with (a_D, b_D) != (0, 0), num * a_D equals
+    rnum * b_D: the top homogeneous part of g is (T x - R y)^n, so the
+    k^(n D) coefficient of the composite is (T a_D - R b_D)^n.  For each such
+    start and lead, blocks of middle coefficients are sieved at k = 1 and
+    their survivors at each further point, so memory stays
+    O(_BLOCK + (hi - lo + 1)^(degree - 1)).
+    """
     (n, t_pair, degree, lo, hi, a0_values) = args
-    t = Fraction(*t_pair)
-    num, rnum, _ = _int_weights(n, t)
-    npoints = degree * n + 1
-    kpts = np.arange(npoints, dtype=np.int64)
-    powers = np.vstack([kpts ** j for j in range(degree + 1)])  # (deg+1, K)
-    b_tuples = [tup for tup in itertools.product(range(lo, hi + 1), repeat=degree + 1)
-                if not _is_constant(tup)]
-    vb = np.array(b_tuples, dtype=np.int64) @ powers  # (Nb, K)
-    cmax = max(abs(lo), abs(hi))
-    bounds = [cmax * sum(k ** j for j in range(degree + 1)) for k in range(npoints)]
-    tables = [_zero_table(n, num, rnum, b) for b in bounds]
+    num, rnum, _ = _int_weights(n, Fraction(*t_pair))
+    coeffs = np.arange(lo, hi + 1, dtype=np.int64)
+    a0s = np.array(a0_values, dtype=np.int64)
+    rows, cols = np.divmod(np.flatnonzero(
+        _g_wrapped(a0s[:, None], coeffs, n, num, rnum) == 0), coeffs.size)
+    starts = list(zip(a0s[rows].tolist(), coeffs[cols].tolist()))
     hits = []
-    for a0 in a0_values:
-        # first point is k = 0, where values reduce to the constant terms
-        base_idx = np.nonzero(tables[0][a0 + bounds[0], vb[:, 0] + bounds[0]])[0]
-        if base_idx.size == 0:
-            continue
-        for rest in itertools.product(range(lo, hi + 1), repeat=degree):
-            a = (a0,) + rest
-            if _is_constant(a):
-                continue
-            surv = base_idx
-            for i in range(1, npoints):
-                x = _peval(a, i)
-                surv = surv[tables[i][x + bounds[i], vb[surv, i] + bounds[i]]]
-                if surv.size == 0:
+    for top in range(1, degree + 1):
+        leads = [(p, q) for p in range(lo, hi + 1) for q in range(lo, hi + 1)
+                 if (p, q) != (0, 0) and num * p == rnum * q]
+        tuples = list(itertools.product(range(lo, hi + 1), repeat=top - 1))
+        mids = np.array(tuples, dtype=np.int64).reshape(len(tuples), top - 1)
+        # sum_{0 < j < top} c_j k^j of every middle tuple, at each point k
+        mid_at = [mids @ (k ** np.arange(1, top, dtype=np.int64))
+                  for k in range(degree * n + 1)]
+        block = max(1, _BLOCK // len(mids))
+        for (a0, b0), (pa, pb), first in itertools.product(
+                starts, leads, range(0, len(mids), block)):
+            x = a0 + pa + mid_at[1][first:first + block]
+            ia, ib = np.divmod(np.flatnonzero(
+                _g_wrapped(x[:, None], b0 + pb + mid_at[1], n, num, rnum) == 0), len(mids))
+            ia += first
+            for k in range(2, degree * n + 1):
+                if ia.size == 0:
                     break
-            for j in surv:
-                hits.append((a, b_tuples[int(j)]))
-    return hits
+                keep = _g_wrapped(a0 + pa * k ** top + mid_at[k][ia],
+                                  b0 + pb * k ** top + mid_at[k][ib], n, num, rnum) == 0
+                ia, ib = ia[keep], ib[keep]
+            pad = (0,) * (degree - top)
+            hits.extend(((a0, *i, pa, *pad), (b0, *j, pb, *pad))
+                        for i, j in zip(mids[ia].tolist(), mids[ib].tolist()))
+    return [(a, b) for a, b in hits if any(a[1:]) and any(b[1:])]
 
 
 def search_parametric(n: int, t, degree: int, coeff_range: tuple[int, int],
                       workers: int | None = None) -> list[ParametricSolution]:
-    """Brute-force scan of integer coefficient tuples for polynomial pairs
-    that annihilate g identically.
+    """Exhaustive scan of integer coefficient tuples, pruned by necessary
+    conditions (see ``_search_strip``), for polynomial pairs that annihilate
+    g identically.
 
     Constant-in-k polynomials are excluded (they reduce to single integer
     zeros already covered by :func:`bfs_zeros`).  Results are canonicalized,

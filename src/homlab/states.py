@@ -230,10 +230,6 @@ def photon_added_smss(r: float, phi: float = 0.0, cutoff: int | None = None,
     return PureState(amps, label=f"pasmss:r={r:g}")
 
 
-def pure_from_amplitudes(amplitudes, label: str = "custom") -> PureState:
-    return PureState(np.asarray(amplitudes, dtype=complex), label=label)
-
-
 def fock_superposition(terms: dict[int, complex], cutoff: int | None = None,
                        label: str | None = None) -> PureState:
     """Normalized superposition of Fock states, e.g. {1: 1, 3: 1}."""

@@ -82,6 +82,20 @@ class TestDistCommand:
         main(args + ["-o", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_trace_deficit_warning_is_written(self, tmp_path):
+        # coherent(3) cut at 4 photons keeps 5.5 % of its norm
+        modes = ["--a", "fock:0", "--b", "coherent:beta=3", "--cutoff-b", "4"]
+        for command, extra in (("dist", []), ("lossy", ["--eta-a", "0.9", "--eta-b", "0.9"])):
+            out = tmp_path / f"{command}.json"
+            assert main([command, *modes, *extra, "-o", str(out)]) == EXIT_OK
+            warnings = json.loads(out.read_text())["diagnostics"]["warnings"]
+            assert len(warnings) == 1 and "input trace deficit" in warnings[0]
+
+    def test_no_warnings_is_empty_list(self, tmp_path):
+        out = tmp_path / "grid.json"
+        main(["dist", "--a", "fock:1", "--b", "fock:1", "-o", str(out)])
+        assert json.loads(out.read_text())["diagnostics"]["warnings"] == []
+
     def test_bad_state_exits_2(self, capsys):
         assert main(["dist", "--a", "nonsense:1", "--b", "fock:0",
                      "--bs", "1/2"]) == EXIT_USAGE

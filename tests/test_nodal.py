@@ -1,13 +1,23 @@
+import itertools
+import json
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from functools import lru_cache
 
+import numpy as np
 import pytest
 
-from homlab.bs_core import BALANCED
+from homlab import nodal
+from homlab.bs_core import BALANCED, BeamSplitterSetting, g_poly
 from homlab.joint_dist import joint_fs_fs, joint_fs_pure
 from homlab.nodal import (BALANCED_N2_FAMILIES, BALANCED_N3_FAMILIES,
                           KNOWN_FAMILIES, ParametricSolution,
-                          T34_N2_FAMILIES, ZeroSet, bfs_zeros, canonical_form,
-                          cnl_scan, extremal_branch_points, search_parametric,
+                          T34_N2_FAMILIES, ZeroSet, _g_int, _g_wrapped,
+                          _int_weights, bfs_zeros, canonical_form, cnl_scan,
+                          extremal_branch_points, search_parametric,
                           verify_parametric)
 from homlab.states import coherent
 
@@ -176,3 +186,136 @@ class TestBuiltinTables:
         doc = BALANCED_N3_FAMILIES[1].to_json()
         assert doc == {"m_a_coeffs": [2, 7, 6], "m_b_coeffs": [7, 13, 6],
                        "n": 3, "T": {"num": 1, "den": 2}}
+
+
+# ---------------------------------------------------------------------------
+# oracles that share no code with homlab.nodal
+# ---------------------------------------------------------------------------
+
+
+def _falling(x, q):
+    out = 1
+    for j in range(q):
+        out *= x - j
+    return out
+
+
+def _g_fraction(x, y, n, t):
+    """g(x, y | n) at transmittance t, exact, for all integers x, y."""
+    return sum((-1) ** q * _falling(x, n - q) * _falling(y, q) * (t ** (n - q))
+               * ((1 - t) ** q) * Fraction(_falling(n, q), _falling(q, q))
+               for q in range(n + 1))
+
+
+def _value(p, k):
+    return sum(c * k ** i for i, c in enumerate(p))
+
+
+def _trim(p):
+    p = list(p)
+    while len(p) > 1 and p[-1] == 0:
+        p.pop()
+    return tuple(p)
+
+
+def _compose_shift(p, c):
+    """p(k + c) by Horner's rule on polynomials."""
+    out = [0]
+    for coeff in reversed(p):
+        times = [0] * (len(out) + 1)
+        for i, v in enumerate(out):  # out * (k + c)
+            times[i] += c * v
+            times[i + 1] += v
+        times[0] += coeff
+        out = times
+    return _trim(out)
+
+
+def _canonical(a, b):
+    span = 3 * (max(abs(c) for c in a + b) + 1)
+    images = [(a, b), (tuple((-1) ** i * c for i, c in enumerate(a)),
+                       tuple((-1) ** i * c for i, c in enumerate(b)))]
+    return min((_compose_shift(pa, c), _compose_shift(pb, c))
+               for pa, pb in images for c in range(-span, span + 1))
+
+
+def _brute_force_families(n, t, degree, lo, hi):
+    """Every non-constant pair with coefficients in [lo, hi] whose composite
+    vanishes at the n * degree + 1 points 0 .. n * degree, canonicalised."""
+    g_zero = lru_cache(maxsize=None)(lambda x, y: _g_fraction(x, y, n, t) == 0)
+    polys = [p for p in itertools.product(range(lo, hi + 1), repeat=degree + 1)
+             if any(p[1:])]
+    by_start = {}
+    for p in polys:
+        by_start.setdefault(p[0], []).append(p)
+    families = set()
+    for a in polys:
+        for b0, bs in by_start.items():
+            if not g_zero(a[0], b0):
+                continue
+            for b in bs:
+                if all(g_zero(_value(a, k), _value(b, k))
+                       for k in range(1, n * degree + 2)):
+                    families.add(_canonical(_trim(a), _trim(b)))
+    return sorted(families)
+
+
+class TestExactKernelsAgainstOracles:
+    def test_fraction_oracle_is_g_poly(self):
+        for t in (HALF, THREE_Q, Fraction(2, 3)):
+            bs = BeamSplitterSetting.from_transmittance(t)
+            for x, y, n in itertools.product(range(6), range(6), range(5)):
+                assert _g_fraction(x, y, n, t) == g_poly(x, y, n, bs)
+
+    @pytest.mark.parametrize("n, t, degree, bound", [
+        (2, HALF, 2, 3), (3, HALF, 2, 2), (2, THREE_Q, 2, 3), (3, THREE_Q, 2, 3),
+        (2, HALF, 3, 1), (3, HALF, 3, 1), (2, HALF, 3, 2)])
+    def test_search_matches_brute_force(self, n, t, degree, bound):
+        expected = _brute_force_families(n, t, degree, -bound, bound)
+        found = [(s.a_coeffs, s.b_coeffs)
+                 for s in search_parametric(n, t, degree, (-bound, bound))]
+        assert found == expected
+
+    def test_wrapped_g_is_exact_g_modulo_2_64(self):
+        rng = random.Random(20261018)
+        for n in range(13):
+            t = Fraction(rng.randint(1, 40), rng.randint(41, 80))
+            num, rnum, _ = _int_weights(n, t)
+            xs = [rng.randint(-10 ** 7, 10 ** 7) for _ in range(64)]
+            ys = [rng.randint(-10 ** 7, 10 ** 7) for _ in range(64)]
+            wrapped = _g_wrapped(np.array(xs), np.array(ys), n, num, rnum)
+            for x, y, w in zip(xs, ys, wrapped.tolist()):
+                exact = _g_int(x, y, n, num, rnum) % 2 ** 64
+                assert w == (exact - 2 ** 64 if exact >= 2 ** 63 else exact)
+
+    # n = 70: g is a multiple of 70!, hence of 2**67, so every wrapped value
+    # is 0 and only the exact recheck removes the nonzero corner m_a + m_b >= 70
+    @pytest.mark.parametrize("n, t, m_max", [(5, THREE_Q, 60), (8, Fraction(2, 3), 60),
+                                             (70, HALF, 40)])
+    def test_bfs_matches_exact_scan(self, n, t, m_max):
+        bs = BeamSplitterSetting.from_transmittance(t)
+        expected = tuple((a, b) for a in range(1, m_max + 1) for b in range(m_max + 1)
+                         if g_poly(a, b, n, bs) == 0)
+        assert bfs_zeros(n, t, m_max).zeros == expected
+
+    def test_small_blocks_change_nothing(self, monkeypatch):
+        monkeypatch.setattr(nodal, "_BLOCK", 5)
+        assert bfs_zeros(3, THREE_Q, 200).zeros == (
+            (1, 0), (1, 1), (1, 11), (2, 0), (3, 1), (11, 55), (70, 162))
+        found = [(s.a_coeffs, s.b_coeffs) for s in search_parametric(3, HALF, 3, (-1, 1))]
+        assert found == _brute_force_families(3, HALF, 3, -1, 1)
+
+
+def test_degree_three_search_has_bounded_memory():
+    child = ("import json, resource; from fractions import Fraction; "
+             "from homlab.nodal import search_parametric; "
+             "sols = search_parametric(3, Fraction(3, 4), 3, (-10, 10)); "
+             "print(json.dumps([len(sols), "
+             "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), HOMLAB_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", child], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    count, max_rss_kb = json.loads(out)
+    assert count == 0
+    assert max_rss_kb < 400 * 1024
