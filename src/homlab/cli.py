@@ -51,7 +51,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _emit(document: dict, path: str | None, fmt: str) -> None:
     if fmt == "json":
-        text = json.dumps(document, indent=2) + "\n"
+        text = _to_json(document)
     elif fmt == "csv":
         text = _to_csv(document)
     else:
@@ -60,6 +60,35 @@ def _emit(document: dict, path: str | None, fmt: str) -> None:
         sys.stdout.write(text)
     else:
         _atomic_write(path, text)
+
+
+def _to_json(document: dict) -> str:
+    """``json.dumps(document, indent=2) + "\\n"``, with a ``"grid"`` of floats
+    written directly: with an indent, json runs its pure-Python encoder, which
+    costs more than the rest of a large grid command.  ``float.__repr__`` is
+    the text json writes for a finite float; ``JointDistribution`` admits no
+    NaN or infinity."""
+    if "grid" not in document:
+        return json.dumps(document, indent=2) + "\n"
+    items = []
+    for key, value in document.items():
+        if key == "grid":
+            text = _grid_json(value)
+        else:
+            # json escapes newlines inside strings, so every newline here is
+            # layout and re-indenting by one level is exact
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}\n"
+
+
+def _grid_json(grid: list[list[float]]) -> str:
+    """The text of a nested float list at the first indent level."""
+    if not grid:
+        return "[]"
+    rows = [("[\n      " + ",\n      ".join(map(float.__repr__, row)) + "\n    ]")
+            if row else "[]" for row in grid]
+    return "[\n    " + ",\n    ".join(rows) + "\n  ]"
 
 
 def _to_csv(document: dict) -> str:
@@ -101,7 +130,7 @@ def _grid_document(command: str, dist: JointDistribution, args) -> dict:
             "eta_b": getattr(args, "eta_b", None),
             "tool_version": __version__,
         },
-        "grid": [[float(v) for v in row] for row in dist.grid],
+        "grid": dist.grid.tolist(),
         "total_mass": dist.total_mass,
         "diagnostics": {
             "tail_deficit": 1.0 - dist.total_mass,

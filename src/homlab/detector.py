@@ -3,7 +3,9 @@
 Loss is modelled by averaging the joint distribution over independent
 Bernoulli thinning in each mode: a detector with efficiency eta registers
 m photons out of M >= m latent ones with probability
-C(M, m) eta^m (1 - eta)^(M - m).
+C(M, m) eta^m (1 - eta)^(M - m).  Both the loss matrices and the heralding
+sums are built by recurrences of non-negative products, with no binomial
+coefficient, so neither overflows at large photon numbers.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import binomial
 from .joint_dist import JointDistribution
 
 
@@ -44,9 +45,6 @@ class SqueezedSource:
         if self.cutoff < 0:
             raise ValueError("cutoff must be non-negative")
 
-    def pair_weight(self, n: int) -> float:
-        return tmss_prob(n, self)
-
     def tail_bound(self) -> float:
         """Geometric tail mass beyond the cutoff."""
         x = math.tanh(self.r) ** 2
@@ -56,13 +54,20 @@ class SqueezedSource:
 
 
 def bernoulli_matrix(eta: float, size: int) -> np.ndarray:
-    """A[m, M] = C(M, m) eta^m (1-eta)^(M-m); columns sum to 1."""
-    a = np.zeros((size, size))
-    for big in range(size):
-        for small in range(big + 1):
-            a[small, big] = (binomial(big, small)
-                            * eta ** small * (1.0 - eta) ** (big - small))
-    return a
+    """A[m, M] = C(M, m) eta^m (1-eta)^(M-m); columns sum to 1.
+
+    Column M comes from column M - 1 by Pascal's rule for the binomial law,
+    A[m, M] = (1-eta) A[m, M-1] + eta A[m-1, M-1], from A[0, 0] = 1.  The
+    columns are built as the contiguous rows of the transpose.
+    """
+    at = np.zeros((size, size))
+    if size:
+        at[0, 0] = 1.0
+    for big in range(1, size):
+        prev = at[big - 1, :big]
+        at[big, :big] = (1.0 - eta) * prev
+        at[big, 1:big + 1] += eta * prev
+    return at.T
 
 
 def lossy_distribution(dist: JointDistribution, loss: LossConfig) -> JointDistribution:
@@ -90,10 +95,21 @@ def spdc_detection_prob(t: int, eta: float, source: SqueezedSource) -> float:
         raise ValueError("t must be non-negative")
     if not (0.0 <= eta <= 1.0):
         raise ValueError("efficiency must lie in [0, 1]")
-    total = 0.0
-    for n in range(t, source.cutoff + 1):
-        total += binomial(n, t) * eta ** t * (1.0 - eta) ** (n - t) * tmss_prob(n, source)
-    return total
+    return math.fsum(_herald_terms(t, eta, source, source.cutoff))
+
+
+def _herald_terms(t: int, eta: float, source: SqueezedSource, n_max: int) -> list[float]:
+    """w_n = C(n, t) eta^t (1-eta)^(n-t) p_n for n = t..n_max, by the ratio
+    w_(n+1) / w_n = (n+1) / (n+1-t) (1-eta) tanh^2 r from
+    w_t = (eta tanh^2 r)^t / cosh^2 r."""
+    x = math.tanh(source.r) ** 2
+    step = (1.0 - eta) * x
+    w = (eta * x) ** t / math.cosh(source.r) ** 2
+    terms = []
+    for n in range(t, n_max + 1):
+        terms.append(w)
+        w *= (n + 1) * step / (n + 1 - t)
+    return terms
 
 
 def herald_posterior(n_prime: int, t: int, eta: float, source: SqueezedSource) -> float:
@@ -108,10 +124,8 @@ def herald_posterior(n_prime: int, t: int, eta: float, source: SqueezedSource) -
         if t != 0:
             raise ValueError("with eta = 0 only t = 0 is observable")
         return tmss_prob(n_prime, source)
-    numerator = (binomial(n_prime, t) * eta ** t * (1.0 - eta) ** (n_prime - t)
-                 * tmss_prob(n_prime, source))
-    denominator = spdc_detection_prob(t, eta, source)
-    return numerator / denominator
+    terms = _herald_terms(t, eta, source, max(n_prime, source.cutoff))
+    return terms[n_prime - t] / math.fsum(terms[:source.cutoff + 1 - t])
 
 
 def squeezing_db(r: float) -> float:

@@ -131,6 +131,8 @@ class ZeroSet:
 def bfs_zeros(n: int, t, m_max: int) -> ZeroSet:
     """Exhaustive exact scan for integer zeros of g at rational T: a wrapping
     int64 sieve over blocks of rows, each of its zeros confirmed by ``_g_int``."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
     t = Fraction(t)
     num, rnum, _ = _int_weights(n, t)
     m_b = np.arange(m_max + 1, dtype=np.int64)
@@ -364,6 +366,8 @@ def search_parametric(n: int, t, degree: int, coeff_range: tuple[int, int],
     zeros already covered by :func:`bfs_zeros`).  Results are canonicalized,
     deduplicated, exactly verified, and returned in deterministic order.
     """
+    if n < 0:
+        raise ValueError("n must be non-negative")
     if degree not in (2, 3):
         raise ValueError("degree must be 2 or 3")
     t = Fraction(t)

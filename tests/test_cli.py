@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from homlab.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from homlab.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, _to_json, main
 from homlab.bs_core import BALANCED
 from homlab.joint_dist import joint_general
 from homlab.states import coherent, fock, thermal
@@ -150,6 +150,48 @@ class TestLossyCommand:
         assert main(["lossy", "--a", "fock:1", "--b", "fock:1", "--bs", "1/2",
                      "--eta-a", "1.5", "--eta-b", "1.0"]) == EXIT_DOMAIN
 
+    def test_grid_above_1030(self, tmp_path):
+        # C(M, m) overflows a float above M ~ 1030; the recurrence never forms it
+        out, ref = tmp_path / "g.json", tmp_path / "ref.json"
+        states = ["--a", "fock:1", "--b", "coherent:beta=3", "--grid-max", "1100"]
+        assert main(["lossy", *states, "--eta-a", "0.9", "--eta-b", "0.8",
+                     "-o", str(out)]) == EXIT_OK
+        assert main(["dist", *states, "-o", str(ref)]) == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert len(doc["grid"]) == 1101
+        # loss moves mass within the grid and loses none
+        assert doc["total_mass"] == pytest.approx(
+            json.loads(ref.read_text())["total_mass"], abs=1e-12)
+
+
+class TestJsonWriter:
+    """The grid writer must reproduce json.dumps(doc, indent=2) byte for byte."""
+
+    @pytest.mark.parametrize("doc", [
+        {"meta": {"state_a": '"grid": null', "eta_a": None, "bs": {}},
+         "grid": [[0.0]], "total_mass": 1.0},
+        {"meta": {"note": '{"grid": [[1.0]]},\n\t"x": "\u00e9"', "tags": []},
+         "grid": [[0.0, 1.0, 5e-324], [2.2250738585072014e-308, 0.1, 1 / 3],
+                  [1e-300, 123456789.0, 0.5]],
+         "total_mass": 0.9999999999999999,
+         "diagnostics": {"warnings": ["w"], "cnl_verdict": True}},
+        {"grid": np.random.default_rng(4).random((9, 7)).tolist()},
+        {"grid": []},
+        {"grid": [[], [0.25]]},
+        {"meta": {"command": "zeros"}, "zeros": [{"m_a": 1, "m_b": 0}]},
+        {"rows": [], "all_valid": True, "label": "grid"},
+        {},
+    ])
+    def test_matches_json_dumps(self, doc):
+        assert _to_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+    def test_cli_grid_file(self, tmp_path):
+        out = tmp_path / "g.json"
+        assert main(["lossy", "--a", "fock:1", "--b", "coherent:beta=2",
+                     "--eta-a", "0.9", "--eta-b", "0.8", "-o", str(out)]) == EXIT_OK
+        text = out.read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
 
 class TestZerosCommand:
     def test_seven_pairs(self, tmp_path, capsys):
@@ -168,6 +210,13 @@ class TestZerosCommand:
               "-o", str(out), "--format", "csv"])
         assert out.read_text().splitlines()[0] == "m_a,m_b,physical"
 
+    def test_negative_n_exits_2(self, tmp_path):
+        # for n = -1 the sum defining g is empty, so every pair would read as a zero
+        out = tmp_path / "z.json"
+        assert main(["zeros", "--n", "-1", "--T", "1/2", "--max", "3",
+                     "-o", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+
 
 class TestParametricCommand:
     def test_negative_search(self, tmp_path, capsys):
@@ -183,6 +232,12 @@ class TestParametricCommand:
                      "--coeff-min", "-3", "--coeff-max", "3", "-o", str(out)])
         assert code == EXIT_OK
         assert json.loads(out.read_text())["solutions"]
+
+    def test_negative_n_exits_2(self, tmp_path):
+        out = tmp_path / "p.json"
+        assert main(["parametric", "--n", "-1", "--T", "1/2", "--coeff-min", "-1",
+                     "--coeff-max", "1", "-o", str(out)]) == EXIT_USAGE
+        assert not out.exists()
 
 
 class TestHeraldCommand:

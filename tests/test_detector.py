@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,31 @@ class TestBernoulliMatrix:
 
     def test_perfect_detector_is_identity(self):
         assert np.array_equal(bernoulli_matrix(1.0, 6), np.eye(6))
+
+    def test_blind_detector_registers_nothing(self):
+        a = bernoulli_matrix(0.0, 7)
+        assert np.array_equal(a[0], np.ones(7))
+        assert not a[1:].any()
+
+    @pytest.mark.parametrize("eta", [0.8000664335667, 0.3])
+    def test_exact_binomial_columns(self, eta):
+        # [ORACLE] exact Fraction C(M, m) eta^m (1-eta)^(M-m) on sampled
+        # columns.  The complement is the float 1.0 - eta the matrix is built
+        # from; it is exact for eta >= 1/2 and rounded for eta = 0.3.
+        a = bernoulli_matrix(eta, 501)
+        e, q = Fraction(eta), Fraction(1.0 - eta)
+        for big in (0, 1, 2, 37, 250, 421, 499, 500):
+            want = [float(math.comb(big, m) * e ** m * q ** (big - m))
+                    for m in range(big + 1)]
+            assert np.max(np.abs(a[:big + 1, big] - want)) <= 1e-15
+            assert not a[big + 1:, big].any()
+
+    def test_no_overflow_at_size_1500(self):
+        # C(M, m) overflows a float above M ~ 1030
+        for eta in (0.3, 0.87):
+            a = bernoulli_matrix(eta, 1500)
+            assert np.all(a >= 0.0) and np.all(a <= 1.0)
+            assert np.max(np.abs(a.sum(axis=0) - 1.0)) <= 1e-12
 
 
 class TestLossyDistribution:
@@ -110,6 +136,36 @@ class TestHeralding:
         src = SqueezedSource(r=1.0)
         total = sum(spdc_detection_prob(t, 0.6, src) for t in range(src.cutoff + 1))
         assert total == pytest.approx(1.0, abs=1e-10)
+
+    def test_closed_form_evidence(self):
+        # [DERIVED] negative binomial series, summed to infinity:
+        # sum_n C(n,t) (eta x)^t ((1-eta) x)^(n-t) (1-x)
+        #   = (1-x) (eta x)^t / (1 - (1-eta) x)^(t+1),  x = tanh^2 r
+        for r in (0.8, 1.2):
+            x = math.tanh(r) ** 2
+            for eta in (0.6, 0.87):
+                for t in (0, 1, 5, 30):
+                    want = (1 - x) * (eta * x) ** t / (1 - (1 - eta) * x) ** (t + 1)
+                    got = spdc_detection_prob(t, eta, SqueezedSource(r=r, cutoff=400))
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_large_counts_against_mpmath(self):
+        # C(1500, 500) overflows a float
+        mpmath = pytest.importorskip("mpmath")
+        t, eta, src = 500, 0.8, SqueezedSource(r=3.0, cutoff=1500)
+        with mpmath.workdps(40):
+            r = mpmath.mpf(src.r)
+            x, norm = mpmath.tanh(r) ** 2, mpmath.cosh(r) ** 2
+            e, q = mpmath.mpf(eta), 1 - mpmath.mpf(eta)
+            w = {n: math.comb(n, t) * e ** t * q ** (n - t) * x ** n / norm
+                 for n in range(t, src.cutoff + 1)}
+            evidence = mpmath.fsum(w.values())
+            got = spdc_detection_prob(t, eta, src)
+            assert got == pytest.approx(float(evidence), rel=1e-12, abs=0.0)
+            for n_prime in (t, t + 100, 1500):
+                want = float(w[n_prime] / evidence)
+                assert herald_posterior(n_prime, t, eta, src) == \
+                    pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_validation(self):
         src = SqueezedSource(r=1.0)

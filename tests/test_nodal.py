@@ -71,6 +71,10 @@ class TestBfsZeros:
         assert doc["T"] == {"num": 3, "den": 4}
         assert {"m_a": 1, "m_b": 11, "physical": True} in doc["zeros"]
 
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError):
+            bfs_zeros(-1, HALF, 3)
+
 
 class TestVerifyParametric:
     def test_builtin_families_all_valid(self):
@@ -150,6 +154,8 @@ class TestSearchParametric:
             search_parametric(2, HALF, 4, (-2, 2))
         with pytest.raises(ValueError):
             search_parametric(2, HALF, 2, (3, -3))
+        with pytest.raises(ValueError):
+            search_parametric(-1, HALF, 2, (-1, 1))
 
 
 class TestExtremalBranchPoints:
