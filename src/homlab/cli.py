@@ -37,10 +37,16 @@ EXIT_IO = 4
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write through a temporary file and ``os.replace``.  ``mkstemp`` opens
+    it 0600, so it gets the mode ``open(path, "w")`` would give: 0666 less
+    the umask, which can only be read by setting it."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".homlab-")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

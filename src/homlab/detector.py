@@ -11,11 +11,15 @@ coefficient, so neither overflows at large photon numbers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .joint_dist import JointDistribution
+
+#: relative heralding terms are scaled down by 2^-512 once one passes this
+_RESCALE_ABOVE = 2.0 ** 900
 
 
 @dataclass(frozen=True)
@@ -98,17 +102,30 @@ def spdc_detection_prob(t: int, eta: float, source: SqueezedSource) -> float:
     return math.fsum(_herald_terms(t, eta, source, source.cutoff))
 
 
-def _herald_terms(t: int, eta: float, source: SqueezedSource, n_max: int) -> list[float]:
+def _herald_terms(t: int, eta: float, source: SqueezedSource, n_max: int,
+                  relative: bool = False) -> list[float]:
     """w_n = C(n, t) eta^t (1-eta)^(n-t) p_n for n = t..n_max, by the ratio
     w_(n+1) / w_n = (n+1) / (n+1-t) (1-eta) tanh^2 r from
-    w_t = (eta tanh^2 r)^t / cosh^2 r."""
+    w_t = (eta tanh^2 r)^t / cosh^2 r.
+
+    With ``relative`` the terms are w_n / w_t times one common power of two,
+    which is all a ratio of them needs: w_t underflows for improbable counts,
+    and w_n / w_t can pass the float range.  The run starts from the mantissa
+    of w_t (from 1 when w_t is not a normal float), and every term is scaled
+    by 2^-512 whenever one passes 2^900.  A power of two scales exactly, so
+    those terms are the absolute ones, scaled, wherever both are normal."""
     x = math.tanh(source.r) ** 2
     step = (1.0 - eta) * x
     w = (eta * x) ** t / math.cosh(source.r) ** 2
+    if relative:
+        w = math.frexp(w)[0] if w >= sys.float_info.min else 1.0
     terms = []
     for n in range(t, n_max + 1):
         terms.append(w)
         w *= (n + 1) * step / (n + 1 - t)
+        if w > _RESCALE_ABOVE:
+            terms = [math.ldexp(v, -512) for v in terms]
+            w = math.ldexp(w, -512)
     return terms
 
 
@@ -124,7 +141,7 @@ def herald_posterior(n_prime: int, t: int, eta: float, source: SqueezedSource) -
         if t != 0:
             raise ValueError("with eta = 0 only t = 0 is observable")
         return tmss_prob(n_prime, source)
-    terms = _herald_terms(t, eta, source, max(n_prime, source.cutoff))
+    terms = _herald_terms(t, eta, source, max(n_prime, source.cutoff), relative=True)
     return terms[n_prime - t] / math.fsum(terms[:source.cutoff + 1 - t])
 
 

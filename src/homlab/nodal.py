@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -178,14 +177,6 @@ def _pscale(p, c):
     return _ptrim(tuple(c * a for a in p))
 
 
-def _pfalling(p, q: int):
-    """Falling-factorial product p (p-1) ... (p-q+1) of a polynomial."""
-    out = (1,)
-    for j in range(q):
-        out = _pmul(out, _padd(p, (-j,)))
-    return out
-
-
 def _taylor_shift(p, c: int):
     """Compose p(k + c): coefficient j is sum_i C(i, j) p_i c^(i - j)."""
     return tuple(sum(binomial(i, j) * p[i] * c ** (i - j) for i in range(j, len(p)))
@@ -257,16 +248,19 @@ class VerifyResult:
 
 
 def _g_composite(sol: ParametricSolution):
-    """Exact integer-coefficient numerator polynomial of g(m_a(k), m_b(k))."""
+    """Exact integer-coefficient numerator polynomial of g(m_a(k), m_b(k)), by
+    the Horner scheme of ``_g_wrapped`` on polynomials: 2n products."""
     num, rnum, _ = _int_weights(sol.n, sol.t)
     n = sol.n
+    ff_a = [(1,)]
+    for j in range(n):
+        ff_a.append(_pmul(ff_a[-1], _padd(sol.a_coeffs, (-j,))))
     total = (0,)
-    for q in range(n + 1):
-        coeff = binomial(n, q) * num ** (n - q) * rnum ** q
-        if q % 2:
-            coeff = -coeff
-        term = _pmul(_pfalling(sol.a_coeffs, n - q), _pfalling(sol.b_coeffs, q))
-        total = _padd(total, _pscale(term, coeff))
+    for q in range(n, -1, -1):
+        d_q = binomial(n, q) * (-rnum) ** q * num ** (n - q)
+        total = _padd(total, _pscale(ff_a[n - q], d_q))
+        if q:
+            total = _pmul(total, _padd(sol.b_coeffs, (1 - q,)))
     return total
 
 
@@ -294,16 +288,16 @@ def canonical_form(sol: ParametricSolution) -> ParametricSolution:
     the lexicographically smallest coefficient vector over a window of shifts
     wide enough to contain the orbit minimum for in-range families."""
     span = 3 * (max((abs(c) for c in sol.a_coeffs + sol.b_coeffs), default=0) + 1)
-    orbit = [(pa, pb, c)
-             for pa, pb in ((sol.a_coeffs, sol.b_coeffs),
-                            (_preflect(sol.a_coeffs), _preflect(sol.b_coeffs)))
-             for c in range(-span, span + 1)]
-    # a shift's first coefficient is p(c): only the shifts tying on the
-    # smallest one can hold the minimum, so only they are expanded
-    firsts = [_peval(pa, c) for pa, _, c in orbit]
-    lowest = min(firsts)
-    best = min((_taylor_shift(pa, c), _taylor_shift(pb, c))
-               for (pa, pb, c), first in zip(orbit, firsts) if first == lowest)
+    # a shift's first coefficient is p(c), and the reflected shift's is p(-c):
+    # only the shifts tying on the smallest one can hold the minimum, so only
+    # they are expanded
+    firsts = {c: _peval(sol.a_coeffs, c) for c in range(-span, span + 1)}
+    lowest = min(firsts.values())
+    images = ((1, sol.a_coeffs, sol.b_coeffs),
+              (-1, _preflect(sol.a_coeffs), _preflect(sol.b_coeffs)))
+    best = min((_taylor_shift(pa, sign * c), _taylor_shift(pb, sign * c))
+               for c, first in firsts.items() if first == lowest
+               for sign, pa, pb in images)
     return ParametricSolution(a_coeffs=best[0], b_coeffs=best[1], n=sol.n, t=sol.t)
 
 
@@ -378,6 +372,9 @@ def search_parametric(n: int, t, degree: int, coeff_range: tuple[int, int],
         workers = max(1, int(os.environ.get("HOMLAB_THREADS", "1")))
     a0_values = list(range(lo, hi + 1))
     if workers > 1:
+        # imported here: it pulls in multiprocessing, which every homlab
+        # start would otherwise pay for (20-30 ms) and only a pool needs
+        from concurrent.futures import ProcessPoolExecutor
         chunks = [a0_values[i::workers] for i in range(workers)]
         args = [(n, (t.numerator, t.denominator), degree, lo, hi, chunk)
                 for chunk in chunks if chunk]
@@ -387,14 +384,13 @@ def search_parametric(n: int, t, degree: int, coeff_range: tuple[int, int],
                 hits.extend(part)
     else:
         hits = _search_strip((n, (t.numerator, t.denominator), degree, lo, hi, a0_values))
+    # k -> +-k + c maps a family onto itself, so g(a(k), b(k)) vanishes for
+    # every member of a canonical class or for none: verify once per class
     found: dict[tuple, ParametricSolution] = {}
     for a, b in hits:
-        sol = ParametricSolution(a_coeffs=a, b_coeffs=b, n=n, t=t)
-        if not verify_parametric(sol).valid:
-            continue
-        canon = canonical_form(sol)
-        found[(canon.a_coeffs, canon.b_coeffs)] = canon
-    return [found[key] for key in sorted(found)]
+        canon = canonical_form(ParametricSolution(a_coeffs=a, b_coeffs=b, n=n, t=t))
+        found.setdefault((canon.a_coeffs, canon.b_coeffs), canon)
+    return [found[key] for key in sorted(found) if verify_parametric(found[key]).valid]
 
 
 # ---------------------------------------------------------------------------

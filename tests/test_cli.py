@@ -1,8 +1,13 @@
 import json
+import os
+import pkgutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import homlab
 from homlab.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, _to_json, main
 from homlab.bs_core import BALANCED
 from homlab.joint_dist import joint_general
@@ -255,6 +260,11 @@ class TestHeraldCommand:
         assert doc["posterior"] == pytest.approx(0.6373, abs=1e-3)
         assert doc["squeezing_db"] == pytest.approx(-13.0, abs=0.1)
 
+    def test_underflowing_first_term_exits_0(self, capsys):
+        # w_t = (eta tanh^2 r)^t / cosh^2 r underflows to 0 at this count
+        assert main(["herald", "--t", "400", "--eta", "0.5", "--r", "0.5"]) == EXIT_OK
+        assert "= 1.0000" in capsys.readouterr().out
+
 
 class TestDickeCommand:
     def test_sweep(self, tmp_path):
@@ -275,3 +285,55 @@ class TestVerifyCommand:
 
     def test_unknown_tables_exits_2(self, capsys):
         assert main(["verify", "--tables", "bogus"]) == EXIT_USAGE
+
+
+def _run_python(args):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    return subprocess.run([sys.executable, *args], env=env, check=True,
+                          capture_output=True, text=True)
+
+
+class TestOutputFile:
+    WRITE = ("import os, stat, sys; os.umask(int(sys.argv[2], 8)); "
+             "from homlab.cli import main; "
+             "code = main(['herald', '--t', '2', '--eta', '0.87', '--r', '1.5', "
+             "'-o', sys.argv[1]]); "
+             "print(code, oct(stat.S_IMODE(os.stat(sys.argv[1]).st_mode)))")
+
+    @pytest.mark.parametrize("umask, mode", [("022", "0o644"), ("077", "0o600")])
+    def test_mode_follows_umask(self, tmp_path, umask, mode):
+        out = tmp_path / "h.json"
+        last = _run_python(["-c", self.WRITE, str(out), umask]).stdout.splitlines()[-1]
+        assert last.split() == ["0", mode]
+
+    def test_replaces_existing_file_and_leaves_no_temporary(self, tmp_path):
+        out = tmp_path / "h.json"
+        out.write_text("old")
+        assert main(["herald", "--t", "2", "--eta", "0.87", "--r", "1.5",
+                     "-o", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["t"] == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["h.json"]
+
+
+class TestImports:
+    """Only ``--workers > 1`` needs a process pool, so no start imports one;
+    every start still imports numpy and the modules a job uses, so the time
+    of ``--version`` stays the time of a job's start."""
+
+    @staticmethod
+    def _imported(args):
+        # -X importtime lists each module on stderr as it is first imported
+        lines = _run_python(["-X", "importtime", *args]).stderr.splitlines()
+        return {line.rsplit("|", 1)[1].strip() for line in lines
+                if line.startswith("import time:")}
+
+    @pytest.mark.parametrize("args", [["-m", "homlab.cli", "--version"],
+                                      ["-c", "import homlab"]])
+    def test_no_process_pool_on_start(self, args):
+        imported = self._imported(args)
+        assert "multiprocessing" not in imported
+        assert "concurrent.futures.process" not in imported
+        # -m runs homlab.cli as __main__, which is not an import
+        library = {f"homlab.{m.name}" for m in pkgutil.iter_modules(homlab.__path__)}
+        assert {"numpy", *library - {"homlab.cli"}} <= imported

@@ -167,6 +167,35 @@ class TestHeralding:
                 assert herald_posterior(n_prime, t, eta, src) == \
                     pytest.approx(want, rel=1e-12, abs=0.0)
 
+    @staticmethod
+    def _mpmath_posteriors(t, eta, src, n_primes):
+        """w_n' / sum_n w_n from the binomial terms, w_t factored out, at 40 digits."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            x = mpmath.tanh(mpmath.mpf(src.r)) ** 2
+            q = 1 - mpmath.mpf(eta)
+            w = {n: math.comb(n, t) * (q * x) ** (n - t)
+                 for n in range(t, src.cutoff + 1)}
+            evidence = mpmath.fsum(w.values())
+            return {n: float(w[n] / evidence) for n in n_primes}, max(w.values())
+
+    def test_underflowing_first_term_against_mpmath(self):
+        # w_t = (eta tanh^2 r)^t / cosh^2 r is about 1e-561, below any float
+        t, eta, src = 400, 0.5, SqueezedSource(r=0.5, cutoff=1500)
+        assert (eta * math.tanh(src.r) ** 2) ** t == 0.0
+        want, _ = self._mpmath_posteriors(t, eta, src, (t, t + 1, t + 40, t + 100))
+        for n_prime, value in want.items():
+            assert herald_posterior(n_prime, t, eta, src) == \
+                pytest.approx(value, rel=1e-12, abs=0.0)
+
+    def test_relative_terms_beyond_float_range_against_mpmath(self):
+        t, eta, src = 300, 0.05, SqueezedSource(r=3.0, cutoff=6000)
+        want, largest = self._mpmath_posteriors(t, eta, src, (4000, 4700, 6000))
+        assert largest > 1e308
+        for n_prime, value in want.items():
+            assert herald_posterior(n_prime, t, eta, src) == \
+                pytest.approx(value, rel=1e-12, abs=0.0)
+
     def test_validation(self):
         src = SqueezedSource(r=1.0)
         with pytest.raises(ValueError):

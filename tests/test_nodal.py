@@ -143,6 +143,18 @@ class TestSearchParametric:
         parallel = search_parametric(2, HALF, 2, (-3, 3), workers=2)
         assert serial == parallel
 
+    def test_verifies_each_canonical_class_once(self, monkeypatch):
+        canonical, verified = [], []
+        for name, log in (("canonical_form", canonical), ("verify_parametric", verified)):
+            real = getattr(nodal, name)
+            monkeypatch.setattr(nodal, name, lambda sol, real=real, log=log:
+                                log.append(real(sol)) or log[-1])
+        sols = search_parametric(3, HALF, 2, (-2, 2))
+        keys = sorted({(c.a_coeffs, c.b_coeffs) for c in canonical})
+        assert len(keys) == len(verified) < len(canonical)
+        assert [(s.a_coeffs, s.b_coeffs) for s in sols] == keys
+        assert all(res.valid for res in verified)
+
     def test_constant_polynomials_excluded(self):
         # (m_a, m_b) = (0, 0) solves g = 0 trivially but is not a family
         for sol in search_parametric(3, HALF, 2, (-1, 1)):
@@ -310,6 +322,46 @@ class TestExactKernelsAgainstOracles:
             (1, 0), (1, 1), (1, 11), (2, 0), (3, 1), (11, 55), (70, 162))
         found = [(s.a_coeffs, s.b_coeffs) for s in search_parametric(3, HALF, 3, (-1, 1))]
         assert found == _brute_force_families(3, HALF, 3, -1, 1)
+
+
+def _expansion_cases():
+    """Every built-in family, each copy with one coefficient moved by +-1, and
+    two degree-3 pairs (the diagonal family k^3 + k at n = 3, T = 1/2, and a
+    pair that is no family)."""
+    for sol in (s for families in KNOWN_FAMILIES.values() for s in families):
+        yield sol
+        for which, i, step in itertools.product(("a_coeffs", "b_coeffs"),
+                                                range(3), (-1, 1)):
+            coeffs = list(getattr(sol, which)) + [0] * (3 - len(getattr(sol, which)))
+            coeffs[i] += step
+            fields = {"a_coeffs": sol.a_coeffs, "b_coeffs": sol.b_coeffs, which: coeffs}
+            yield ParametricSolution(n=sol.n, t=sol.t, **fields)
+    yield ParametricSolution(a_coeffs=(0, 1, 0, 1), b_coeffs=(0, 1, 0, 1), n=3, t=HALF)
+    yield ParametricSolution(a_coeffs=(2, -1, 0, 3), b_coeffs=(0, 1, 1, 1),
+                             n=3, t=Fraction(2, 3))
+
+
+def test_expansion_matches_fraction_oracle():
+    # _g_fraction is g_poly (see test_fraction_oracle_is_g_poly) extended to
+    # negative arguments; 15 points exceed every residual degree, so
+    # agreement at them pins every coefficient
+    valid = 0
+    for sol in _expansion_cases():
+        res = verify_parametric(sol)
+        residual = res.residual_coefficients
+        assert len(residual) <= 15
+        scale = sol.t.denominator ** sol.n
+        for k in range(-7, 8):
+            assert _value(residual, k) == \
+                scale * _g_fraction(sol.m_a(k), sol.m_b(k), sol.n, sol.t)
+        nonzero = [i for i, c in enumerate(residual) if c != 0]
+        if nonzero:
+            assert res.first_nonzero == (nonzero[0], Fraction(residual[nonzero[0]], scale))
+        else:
+            assert res.first_nonzero is None
+        assert res.valid == (not nonzero) and res.certificates_agree
+        valid += res.valid
+    assert valid == sum(map(len, KNOWN_FAMILIES.values())) + 1
 
 
 def test_degree_three_search_has_bounded_memory():
