@@ -124,7 +124,7 @@ def g_poly(m_a: int, m_b: int, n: int, bs: BeamSplitterSetting) -> Real:
 
 
 def amplitude_blocks(bs: BeamSplitterSetting, s_max: int):
-    """Yield the orthogonal blocks U_s[p, n] = <p, s-p| B |n, s-n> (the Wigner
+    """Yield the orthogonal blocks U_s of :func:`amplitude_block` (the Wigner
     matrices d^{s/2}(theta)) for s = 0 .. s_max, keeping only the last one.
 
     Each block adds a photon to the previous one,
@@ -151,29 +151,25 @@ def amplitude_blocks(bs: BeamSplitterSetting, s_max: int):
 
 
 def amplitude_block(bs: BeamSplitterSetting, s: int) -> np.ndarray:
-    """The single block U_s of :func:`amplitude_blocks`."""
+    """The s-photon block of the splitter, U_s[p, n] = <p, s-p| B |n, s-n>:
+    entry [p, n] is the amplitude f^(n, s-n)_p of |p, s-p> in the
+    transformed input |n, s-n>.  Every single amplitude is read from here."""
+    if s < 0:
+        raise ValueError("photon number must be non-negative")
     for u in amplitude_blocks(bs, s):
         pass
     return u
-
-
-def bs_coefficient(n: int, m: int, p: int, bs: BeamSplitterSetting) -> float:
-    """Amplitude f^(n,m)_p of |p, n+m-p> in the transformed basis state |n, m>."""
-    if n < 0 or m < 0:
-        raise ValueError("photon numbers must be non-negative")
-    if not (0 <= p <= n + m):
-        raise ValueError(f"p={p} outside [0, {n + m}]")
-    return float(amplitude_block(bs, n + m)[p, n])
 
 
 def measured_amplitude(n: int, m_a: int, m_b: int, bs: BeamSplitterSetting) -> float:
     """f^(n, m_a+m_b-n)_{m_a}: amplitude to measure (m_a, m_b) given the
     a-mode Fock input |n> (b-mode photon number fixed by conservation).
     Returns 0 when m_a + m_b < n."""
-    m = m_a + m_b - n
-    if m < 0:
+    if min(n, m_a, m_b) < 0:
+        raise ValueError("photon numbers must be non-negative")
+    if m_a + m_b < n:
         return 0.0
-    return bs_coefficient(n, m, m_a, bs)
+    return float(amplitude_block(bs, m_a + m_b)[m_a, n])
 
 
 def bs_prob_exact(n: int, m_a: int, m_b: int, t) -> Fraction:
@@ -204,13 +200,6 @@ def bs_prob_exact(n: int, m_a: int, m_b: int, t) -> Fraction:
         for c2, a2, b2 in terms:
             total += c1 * c2 * t ** ((a1 + a2) // 2) * r ** ((b1 + b2) // 2)
     return norm * total
-
-
-def transform_fock_pair(n: int, m: int, bs: BeamSplitterSetting) -> np.ndarray:
-    """Amplitude vector over p in [0, n+m] for the transformed state |n, m>."""
-    if n < 0 or m < 0:
-        raise ValueError("photon numbers must be non-negative")
-    return amplitude_block(bs, n + m)[:, n].copy()
 
 
 def cos_factor_residual(m_prime: int, n: int, bs: BeamSplitterSetting) -> Real:

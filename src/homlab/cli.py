@@ -151,7 +151,10 @@ def _grid_document(command: str, dist: JointDistribution, args) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
+def _merge_config(args: argparse.Namespace,
+                  parser: argparse.ArgumentParser) -> argparse.Namespace:
+    """Fill each unset flag of the subcommand from the file's JSON object,
+    converting the value as argparse converts that flag's text."""
     path = getattr(args, "config", None)
     if not path:
         return args
@@ -162,10 +165,18 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         raise _CliError(EXIT_IO, f"--config: cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise _CliError(EXIT_USAGE, f"--config: invalid JSON in {path}: {exc}")
+    if not isinstance(doc, dict):
+        raise _CliError(EXIT_USAGE, f"--config: {path} must hold a JSON object")
+    sub = next(a for a in parser._actions if a.dest == "command").choices[args.command]
+    actions = {action.dest: action for action in sub._actions}
     for key, value in doc.items():
-        attr = key.replace("-", "_")
-        if getattr(args, attr, None) is None and hasattr(args, attr):
-            setattr(args, attr, value)
+        action = actions.get(key.replace("-", "_"))
+        if action is None or value is None or getattr(args, action.dest, None) is not None:
+            continue
+        try:
+            setattr(args, action.dest, (action.type or str)(str(value)))
+        except ValueError:
+            raise _CliError(EXIT_USAGE, f"--config: invalid {key} value {value!r}")
     return args
 
 
@@ -186,7 +197,7 @@ def _parse_states(args):
         state_a = parse_state(args.a, cutoff=args.cutoff_a)
         state_b = parse_state(args.b, cutoff=args.cutoff_b)
         bs = BeamSplitterSetting.parse(args.bs)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, ZeroDivisionError) as exc:
         raise _CliError(EXIT_USAGE, f"invalid state/beam-splitter flag: {exc}")
     except OSError as exc:
         raise _CliError(EXIT_IO, f"cannot read custom state file: {exc}")
@@ -243,8 +254,8 @@ def cmd_parametric(args) -> int:
         sols = search_parametric(int(args.n), Fraction(str(args.T)),
                                  int(args.degree),
                                  (int(args.coeff_min), int(args.coeff_max)),
-                                 workers=args.workers)
-    except ValueError as exc:
+                                 workers=args.workers or 1)
+    except (ValueError, ZeroDivisionError) as exc:
         raise _CliError(EXIT_USAGE, str(exc))
     doc = {
         "meta": {"command": "parametric", "tool_version": __version__},
@@ -288,11 +299,11 @@ def cmd_herald(args) -> int:
 
 def cmd_dicke(args) -> int:
     _require(args, "j_max")
-    bs = BeamSplitterSetting.parse(args.bs) if args.bs else BALANCED
     try:
+        bs = BeamSplitterSetting.parse(args.bs) if args.bs else BALANCED
         sweep = [{"J": j, "P_central": float(p)}
                  for j, p in enumerate(central_zero_sweep(int(args.j_max), 0, bs))]
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise _CliError(EXIT_DOMAIN, str(exc))
     doc = {
         "meta": {"command": "dicke", "bs": _bs_meta(bs),
@@ -304,9 +315,8 @@ def cmd_dicke(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tables = args.tables or "all"
-    if tables not in ("all", "builtin", "appendix-c"):
-        raise _CliError(EXIT_USAGE, f"--tables: unknown table set {tables!r}")
+    if args.tables not in (None, "all"):
+        raise _CliError(EXIT_USAGE, f"--tables: unknown table set {args.tables!r}")
     rows = []
     all_valid = True
     for (n, t), families in sorted(KNOWN_FAMILIES.items()):
@@ -337,6 +347,15 @@ def _add_common(sub, grid: bool = True):
         sub.add_argument("--format", choices=("json", "csv"), default="json")
 
 
+def _add_grid_input(sub):
+    sub.add_argument("--a", help="a-mode state descriptor, e.g. fock:1")
+    sub.add_argument("--b", help="b-mode state descriptor, e.g. coherent:beta=3")
+    sub.add_argument("--bs", default="1/2", help='"1/2", "3/4" or "theta=1.0472"')
+    sub.add_argument("--grid-max", type=int, dest="grid_max")
+    sub.add_argument("--cutoff-a", type=int, dest="cutoff_a")
+    sub.add_argument("--cutoff-b", type=int, dest="cutoff_b")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="homlab",
@@ -346,22 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("dist", help="output joint distribution grid")
-    p.add_argument("--a", help="a-mode state descriptor, e.g. fock:1")
-    p.add_argument("--b", help="b-mode state descriptor, e.g. coherent:beta=3")
-    p.add_argument("--bs", default="1/2", help='"1/2", "3/4" or "theta=1.0472"')
-    p.add_argument("--grid-max", type=int, dest="grid_max")
-    p.add_argument("--cutoff-a", type=int, dest="cutoff_a")
-    p.add_argument("--cutoff-b", type=int, dest="cutoff_b")
+    _add_grid_input(p)
     _add_common(p)
     p.set_defaults(func=cmd_dist)
 
     p = subs.add_parser("lossy", help="grid seen by lossy detectors")
-    p.add_argument("--a")
-    p.add_argument("--b")
-    p.add_argument("--bs", default="1/2")
-    p.add_argument("--grid-max", type=int, dest="grid_max")
-    p.add_argument("--cutoff-a", type=int, dest="cutoff_a")
-    p.add_argument("--cutoff-b", type=int, dest="cutoff_b")
+    _add_grid_input(p)
     p.add_argument("--eta-a", type=float, dest="eta_a")
     p.add_argument("--eta-b", type=float, dest="eta_b")
     _add_common(p)
@@ -400,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dicke)
 
     p = subs.add_parser("verify", help="re-certify the built-in zero families")
-    p.add_argument("--tables", help='"all" (alias "builtin", "appendix-c")')
+    p.add_argument("--tables", help='"all", the only table set')
     _add_common(p, grid=False)
     p.set_defaults(func=cmd_verify)
 
@@ -411,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args)
+        args = _merge_config(args, parser)
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -49,13 +49,6 @@ class SqueezedSource:
         if self.cutoff < 0:
             raise ValueError("cutoff must be non-negative")
 
-    def tail_bound(self) -> float:
-        """Geometric tail mass beyond the cutoff."""
-        x = math.tanh(self.r) ** 2
-        if x == 0.0:
-            return 0.0
-        return x ** (self.cutoff + 1)
-
 
 def bernoulli_matrix(eta: float, size: int) -> np.ndarray:
     """A[m, M] = C(M, m) eta^m (1-eta)^(M-m); columns sum to 1.

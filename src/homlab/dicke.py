@@ -71,28 +71,8 @@ def wigner_d(j, m_out, m_in, bs: BeamSplitterSetting) -> float:
     at the mixing angle of ``bs``: the entry U_2J[J + M', J + M] of the
     beam-splitter block."""
     src = AngularState.make(j, m_in)
-    dst = AngularState.make(j, m_out)
-    if src.twice_j != dst.twice_j:
-        raise ValueError("M' and M must belong to the same J")
-    n = src.to_fock_pair()[0]
-    p = dst.to_fock_pair()[0]
-    return float(amplitude_block(bs, src.twice_j)[p, n])
-
-
-def rotation_distribution(j, m_in, bs: BeamSplitterSetting) -> dict[Fraction, float]:
-    """Probability of each M' after rotating |J, M_in> by the mixing angle."""
-    src = AngularState.make(j, m_in)
-    tj = src.twice_j
-    column = amplitude_block(bs, tj)[:, src.to_fock_pair()[0]]
-    return {Fraction(2 * p - tj, 2): float(column[p]) ** 2 for p in range(tj + 1)}
-
-
-def central_probability(j, m_in, bs: BeamSplitterSetting = BALANCED) -> float:
-    """P(M' = 0) after rotation; defined only for integer J."""
-    src = AngularState.make(j, m_in)
-    if src.twice_j % 2:
-        raise ValueError("M' = 0 requires integer J")
-    return wigner_d(src.j, 0, src.m, bs) ** 2
+    p = AngularState.make(j, m_out).to_fock_pair()[0]
+    return float(amplitude_block(bs, src.twice_j)[p, src.to_fock_pair()[0]])
 
 
 def central_probability_exact(j, m_in, t) -> Fraction:
@@ -100,10 +80,9 @@ def central_probability_exact(j, m_in, t) -> Fraction:
     src = AngularState.make(j, m_in)
     if src.twice_j % 2:
         raise ValueError("M' = 0 requires integer J")
-    n, m = src.to_fock_pair()
+    # the measured pair (J, J) carries the input's 2J photons
     half = src.twice_j // 2
-    # measured pair (half, half) carries total n + m photons as required
-    return bs_prob_exact(n, half, half, t)
+    return bs_prob_exact(src.to_fock_pair()[0], half, half, t)
 
 
 def central_zero_sweep(j_max: int, m_in=0,

@@ -76,11 +76,6 @@ class JointDistribution:
         return float(np.sum(total * self.grid))
 
 
-def default_grid_max(n_a: int, cutoff_b: int) -> int:
-    """Everything representable: a-mode photons plus the b-state cutoff."""
-    return n_a + cutoff_b
-
-
 def joint_fs_fs(n: int, m: int, bs: BeamSplitterSetting,
                 grid_max: int | None = None) -> JointDistribution:
     """Fock |n> in a, Fock |m> in b: mass lives on the anti-diagonal

@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .bs_core import BeamSplitterSetting, g_poly
 from .joint_dist import JointDistribution
 from .numerics import binomial, falling_factorial
 
@@ -33,6 +31,8 @@ def _int_weights(n: int, t: Fraction) -> tuple[int, int, int]:
     """Return (num, rnum, den^n) such that
     g = sum_q C(n,q)(-1)^q (m_a)_{n-q} num^{n-q} (m_b)_q rnum^q / den^n."""
     t = Fraction(t)
+    if not 0 <= t <= 1:
+        raise ValueError("transmittance must lie in [0, 1]")
     num, den = t.numerator, t.denominator
     return num, den - num, den ** n
 
@@ -315,8 +315,7 @@ def _search_strip(args):
     their survivors at each further point, so memory stays
     O(_BLOCK + (hi - lo + 1)^(degree - 1)).
     """
-    (n, t_pair, degree, lo, hi, a0_values) = args
-    num, rnum, _ = _int_weights(n, Fraction(*t_pair))
+    (n, num, rnum, degree, lo, hi, a0_values) = args
     coeffs = np.arange(lo, hi + 1, dtype=np.int64)
     a0s = np.array(a0_values, dtype=np.int64)
     rows, cols = np.divmod(np.flatnonzero(
@@ -351,7 +350,7 @@ def _search_strip(args):
 
 
 def search_parametric(n: int, t, degree: int, coeff_range: tuple[int, int],
-                      workers: int | None = None) -> list[ParametricSolution]:
+                      workers: int = 1) -> list[ParametricSolution]:
     """Exhaustive scan of integer coefficient tuples, pruned by necessary
     conditions (see ``_search_strip``), for polynomial pairs that annihilate
     g identically.
@@ -364,26 +363,23 @@ def search_parametric(n: int, t, degree: int, coeff_range: tuple[int, int],
         raise ValueError("n must be non-negative")
     if degree not in (2, 3):
         raise ValueError("degree must be 2 or 3")
-    t = Fraction(t)
+    num, rnum, _ = _int_weights(n, t)
     lo, hi = coeff_range
     if lo > hi:
         raise ValueError("empty coefficient range")
-    if workers is None:
-        workers = max(1, int(os.environ.get("HOMLAB_THREADS", "1")))
     a0_values = list(range(lo, hi + 1))
     if workers > 1:
         # imported here: it pulls in multiprocessing, which every homlab
         # start would otherwise pay for (20-30 ms) and only a pool needs
         from concurrent.futures import ProcessPoolExecutor
         chunks = [a0_values[i::workers] for i in range(workers)]
-        args = [(n, (t.numerator, t.denominator), degree, lo, hi, chunk)
-                for chunk in chunks if chunk]
+        args = [(n, num, rnum, degree, lo, hi, chunk) for chunk in chunks if chunk]
         hits = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_search_strip, args):
                 hits.extend(part)
     else:
-        hits = _search_strip((n, (t.numerator, t.denominator), degree, lo, hi, a0_values))
+        hits = _search_strip((n, num, rnum, degree, lo, hi, a0_values))
     # k -> +-k + c maps a family onto itself, so g(a(k), b(k)) vanishes for
     # every member of a canonical class or for none: verify once per class
     found: dict[tuple, ParametricSolution] = {}

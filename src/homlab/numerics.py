@@ -15,9 +15,6 @@ from typing import Union
 
 Real = Union[Fraction, float]
 
-#: default tolerance used when deciding whether a float is "zero"
-FLOAT_ZERO_TOL = 1e-12
-
 
 def falling_factorial(x: int, q: int) -> int:
     """(x)_q = x (x-1) ... (x-q+1); the empty product (q=0) is 1.
@@ -43,17 +40,6 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return comb(n, k)
-
-
-def is_zero(value: Real, tol: float = FLOAT_ZERO_TOL) -> bool:
-    """Exact zero test for Fraction/int values, tolerance test for floats."""
-    if isinstance(value, (Fraction, int)):
-        return value == 0
-    return abs(value) <= tol
-
-
-def is_exact(value: Real) -> bool:
-    return isinstance(value, (Fraction, int))
 
 
 def parse_fraction(text: str) -> Fraction:

@@ -30,6 +30,17 @@ class Parity(enum.Enum):
     MIXED = "mixed"
 
 
+def _parity(weights: np.ndarray) -> Parity:
+    """Parity class of the photon-number weights w_0, w_1, ..."""
+    odd_mass = float(np.sum(weights[1::2]))
+    even_mass = float(np.sum(weights[0::2]))
+    if even_mass == 0.0 and odd_mass > 0.0:
+        return Parity.ODD
+    if odd_mass == 0.0:
+        return Parity.EVEN
+    return Parity.MIXED
+
+
 @dataclass(frozen=True)
 class PureState:
     """Fock-basis amplitude vector c_0 .. c_cutoff."""
@@ -57,18 +68,7 @@ class PureState:
         return float(np.dot(np.arange(weights.size), weights))
 
     def parity_of(self) -> Parity:
-        weights = np.abs(self.amplitudes) ** 2
-        odd_mass = float(np.sum(weights[1::2]))
-        even_mass = float(np.sum(weights[0::2]))
-        if even_mass == 0.0 and odd_mass > 0.0:
-            return Parity.ODD
-        if odd_mass == 0.0:
-            return Parity.EVEN
-        return Parity.MIXED
-
-    def density_weights(self) -> np.ndarray:
-        """Diagonal photon-number weights |c_m|^2."""
-        return np.abs(self.amplitudes) ** 2
+        return _parity(np.abs(self.amplitudes) ** 2)
 
     def to_mixed(self) -> "MixedState":
         rho = np.outer(self.amplitudes, np.conj(self.amplitudes))
@@ -105,14 +105,7 @@ class MixedState:
         return float(np.max(np.abs(self.rho - self.rho.conj().T)))
 
     def parity_of(self) -> Parity:
-        diag = np.real(np.diag(self.rho))
-        odd_mass = float(np.sum(diag[1::2]))
-        even_mass = float(np.sum(diag[0::2]))
-        if even_mass == 0.0 and odd_mass > 0.0:
-            return Parity.ODD
-        if odd_mass == 0.0:
-            return Parity.EVEN
-        return Parity.MIXED
+        return _parity(np.real(np.diag(self.rho)))
 
 
 State = PureState | MixedState
@@ -233,10 +226,10 @@ def photon_added_smss(r: float, phi: float = 0.0, cutoff: int | None = None,
 def fock_superposition(terms: dict[int, complex], cutoff: int | None = None,
                        label: str | None = None) -> PureState:
     """Normalized superposition of Fock states, e.g. {1: 1, 3: 1}."""
-    top = max(terms)
-    if cutoff is None:
-        cutoff = top
-    amps = np.zeros(cutoff + 1, dtype=complex)
+    if min(terms) < 0 or not any(terms.values()):
+        raise ValueError("superposition needs non-negative photon numbers "
+                         "and a nonzero weight")
+    amps = np.zeros(max(max(terms), cutoff or 0) + 1, dtype=complex)
     for n, c in terms.items():
         amps[n] = c
     amps /= np.linalg.norm(amps)
@@ -274,6 +267,8 @@ def parse_state(descriptor: str, cutoff: int | None = None) -> State:
     "oddcat:alpha=2", "pasmss:r=0.5[,phi=0.1]", "super:1,3",
     "custom:file=path.json".
     """
+    if cutoff is not None and cutoff < 0:
+        raise ValueError(f"cutoff={cutoff} must be non-negative")
     kind, _, rest = descriptor.partition(":")
     kind = kind.strip().lower()
     params = _parse_params(rest)

@@ -129,12 +129,10 @@ def test_criterion_8_loss_sanity():
 def test_criterion_9_property_suites():
     # unitarity, n + m <= 30
     for bs in (h.BALANCED, h.BeamSplitterSetting.from_angle(1.0)):
-        for n in range(16):
-            for m in range(16):
-                if n + m > 30:
-                    continue
-                vec = h.transform_fock_pair(n, m, bs)
-                assert float((vec ** 2).sum()) == pytest.approx(1.0, abs=1e-9)
+        for s in range(31):
+            u = h.amplitude_block(bs, s)
+            for n in range(max(0, s - 15), min(s, 15) + 1):
+                assert float((u[:, n] ** 2).sum()) == pytest.approx(1.0, abs=1e-9)
     # parity symmetry, exact, n <= 6
     for t in (HALF, THREE_Q):
         bs = h.BeamSplitterSetting.from_transmittance(t)
@@ -184,11 +182,12 @@ def test_criterion_9_property_suites():
     from test_bs_core import _amplitude_oracle
     for t in (HALF, THREE_Q):
         bs = h.BeamSplitterSetting.from_transmittance(t)
-        for n in range(13):
-            for m in range(13 - n):
-                for p in range(n + m + 1):
-                    assert h.bs_coefficient(n, m, p, bs) == pytest.approx(
-                        _amplitude_oracle(n, m, p, t), abs=1e-12)
+        for s in range(13):
+            u = h.amplitude_block(bs, s)
+            for n in range(s + 1):
+                for p in range(s + 1):
+                    assert u[p, n] == pytest.approx(
+                        _amplitude_oracle(n, s - n, p, t), abs=1e-12)
     # rotation-matrix oracle via the matrix exponential, 2J <= 8
     from test_dicke import _jy_matrix
     theta = 1.1

@@ -4,9 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from homlab.bs_core import (BALANCED, BeamSplitterSetting, amplitude_blocks,
-                            bs_coefficient, bs_prob_exact, cos_factor_residual,
-                            g_poly, measured_amplitude, transform_fock_pair)
+from homlab.bs_core import (BALANCED, BeamSplitterSetting, amplitude_block,
+                            amplitude_blocks, bs_prob_exact, cos_factor_residual,
+                            g_poly, measured_amplitude)
 from homlab.numerics import binomial, falling_factorial
 
 
@@ -107,51 +107,53 @@ def _amplitude_oracle(n, m, p, t):
 
 
 class TestAmplitudes:
+    """Single amplitudes f^(n,m)_p, read as U_{n+m}[p, n] off ``amplitude_block``."""
+
     def test_symbolic_expansion_oracle(self):
         # every amplitude up to n + m <= 12 against the exact-root expansion
         for t in (Fraction(1, 2), Fraction(3, 4)):
             bs = BeamSplitterSetting.from_transmittance(t)
-            for n in range(13):
-                for m in range(13 - n):
-                    for p in range(n + m + 1):
-                        got = bs_coefficient(n, m, p, bs)
-                        want = _amplitude_oracle(n, m, p, t)
-                        assert got == pytest.approx(want, abs=1e-12), (n, m, p)
+            for s in range(13):
+                u = amplitude_block(bs, s)
+                for n in range(s + 1):
+                    for p in range(s + 1):
+                        want = _amplitude_oracle(n, s - n, p, t)
+                        assert u[p, n] == pytest.approx(want, abs=1e-12), (n, s - n, p)
 
     def test_compact_and_expanded_agree_at_angle(self):
         bs = BeamSplitterSetting.from_angle(0.777)
         t = Fraction(bs.transmittance).limit_denominator(10 ** 15)
         for n in range(7):
             for m in range(7):
+                u = amplitude_block(bs, n + m)
                 for p in range(n + m + 1):
-                    got = bs_coefficient(n, m, p, bs) ** 2
                     want = float(bs_prob_exact(n, p, n + m - p, t))
-                    assert got == pytest.approx(want, abs=1e-10)
+                    assert u[p, n] ** 2 == pytest.approx(want, abs=1e-10)
 
     def test_unitarity(self):
+        # each column is a transformed input |n, s - n>, so has unit norm
         for bs in (BALANCED, BeamSplitterSetting.from_angle(1.0),
                    BeamSplitterSetting.from_transmittance(Fraction(2, 7))):
-            for n in range(16):
-                for m in range(16):
-                    if n + m > 30:
-                        continue
-                    vec = transform_fock_pair(n, m, bs)
-                    assert float((vec ** 2).sum()) == pytest.approx(1.0, abs=1e-9)
+            for s in range(31):
+                u = amplitude_block(bs, s)
+                for n in range(max(0, s - 15), min(s, 15) + 1):
+                    assert float((u[:, n] ** 2).sum()) == pytest.approx(1.0, abs=1e-9)
 
     def test_degenerate_angles(self):
         # theta = 0: perfect transmission, |n, m> stays put (p = n)
         bs0 = BeamSplitterSetting.from_transmittance(Fraction(1))
-        assert bs_coefficient(2, 3, 2, bs0) == pytest.approx(1.0)
-        assert bs_coefficient(2, 3, 4, bs0) == pytest.approx(0.0)
+        assert amplitude_block(bs0, 5)[2, 2] == pytest.approx(1.0)
+        assert amplitude_block(bs0, 5)[4, 2] == pytest.approx(0.0)
         bs1 = BeamSplitterSetting.from_transmittance(Fraction(0))
-        assert abs(bs_coefficient(2, 3, 3, bs1)) == pytest.approx(1.0)
+        assert abs(amplitude_block(bs1, 5)[3, 2]) == pytest.approx(1.0)
+        assert measured_amplitude(2, 3, 2, bs1) ** 2 == pytest.approx(1.0)
 
     def test_rejects_negative_photon_numbers(self):
-        for n, m in ((-1, 3), (2, -1)):
+        for n, m_a, m_b in ((-1, 3, 0), (2, -1, 0), (1, -1, 0), (1, 0, -1)):
             with pytest.raises(ValueError):
-                bs_coefficient(n, m, 0, BALANCED)
-            with pytest.raises(ValueError):
-                transform_fock_pair(n, m, BALANCED)
+                measured_amplitude(n, m_a, m_b, BALANCED)
+        with pytest.raises(ValueError):
+            amplitude_block(BALANCED, -1)
 
     def test_measured_amplitude_below_threshold(self):
         assert measured_amplitude(3, 1, 1, BALANCED) == 0.0
@@ -188,7 +190,7 @@ class TestAmplitudeBlocks:
     def test_central_element_at_200_photons_per_mode(self):
         # d^J_00(pi/2) = P_J(0) = C(J, J/2) / 2^J for J = 200
         want = math.comb(200, 100) / 2 ** 200
-        assert bs_coefficient(200, 200, 200, BALANCED) == pytest.approx(want, rel=1e-12)
+        assert amplitude_block(BALANCED, 400)[200, 200] == pytest.approx(want, rel=1e-12)
 
     def test_mpmath_wigner_sum(self):
         mpmath = pytest.importorskip("mpmath")

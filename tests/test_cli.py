@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import homlab
+from homlab import cli
 from homlab.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, _to_json, main
 from homlab.bs_core import BALANCED
 from homlab.joint_dist import joint_general
@@ -137,6 +138,29 @@ class TestConfigFile:
     def test_missing_config_exits_4(self):
         assert main(["dist", "--config", "/no/such/file.json",
                      "--a", "fock:0", "--b", "fock:0"]) == EXIT_IO
+
+    def test_values_convert_like_flags(self, tmp_path):
+        # "6" is the text --grid-max 6 would give, so it becomes the int 6
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"a": "fock:1", "b": "coherent:beta=1",
+                                   "grid-max": "6", "eta_a": 0.5}))
+        out = tmp_path / "grid.json"
+        assert main(["dist", "--config", str(cfg), "-o", str(out)]) == EXIT_OK
+        meta = json.loads(out.read_text())["meta"]
+        assert meta["grid_max"] == 6
+        assert meta["eta_a"] is None  # not a flag of dist, so ignored
+
+    def test_workers_from_file_apply(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "search_parametric",
+                            lambda *args, workers: seen.append(workers) or [])
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"workers": 2}))
+        assert main(["parametric", "--config", str(cfg), "--n", "2", "--T", "1/2",
+                     "-o", str(tmp_path / "p.json")]) == EXIT_OK
+        assert main(["parametric", "--n", "2", "--T", "1/2",
+                     "-o", str(tmp_path / "p.json")]) == EXIT_OK
+        assert seen == [2, 1]
 
 
 class TestLossyCommand:
@@ -278,7 +302,7 @@ class TestDickeCommand:
 
 class TestVerifyCommand:
     def test_all_tables(self, capsys):
-        assert main(["verify", "--tables", "appendix-c"]) == EXIT_OK
+        assert main(["verify", "--tables", "all"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("[ok]") == 17
@@ -287,11 +311,54 @@ class TestVerifyCommand:
         assert main(["verify", "--tables", "bogus"]) == EXIT_USAGE
 
 
-def _run_python(args):
+def _run_python(args, check=True):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    return subprocess.run([sys.executable, *args], env=env, check=True,
+    return subprocess.run([sys.executable, *args], env=env, check=check,
                           capture_output=True, text=True)
+
+
+GRID = ["--a", "fock:1", "--b", "coherent:beta=1"]
+ETAS = ["--eta-a", "0.9", "--eta-b", "0.9"]
+
+
+class TestExitCodes:
+    """Malformed input ends in one ``error:`` line and the documented exit
+    code, never a traceback.  ``{config}`` stands for a file holding the
+    row's JSON text."""
+
+    @pytest.mark.parametrize("argv, config, code", [
+        (["dist", "--a", "super:1,-1", "--b", "fock:0"], None, EXIT_USAGE),
+        (["dist", *GRID, "--cutoff-b", "-1"], None, EXIT_USAGE),
+        (["dist", "--a", "thermal:nbar=1", "--b", "fock:0", "--cutoff-a", "-1"],
+         None, EXIT_USAGE),
+        (["lossy", *GRID, *ETAS, "--cutoff-a", "-2"], None, EXIT_USAGE),
+        (["dist", "--bs", "1/0", *GRID], None, EXIT_USAGE),
+        (["dist", "--config", "{config}"], '["fock:1", "fock:0"]', EXIT_USAGE),
+        (["dist", "--config", "{config}"],
+         '{"a": "fock:1", "b": "fock:0", "grid-max": "six"}', EXIT_USAGE),
+        (["zeros", "--n", "3", "--T", "3/2", "--max", "5"], None, EXIT_USAGE),
+        (["zeros", "--n", "-1", "--T", "1/2", "--max", "3"], None, EXIT_USAGE),
+        (["parametric", "--n", "3", "--T", "3/2", "--coeff-min", "-1",
+          "--coeff-max", "1"], None, EXIT_USAGE),
+        (["parametric", "--n", "2", "--T=-1/2", "--workers", "2"], None, EXIT_USAGE),
+        (["parametric", "--n", "2", "--T", "1/0"], None, EXIT_USAGE),
+        (["verify", "--tables", "bogus"], None, EXIT_USAGE),
+        (["verify", "--tables", "appendix-c"], None, EXIT_USAGE),
+        (["dicke", "--j-max", "3", "--bs", "3/2"], None, EXIT_DOMAIN),
+    ])
+    def test_exit_code(self, tmp_path, argv, config, code):
+        cfg = tmp_path / "run.json"
+        if config is not None:
+            cfg.write_text(config)
+        argv = [str(cfg) if arg == "{config}" else arg for arg in argv]
+        out = tmp_path / "out.json"
+        proc = _run_python(["-m", "homlab.cli", *argv, "-o", str(out)], check=False)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].startswith("error: "), proc.stderr
+        assert not out.exists()
 
 
 class TestOutputFile:

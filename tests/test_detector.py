@@ -95,11 +95,6 @@ class TestSqueezedSource:
         for n in range(5):
             assert tmss_prob(n, src) == pytest.approx(x ** n / math.cosh(0.8) ** 2)
 
-    def test_tail_bound(self):
-        src = SqueezedSource(r=1.5, cutoff=50)
-        x = math.tanh(1.5) ** 2
-        assert src.tail_bound() == pytest.approx(x ** 51)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             SqueezedSource(r=-1)

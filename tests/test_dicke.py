@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from homlab.bs_core import BALANCED, BeamSplitterSetting, measured_amplitude
-from homlab.dicke import (AngularState, central_probability,
-                          central_probability_exact, central_zero_sweep,
-                          fock_to_jm, jm_to_fock, rotation_distribution,
-                          wigner_d)
+from homlab.bs_core import (BALANCED, BeamSplitterSetting, amplitude_block,
+                            measured_amplitude)
+from homlab.dicke import (AngularState, central_probability_exact,
+                          central_zero_sweep, fock_to_jm, jm_to_fock, wigner_d)
 
 
 class TestMapping:
@@ -71,10 +70,12 @@ class TestWignerD:
             pytest.approx(math.cos(theta / 2))
 
     def test_unitarity(self):
+        # rotating |J, 0> spreads it over M' = -J .. J with total weight 1:
+        # the column J of the block U_2J
         bs = BeamSplitterSetting.from_angle(0.6)
         for j in (1, 2, 3):
-            dist = rotation_distribution(j, 0, bs)
-            assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+            column = amplitude_block(bs, 2 * j)[:, j]
+            assert float(np.sum(column ** 2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_mismatched_j_rejected(self):
         with pytest.raises(ValueError):
@@ -118,8 +119,11 @@ class TestCentralZero:
             else:
                 want = (math.comb(j, j // 2) / 2 ** j) ** 2
                 assert sweep[j] == pytest.approx(want, rel=1e-12), j
-        assert central_probability(100, 0) == pytest.approx(sweep[100], rel=1e-12)
+        want = (math.comb(100, 50) / 2 ** 100) ** 2
+        assert wigner_d(100, 0, 0, BALANCED) ** 2 == pytest.approx(want, rel=1e-12)
 
     def test_half_integer_rejected(self):
         with pytest.raises(ValueError):
-            central_probability(Fraction(3, 2), Fraction(1, 2))
+            central_probability_exact(Fraction(3, 2), Fraction(1, 2), Fraction(1, 2))
+        with pytest.raises(ValueError):
+            wigner_d(Fraction(3, 2), 0, Fraction(1, 2), BALANCED)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from homlab.bs_core import BALANCED, BeamSplitterSetting, bs_prob_exact
-from homlab.joint_dist import (JointDistribution, default_grid_max, joint_fs_fs,
+from homlab.joint_dist import (JointDistribution, joint_fs_fs,
                                joint_fs_fs_exact, joint_fs_mixed,
                                joint_fs_pure, joint_general, joint_pure_mixed,
                                joint_pure_pure)
@@ -217,9 +217,6 @@ class TestDiagonalStructure:
 
 
 class TestPlumbing:
-    def test_default_grid_max(self):
-        assert default_grid_max(2, 7) == 9
-
     def test_trace_deficit_warning(self):
         lossy_state = coherent(3, cutoff=4)  # heavy truncation
         d = joint_general((fock(0), lossy_state), BALANCED)

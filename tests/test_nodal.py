@@ -76,6 +76,20 @@ class TestBfsZeros:
             bfs_zeros(-1, HALF, 3)
 
 
+@pytest.mark.parametrize("t", [Fraction(3, 2), Fraction(-1, 2)])
+def test_transmittance_outside_unit_interval_rejected(t):
+    # no splitter has such a T, so its "zeros" would be meaningless
+    with pytest.raises(ValueError):
+        bfs_zeros(3, t, 5)
+    with pytest.raises(ValueError):
+        search_parametric(3, t, 2, (-1, 1), workers=2)
+    with pytest.raises(ValueError):
+        verify_parametric(ParametricSolution(a_coeffs=(0, 1), b_coeffs=(0, 1), n=1, t=t))
+    # the end points are splitters: at n = 1, g = T m_a - R m_b
+    assert bfs_zeros(1, Fraction(0), 3).zeros == ((1, 0), (2, 0), (3, 0))
+    assert bfs_zeros(1, Fraction(1), 3).zeros == ()
+
+
 class TestVerifyParametric:
     def test_builtin_families_all_valid(self):
         for families in KNOWN_FAMILIES.values():
@@ -371,7 +385,7 @@ def test_degree_three_search_has_bounded_memory():
              "print(json.dumps([len(sols), "
              "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), HOMLAB_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     out = subprocess.run([sys.executable, "-c", child], env=env, check=True,
                          capture_output=True, text=True).stdout
     count, max_rss_kb = json.loads(out)

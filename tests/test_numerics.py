@@ -2,8 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from homlab.numerics import (FLOAT_ZERO_TOL, binomial, falling_factorial,
-                             is_exact, is_zero, parse_fraction)
+from homlab.numerics import binomial, falling_factorial, parse_fraction
 
 
 class TestFallingFactorial:
@@ -44,18 +43,6 @@ class TestBinomial:
     def test_rejects_negative_n(self):
         with pytest.raises(ValueError):
             binomial(-1, 0)
-
-
-class TestZeroTests:
-    def test_exact(self):
-        assert is_zero(Fraction(0))
-        assert not is_zero(Fraction(1, 10 ** 30))
-        assert is_exact(Fraction(1, 2))
-        assert not is_exact(0.5)
-
-    def test_float_tolerance(self):
-        assert is_zero(FLOAT_ZERO_TOL / 2)
-        assert not is_zero(10 * FLOAT_ZERO_TOL)
 
 
 def test_parse_fraction():

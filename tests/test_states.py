@@ -118,6 +118,14 @@ class TestSuperposition:
         assert abs(s.amplitudes[1]) ** 2 == pytest.approx(0.5)
         assert s.parity_of() is Parity.ODD
 
+    def test_rejects_negative_photon_numbers_and_zero_weight(self):
+        # amps[-1] would alias the top photon number; all-zero weights give NaN
+        for terms in ({1: 1, -1: 1}, {1: 0}, {0: 0, 2: 0}):
+            with pytest.raises(ValueError):
+                fock_superposition(terms)
+        with pytest.raises(ValueError):
+            parse_state("super:1,-1")
+
 
 class TestValidate:
     def test_pure_report(self):
@@ -153,6 +161,16 @@ class TestParseState:
     def test_unknown(self):
         with pytest.raises(ValueError):
             parse_state("wigner:q=1")
+
+    @pytest.mark.parametrize("descriptor", ["fock:1", "coherent:beta=1",
+                                            "thermal:nbar=1", "oddcat:alpha=1",
+                                            "pasmss:r=0.5", "super:1,3"])
+    def test_negative_cutoff_rejected(self, descriptor):
+        with pytest.raises(ValueError):
+            parse_state(descriptor, cutoff=-1)
+        # a cutoff below a listed photon number is raised to it, as for fock:
+        want = 3 if descriptor == "super:1,3" else 1
+        assert parse_state(descriptor, cutoff=1).cutoff == want
 
 
 class TestCustomFiles:
