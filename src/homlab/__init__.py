@@ -4,8 +4,7 @@ and heralding, and exact-rational certification of interference zeros."""
 __version__ = "1.0.0"
 
 from .bs_core import (BALANCED, BeamSplitterSetting, amplitude_block,
-                      amplitude_blocks, bs_prob_exact, cos_factor_residual,
-                      g_poly, measured_amplitude)
+                      amplitude_blocks, bs_prob_exact, measured_amplitude)
 from .detector import (LossConfig, SqueezedSource, bernoulli_matrix,
                        herald_posterior, lossy_distribution,
                        spdc_detection_prob, squeezing_db, tmss_prob)
@@ -17,9 +16,8 @@ from .joint_dist import (JointDistribution, joint_fs_fs, joint_fs_fs_exact,
 from .nodal import (BALANCED_N2_FAMILIES, BALANCED_N3_FAMILIES, CnlReport,
                     KNOWN_FAMILIES, ParametricSolution, T34_N2_FAMILIES,
                     VerifyResult, ZeroSet, bfs_zeros, canonical_form,
-                    cnl_scan, extremal_branch_points, search_parametric,
-                    verify_parametric)
-from .numerics import Real, binomial, falling_factorial, parse_fraction
+                    cnl_scan, cos_factor_residual, extremal_branch_points,
+                    g_poly, search_parametric, verify_parametric)
 from .states import (EPS_NORM, MixedState, Parity, PureState, ValidationReport,
                      coherent, fock, fock_superposition, load_custom, odd_cat,
                      parse_state, photon_added_smss, thermal, validate)

@@ -1,18 +1,14 @@
-"""Beam-splitter amplitudes and the alternating falling-factorial polynomial.
+"""Beam-splitter settings and amplitudes.
 
 Convention: a beam splitter of mixing angle theta (0 <= theta <= pi) has
 transmittance T = cos^2(theta/2) and reflectance R = sin^2(theta/2); the
 b-mode reflection carries the minus sign, so the balanced setting theta = pi/2
 sends |1,1> to (|0,2> - |2,0>)/sqrt(2).
 
-All zeros of the post-measurement amplitude live in the polynomial
-
-    g(m_a, m_b | n) = sum_q C(n,q) (-1)^q (m_a)_{n-q} T^{n-q} (m_b)_q R^q,
-
-which has rational value whenever T is rational: this is what makes exact
-certification of destructive-interference zeros possible.  Float amplitudes
-do not use it: they come from the orthogonal blocks of
-:func:`amplitude_blocks`, which stay accurate at any photon number.
+Float amplitudes come from the orthogonal blocks of :func:`amplitude_blocks`,
+which stay accurate at any photon number; :func:`bs_prob_exact` gives exact
+probabilities at rational T.  The zero polynomial g lives in
+:mod:`homlab.nodal`.
 """
 
 from __future__ import annotations
@@ -22,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-
-from .numerics import Real, binomial, falling_factorial, parse_fraction
 
 
 @dataclass(frozen=True)
@@ -59,21 +53,21 @@ class BeamSplitterSetting:
         text = text.strip()
         if text.startswith("theta="):
             return cls.from_angle(float(text[len("theta="):]))
-        return cls.from_transmittance(parse_fraction(text))
+        return cls.from_transmittance(Fraction(text))
 
     @property
     def is_exact(self) -> bool:
         return self.exact_t is not None
 
     @property
-    def transmittance(self) -> Real:
+    def transmittance(self) -> Fraction | float:
         """T = cos^2(theta/2); Fraction in exact mode, float otherwise."""
         if self.exact_t is not None:
             return self.exact_t
         return math.cos(self.theta / 2) ** 2
 
     @property
-    def reflectance(self) -> Real:
+    def reflectance(self) -> Fraction | float:
         if self.exact_t is not None:
             return 1 - self.exact_t
         return math.sin(self.theta / 2) ** 2
@@ -90,37 +84,9 @@ class BeamSplitterSetting:
             return math.sqrt(float(1 - self.exact_t))
         return math.sin(self.theta / 2)
 
-    @property
-    def angle(self) -> float:
-        if self.theta is not None:
-            return self.theta
-        return 2.0 * math.atan2(self.sin_half, self.cos_half)
-
 
 #: 50:50 configuration, T = R = 1/2 exactly
 BALANCED = BeamSplitterSetting.from_transmittance(Fraction(1, 2))
-
-
-def g_poly(m_a: int, m_b: int, n: int, bs: BeamSplitterSetting) -> Real:
-    """The alternating falling-factorial sum carrying all amplitude zeros.
-
-    Returns an exact Fraction when ``bs`` is exact, a float otherwise.  The
-    Kronecker factor matching total photon number is the caller's
-    responsibility; this is the bare sum.
-    """
-    if m_a < 0 or m_b < 0 or n < 0:
-        raise ValueError("arguments must be non-negative")
-    t = bs.transmittance
-    r = bs.reflectance
-    total = Fraction(0) if bs.is_exact else 0.0
-    for q in range(n + 1):
-        term = binomial(n, q) * falling_factorial(m_a, n - q) * falling_factorial(m_b, q)
-        if term == 0:
-            continue
-        if q % 2:
-            term = -term
-        total = total + term * t ** (n - q) * r ** q
-    return total
 
 
 def amplitude_blocks(bs: BeamSplitterSetting, s_max: int):
@@ -193,34 +159,10 @@ def bs_prob_exact(n: int, m_a: int, m_b: int, t) -> Fraction:
     # even trig powers, hence exact T/R monomials
     terms = []
     for q in range(max(0, p - m), min(n, p) + 1):
-        coeff = binomial(n, q) * binomial(m, p - q) * (-1) ** (p - q)
+        coeff = math.comb(n, q) * math.comb(m, p - q) * (-1) ** (p - q)
         terms.append((coeff, m + 2 * q - p, n + p - 2 * q))
     total = Fraction(0)
     for c1, a1, b1 in terms:
         for c2, a2, b2 in terms:
             total += c1 * c2 * t ** ((a1 + a2) // 2) * r ** ((b1 + b2) // 2)
     return norm * total
-
-
-def cos_factor_residual(m_prime: int, n: int, bs: BeamSplitterSetting) -> Real:
-    """Residual Q such that (T - R) * Q = g_poly(m', m', n, bs) for odd n.
-
-    The diagonal polynomial always factors as (T - R) times this residual,
-    which is the algebraic origin of the contiguous diagonal zeros at the
-    balanced setting.
-    """
-    if n < 1 or n % 2 == 0:
-        raise ValueError("n must be odd and positive")
-    x = bs.transmittance
-    y = bs.reflectance
-    total = Fraction(0) if bs.is_exact else 0.0
-    for q in range((n - 1) // 2 + 1):
-        coeff = (binomial(n, q) * (-1) ** q
-                 * falling_factorial(m_prime, n - q) * falling_factorial(m_prime, q))
-        if coeff == 0:
-            continue
-        inner = Fraction(0) if bs.is_exact else 0.0
-        for k in range(1, n - 2 * q + 1):
-            inner = inner + x ** (n - 2 * q - k) * y ** (k - 1)
-        total = total + coeff * x ** q * y ** q * inner
-    return total

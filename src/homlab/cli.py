@@ -56,12 +56,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _emit(document: dict, path: str | None, fmt: str) -> None:
-    if fmt == "json":
-        text = _to_json(document)
-    elif fmt == "csv":
-        text = _to_csv(document)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    text = _to_csv(document) if fmt == "csv" else _to_json(document)
     if path is None:
         sys.stdout.write(text)
     else:
@@ -151,10 +146,11 @@ def _grid_document(command: str, dist: JointDistribution, args) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _merge_config(args: argparse.Namespace,
-                  parser: argparse.ArgumentParser) -> argparse.Namespace:
-    """Fill each unset flag of the subcommand from the file's JSON object,
-    converting the value as argparse converts that flag's text."""
+def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
+                  argv: list[str] | None) -> argparse.Namespace:
+    """Parse ``argv`` again with the file's JSON object as the subcommand's
+    defaults, each value converted and checked as argparse would check that
+    flag's text, so that any flag given on the command line still wins."""
     path = getattr(args, "config", None)
     if not path:
         return args
@@ -169,15 +165,20 @@ def _merge_config(args: argparse.Namespace,
         raise _CliError(EXIT_USAGE, f"--config: {path} must hold a JSON object")
     sub = next(a for a in parser._actions if a.dest == "command").choices[args.command]
     actions = {action.dest: action for action in sub._actions}
+    defaults = {}
     for key, value in doc.items():
         action = actions.get(key.replace("-", "_"))
-        if action is None or value is None or getattr(args, action.dest, None) is not None:
+        if action is None or value is None:
             continue
         try:
-            setattr(args, action.dest, (action.type or str)(str(value)))
+            converted = (action.type or str)(str(value))
+            if action.choices is not None and converted not in action.choices:
+                raise ValueError(f"not one of {action.choices}")
         except ValueError:
             raise _CliError(EXIT_USAGE, f"--config: invalid {key} value {value!r}")
-    return args
+        defaults[action.dest] = converted
+    sub.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 class _CliError(Exception):
@@ -251,8 +252,8 @@ def cmd_zeros(args) -> int:
 def cmd_parametric(args) -> int:
     _require(args, "n", "T")
     try:
-        sols = search_parametric(int(args.n), Fraction(str(args.T)),
-                                 int(args.degree),
+        t = Fraction(str(args.T))
+        sols = search_parametric(int(args.n), t, int(args.degree),
                                  (int(args.coeff_min), int(args.coeff_max)),
                                  workers=args.workers or 1)
     except (ValueError, ZeroDivisionError) as exc:
@@ -260,8 +261,7 @@ def cmd_parametric(args) -> int:
     doc = {
         "meta": {"command": "parametric", "tool_version": __version__},
         "n": int(args.n),
-        "T": {"num": Fraction(str(args.T)).numerator,
-              "den": Fraction(str(args.T)).denominator},
+        "T": {"num": t.numerator, "den": t.denominator},
         "degree": int(args.degree),
         "coeff_range": [int(args.coeff_min), int(args.coeff_max)],
         "solutions": [s.to_json() for s in sols],
@@ -420,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args, parser)
+        args = _merge_config(args, parser, argv)
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

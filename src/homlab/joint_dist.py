@@ -7,7 +7,8 @@ the input's s-photon part:
 
 * pure input psi:          P(., s - .) = |U_s psi_s|^2
 * density or table rho:    P(., s - .) = diag(U_s rho_s U_s^T), evaluated as
-  U_s^2 diag(rho_s) when rho_s is diagonal (a Fock or thermal mode makes it so)
+  U_s^2 diag(rho_s) for a pair whose a- or b-mode density is diagonal (a Fock
+  or thermal mode makes it so), since every rho_s is then diagonal
 
 Pure and diagonal inputs are thus sums of squares with non-negative weights,
 so their grids have no negative entry.  The ``joint_*`` functions are this
@@ -139,9 +140,19 @@ def joint_general(rho_ab, bs: BeamSplitterSetting,
         else:
             rho_a, rho_b = _density(state_a), _density(state_b)
             weights = np.outer(np.diag(rho_a).real, np.diag(rho_b).real)
+            # every rho_s = rho_a[n, n'] rho_b[s-n, s-n'] is diagonal if one
+            # mode's density is; its diagonal is read, as np.diag(rho_s) was,
+            # as a strided view of complex products: einsum then sums in the
+            # same order, so the grid keeps every bit
+            if any(np.array_equal(rho, np.diag(np.diag(rho))) for rho in (rho_a, rho_b)):
+                diag = np.outer(np.diag(rho_a), np.diag(rho_b))
 
-            def block_probs(u, n, s):
-                return _sandwich(u, rho_a[np.ix_(n, n)] * rho_b[np.ix_(s - n, s - n)])
+                def block_probs(u, n, s):
+                    return np.einsum("pn,n->p", u * u, diag[n, s - n].real)
+            else:
+                def block_probs(u, n, s):
+                    rho_s = rho_a[np.ix_(n, n)] * rho_b[np.ix_(s - n, s - n)]
+                    return np.einsum("pn,nk,pk->p", u, rho_s, u).real
     else:
         table = np.asarray(rho_ab, dtype=complex)
         if table.ndim != 4:
@@ -150,7 +161,8 @@ def joint_general(rho_ab, bs: BeamSplitterSetting,
         label = "table"
 
         def block_probs(u, n, s):
-            return _sandwich(u, table[n[:, None], (s - n)[:, None], n, s - n])
+            rho_s = table[n[:, None], (s - n)[:, None], n, s - n]
+            return np.einsum("pn,nk,pk->p", u, rho_s, u).real
 
     dim_a, dim_b = weights.shape
     if grid_max is None:
@@ -170,14 +182,6 @@ def joint_general(rho_ab, bs: BeamSplitterSetting,
     if 1.0 - trace > eps_norm:
         warnings = (f"input trace deficit {1.0 - trace:.3e} exceeds {eps_norm:g}",)
     return JointDistribution(grid, bs, input_label=label, warnings=warnings)
-
-
-def _sandwich(u: np.ndarray, rho_s: np.ndarray) -> np.ndarray:
-    """diag(u rho_s u^T); a sum of squares when rho_s is diagonal."""
-    weights = np.diag(rho_s)
-    if np.array_equal(rho_s, np.diag(weights)):
-        return np.einsum("pn,n->p", u * u, weights.real)
-    return np.einsum("pn,nk,pk->p", u, rho_s, u).real
 
 
 def _density(state) -> np.ndarray:

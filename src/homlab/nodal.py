@@ -1,5 +1,13 @@
 """Locating and certifying interference zeros of the beam-splitter polynomial.
 
+All zeros of the post-measurement amplitude live in the polynomial
+
+    g(m_a, m_b | n) = sum_q C(n,q) (-1)^q (m_a)_{n-q} T^{n-q} (m_b)_q R^q,
+
+which has rational value whenever T is rational: this is what makes exact
+certification of destructive-interference zeros possible.  g is evaluated
+here only, and only exactly: at T = num/den it is ``_g_int`` over den^n.
+
 Covers: diagonal nodal-line scans of computed distributions, exhaustive
 integer (Diophantine) zero searches at rational transmittance, verification
 and brute-force search of parametric integer-polynomial zero families, and
@@ -16,8 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .bs_core import BeamSplitterSetting
 from .joint_dist import JointDistribution
-from .numerics import binomial, falling_factorial
 
 #: entries per block of the wrapping-int64 sieves, which bounds their memory
 _BLOCK = 1 << 17
@@ -29,7 +37,10 @@ _BLOCK = 1 << 17
 
 def _int_weights(n: int, t: Fraction) -> tuple[int, int, int]:
     """Return (num, rnum, den^n) such that
-    g = sum_q C(n,q)(-1)^q (m_a)_{n-q} num^{n-q} (m_b)_q rnum^q / den^n."""
+    g = sum_q C(n,q)(-1)^q (m_a)_{n-q} num^{n-q} (m_b)_q rnum^q / den^n.
+    ``t`` is None for an angle setting, which has no such form."""
+    if t is None:
+        raise ValueError("g needs a rational transmittance, not an angle")
     t = Fraction(t)
     if not 0 <= t <= 1:
         raise ValueError("transmittance must lie in [0, 1]")
@@ -37,14 +48,52 @@ def _int_weights(n: int, t: Fraction) -> tuple[int, int, int]:
     return num, den - num, den ** n
 
 
+def _falling(x: int, q: int) -> int:
+    """(x)_q = x (x-1) ... (x-q+1), 1 for q = 0; total over all integer x,
+    as ``verify_parametric`` evaluates g at negative x too."""
+    if q < 0:
+        raise ValueError("the falling factorial requires q >= 0")
+    out = 1
+    for j in range(q):
+        out *= x - j
+    return out
+
+
 def _g_int(m_a: int, m_b: int, n: int, num: int, rnum: int) -> int:
     """Integer numerator of g at rational T; total over all integer m_a, m_b."""
     total = 0
     for q in range(n + 1):
-        term = (binomial(n, q) * falling_factorial(m_a, n - q) * num ** (n - q)
-                * falling_factorial(m_b, q) * rnum ** q)
+        term = (math.comb(n, q) * _falling(m_a, n - q) * num ** (n - q)
+                * _falling(m_b, q) * rnum ** q)
         total += -term if q % 2 else term
     return total
+
+
+def g_poly(m_a: int, m_b: int, n: int, bs: BeamSplitterSetting) -> Fraction:
+    """g(m_a, m_b | n) at the rational setting ``bs``, exactly: the bare sum,
+    without the Kronecker factor that matches total photon number."""
+    if m_a < 0 or m_b < 0 or n < 0:
+        raise ValueError("arguments must be non-negative")
+    num, rnum, scale = _int_weights(n, bs.exact_t)
+    return Fraction(_g_int(m_a, m_b, n, num, rnum), scale)
+
+
+def cos_factor_residual(m_prime: int, n: int, bs: BeamSplitterSetting) -> Fraction:
+    """Residual Q such that (T - R) * Q = g_poly(m', m', n, bs) for odd n.
+
+    The diagonal polynomial always factors as (T - R) times this residual,
+    which is the algebraic origin of the contiguous diagonal zeros at the
+    balanced setting.  Q has degree n - 1 in (T, R): an integer over den^(n-1).
+    """
+    if n < 1 or n % 2 == 0:
+        raise ValueError("n must be odd and positive")
+    num, rnum, scale = _int_weights(n - 1, bs.exact_t)
+    total = 0
+    for q in range((n + 1) // 2):
+        coeff = (-1) ** q * math.comb(n, q) * _falling(m_prime, n - q) * _falling(m_prime, q)
+        total += coeff * sum(num ** (n - q - k) * rnum ** (q + k - 1)
+                             for k in range(1, n - 2 * q + 1))
+    return Fraction(total, scale)
 
 
 def _g_wrapped(x, y, n: int, num: int, rnum: int) -> np.ndarray:
@@ -61,7 +110,7 @@ def _g_wrapped(x, y, n: int, num: int, rnum: int) -> np.ndarray:
             ff_x.append(ff_x[-1] * (x - j))
         total = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=np.int64)
         for q in range(n, -1, -1):
-            d_q = binomial(n, q) * (-rnum) ** q * num ** (n - q)
+            d_q = math.comb(n, q) * (-rnum) ** q * num ** (n - q)
             total += np.int64((d_q + 2 ** 63) % 2 ** 64 - 2 ** 63) * ff_x[n - q]
             if q:
                 total *= y - (q - 1)
@@ -173,13 +222,9 @@ def _pmul(p, q):
     return _ptrim(tuple(out))
 
 
-def _pscale(p, c):
-    return _ptrim(tuple(c * a for a in p))
-
-
 def _taylor_shift(p, c: int):
     """Compose p(k + c): coefficient j is sum_i C(i, j) p_i c^(i - j)."""
-    return tuple(sum(binomial(i, j) * p[i] * c ** (i - j) for i in range(j, len(p)))
+    return tuple(sum(math.comb(i, j) * p[i] * c ** (i - j) for i in range(j, len(p)))
                  for j in range(len(p)))
 
 
@@ -257,8 +302,8 @@ def _g_composite(sol: ParametricSolution):
         ff_a.append(_pmul(ff_a[-1], _padd(sol.a_coeffs, (-j,))))
     total = (0,)
     for q in range(n, -1, -1):
-        d_q = binomial(n, q) * (-rnum) ** q * num ** (n - q)
-        total = _padd(total, _pscale(ff_a[n - q], d_q))
+        d_q = math.comb(n, q) * (-rnum) ** q * num ** (n - q)
+        total = _padd(total, tuple(d_q * c for c in ff_a[n - q]))
         if q:
             total = _pmul(total, _padd(sol.b_coeffs, (1 - q,)))
     return total

@@ -247,16 +247,22 @@ def load_custom(path: str) -> State:
 
     Pure:  {"type": "pure", "amplitudes": [[re, im], ...]}
     Mixed: {"type": "mixed", "rho": [[[re, im], ...], ...]}
+    Any other shape raises ValueError.
     """
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path} must hold a JSON object")
     kind = doc.get("type")
-    if kind == "pure":
-        amps = np.array([complex(re, im) for re, im in doc["amplitudes"]])
-        return PureState(amps, label=f"custom:file={path}")
-    if kind == "mixed":
-        rho = np.array([[complex(re, im) for re, im in row] for row in doc["rho"]])
-        return MixedState(rho, label=f"custom:file={path}")
+    try:
+        if kind == "pure":
+            amps = np.array([complex(re, im) for re, im in doc["amplitudes"]])
+            return PureState(amps, label=f"custom:file={path}")
+        if kind == "mixed":
+            rho = np.array([[complex(re, im) for re, im in row] for row in doc["rho"]])
+            return MixedState(rho, label=f"custom:file={path}")
+    except (TypeError, KeyError) as exc:
+        raise ValueError(f"malformed {kind} state in {path}: {exc}") from None
     raise ValueError(f"unknown custom state type {kind!r} in {path}")
 
 

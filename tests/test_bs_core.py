@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from homlab.bs_core import (BALANCED, BeamSplitterSetting, amplitude_block,
-                            amplitude_blocks, bs_prob_exact, cos_factor_residual,
-                            g_poly, measured_amplitude)
-from homlab.numerics import binomial, falling_factorial
+                            amplitude_blocks, bs_prob_exact, measured_amplitude)
+from homlab.nodal import cos_factor_residual, g_poly
 
 
 class TestBeamSplitterSetting:
@@ -38,16 +37,17 @@ class TestBeamSplitterSetting:
         with pytest.raises(ValueError):
             BeamSplitterSetting(exact_t=Fraction(1, 2), theta=1.0)
 
-    def test_angle_round_trip(self):
-        assert BALANCED.angle == pytest.approx(math.pi / 2)
+
+def _falling(x, q):
+    return math.prod(range(x - q + 1, x + 1))
 
 
 def _g_oracle(m_a, m_b, n, t):
     """Independent evaluation from the defining sum with explicit Fractions."""
     t = Fraction(t)
     r = 1 - t
-    return sum(binomial(n, q) * (-1) ** q * falling_factorial(m_a, n - q)
-               * t ** (n - q) * falling_factorial(m_b, q) * r ** q
+    return sum(math.comb(n, q) * (-1) ** q * _falling(m_a, n - q)
+               * t ** (n - q) * _falling(m_b, q) * r ** q
                for q in range(n + 1))
 
 
@@ -70,12 +70,13 @@ class TestGPoly:
                     for m_b in range(7):
                         assert g_poly(m_a, m_b, n, bs) == _g_oracle(m_a, m_b, n, t)
 
-    def test_float_mode(self):
+    def test_rejects_angle(self):
+        # g is exact only; an angle has no rational T
         bs = BeamSplitterSetting.from_angle(1.234)
-        t = bs.transmittance
-        val = g_poly(2, 3, 2, bs)
-        oracle = float(t ** 2 * 2 - 2 * t * (1 - t) * 6 + (1 - t) ** 2 * 6)
-        assert val == pytest.approx(oracle, abs=1e-12)
+        with pytest.raises(ValueError, match="rational"):
+            g_poly(2, 3, 2, bs)
+        with pytest.raises(ValueError, match="rational"):
+            cos_factor_residual(2, 3, bs)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -94,7 +95,7 @@ def _amplitude_oracle(n, m, p, t):
     norm2 = Fraction(math.factorial(p) * math.factorial(n + m - p),
                      math.factorial(n) * math.factorial(m))
     qs = range(max(0, p - m), min(n, p) + 1)
-    terms = [(binomial(n, q) * binomial(m, p - q) * (-1) ** (p - q),
+    terms = [(math.comb(n, q) * math.comb(m, p - q) * (-1) ** (p - q),
               m + 2 * q - p, n + p - 2 * q) for q in qs]
     if not terms:
         return 0.0

@@ -125,15 +125,17 @@ class TestDistCommand:
 
 class TestConfigFile:
     def test_flags_override_file(self, tmp_path):
+        # --bs has a default, --a has none: an explicit flag wins over both
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"a": "fock:2", "b": "fock:0", "bs": "1/2"}))
+        cfg.write_text(json.dumps({"a": "fock:2", "b": "fock:0", "bs": "3/4"}))
         out = tmp_path / "grid.json"
-        code = main(["dist", "--config", str(cfg), "--a", "fock:1",
+        code = main(["dist", "--config", str(cfg), "--a", "fock:1", "--bs", "1/2",
                      "-o", str(out)])
         assert code == EXIT_OK
         doc = json.loads(out.read_text())
         assert doc["meta"]["state_a"] == "fock:1"
         assert doc["meta"]["state_b"] == "fock:0"
+        assert doc["meta"]["bs"] == {"T_num": 1, "T_den": 2}
 
     def test_missing_config_exits_4(self):
         assert main(["dist", "--config", "/no/such/file.json",
@@ -149,6 +151,24 @@ class TestConfigFile:
         meta = json.loads(out.read_text())["meta"]
         assert meta["grid_max"] == 6
         assert meta["eta_a"] is None  # not a flag of dist, so ignored
+
+    def test_file_sets_flags_that_have_defaults(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"a": "fock:1", "b": "fock:1", "bs": "3/4",
+                                   "format": "csv"}))
+        out = tmp_path / "grid.csv"
+        assert main(["dist", "--config", str(cfg), "-o", str(out)]) == EXIT_OK
+        rows = out.read_text().splitlines()
+        assert rows[0] == "m_a,m_b,P"
+        # (T - R)^2 = 1/4 at T = 3/4; T = 1/2 would give 0
+        p11 = next(float(r.split(",")[2]) for r in rows[1:] if r.startswith("1,1,"))
+        assert p11 == pytest.approx(0.25, abs=1e-12)
+        cfg.write_text(json.dumps({"degree": 3, "coeff-min": -1, "coeff-max": 1}))
+        out = tmp_path / "p.json"
+        assert main(["parametric", "--config", str(cfg), "--n", "2", "--T", "1/2",
+                     "-o", str(out)]) == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert (doc["degree"], doc["coeff_range"]) == (3, [-1, 1])
 
     def test_workers_from_file_apply(self, tmp_path, monkeypatch):
         seen = []
@@ -325,7 +345,7 @@ ETAS = ["--eta-a", "0.9", "--eta-b", "0.9"]
 class TestExitCodes:
     """Malformed input ends in one ``error:`` line and the documented exit
     code, never a traceback.  ``{config}`` stands for a file holding the
-    row's JSON text."""
+    row's JSON text, as a config file or as a custom state file."""
 
     @pytest.mark.parametrize("argv, config, code", [
         (["dist", "--a", "super:1,-1", "--b", "fock:0"], None, EXIT_USAGE),
@@ -346,12 +366,23 @@ class TestExitCodes:
         (["verify", "--tables", "bogus"], None, EXIT_USAGE),
         (["verify", "--tables", "appendix-c"], None, EXIT_USAGE),
         (["dicke", "--j-max", "3", "--bs", "3/2"], None, EXIT_DOMAIN),
+        (["dist", "--config", "{config}"],
+         '{"a": "fock:1", "b": "fock:0", "format": "xml"}', EXIT_USAGE),
+        (["parametric", "--config", "{config}", "--n", "2", "--T", "1/2"],
+         '{"degree": "two"}', EXIT_USAGE),
+        (["dist", "--a", "custom:file={config}", "--b", "fock:0"], '[[1, 0]]', EXIT_USAGE),
+        (["dist", "--a", "custom:file={config}", "--b", "fock:0"],
+         '{"type": "pure", "amplitudes": [1, 0]}', EXIT_USAGE),
+        (["dist", "--a", "custom:file={config}", "--b", "fock:0"],
+         '{"type": "pure", "amplitudes": [["one", 0]]}', EXIT_USAGE),
+        (["dist", "--a", "fock:0", "--b", "custom:file={config}"],
+         '{"type": "mixed", "rho": [[[1, 0]], 0]}', EXIT_USAGE),
     ])
     def test_exit_code(self, tmp_path, argv, config, code):
         cfg = tmp_path / "run.json"
         if config is not None:
             cfg.write_text(config)
-        argv = [str(cfg) if arg == "{config}" else arg for arg in argv]
+        argv = [arg.replace("{config}", str(cfg)) for arg in argv]
         out = tmp_path / "out.json"
         proc = _run_python(["-m", "homlab.cli", *argv, "-o", str(out)], check=False)
         assert proc.returncode == code, proc.stderr

@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from homlab import nodal
-from homlab.bs_core import BALANCED, BeamSplitterSetting, g_poly
+from homlab.bs_core import BALANCED, BeamSplitterSetting
 from homlab.joint_dist import joint_fs_fs, joint_fs_pure
 from homlab.nodal import (BALANCED_N2_FAMILIES, BALANCED_N3_FAMILIES,
                           KNOWN_FAMILIES, ParametricSolution,
                           T34_N2_FAMILIES, ZeroSet, _g_int, _g_wrapped,
                           _int_weights, bfs_zeros, canonical_form, cnl_scan,
-                          extremal_branch_points, search_parametric,
+                          extremal_branch_points, g_poly, search_parametric,
                           verify_parametric)
 from homlab.states import coherent
 
@@ -108,12 +108,11 @@ class TestVerifyParametric:
         assert value != 0
 
     def test_family_points_are_literal_zeros(self):
-        from homlab.bs_core import bs_prob_exact, g_poly
-        from homlab.bs_core import BeamSplitterSetting
+        # the test file's own Fraction g: g_poly shares _g_int with the
+        # evaluation certificate
         for sol in BALANCED_N2_FAMILIES + BALANCED_N3_FAMILIES:
-            bs = BeamSplitterSetting.from_transmittance(sol.t)
             for k in sol.valid_k(0, 4):
-                assert g_poly(sol.m_a(k), sol.m_b(k), sol.n, bs) == 0
+                assert _g_fraction(sol.m_a(k), sol.m_b(k), sol.n, sol.t) == 0
 
     def test_degree_cap(self):
         with pytest.raises(ValueError):
@@ -325,9 +324,10 @@ class TestExactKernelsAgainstOracles:
     @pytest.mark.parametrize("n, t, m_max", [(5, THREE_Q, 60), (8, Fraction(2, 3), 60),
                                              (70, HALF, 40)])
     def test_bfs_matches_exact_scan(self, n, t, m_max):
-        bs = BeamSplitterSetting.from_transmittance(t)
+        # against the test file's own Fraction g, not g_poly, which shares
+        # _g_int with the recheck
         expected = tuple((a, b) for a in range(1, m_max + 1) for b in range(m_max + 1)
-                         if g_poly(a, b, n, bs) == 0)
+                         if _g_fraction(a, b, n, t) == 0)
         assert bfs_zeros(n, t, m_max).zeros == expected
 
     def test_small_blocks_change_nothing(self, monkeypatch):
