@@ -15,6 +15,8 @@ import sys
 import tempfile
 from fractions import Fraction
 
+import numpy as np
+
 from . import __version__
 from .bs_core import BALANCED, BeamSplitterSetting
 from .detector import (LossConfig, SqueezedSource, herald_posterior,
@@ -83,22 +85,45 @@ def _to_json(document: dict) -> str:
     return "{\n" + ",\n".join(items) + "\n}\n"
 
 
-def _grid_json(grid: list[list[float]]) -> str:
-    """The text of a nested float list at the first indent level."""
-    if not grid:
+def _head(row) -> list[float]:
+    """``row`` up to its last entry that is not +0.0, as Python floats; the
+    writers emit the rest from one precomputed zero tail.  -0.0 prints as
+    ``-0.0`` / ``-0``, so it belongs to the head."""
+    values = np.asarray(row, dtype=float)
+    nonzero = np.flatnonzero((values != 0.0) | np.signbit(values))
+    return values[:nonzero[-1] + 1 if nonzero.size else 0].tolist()
+
+
+def _grid_json(grid) -> str:
+    """The text of a grid (rows of floats) at the first indent level.  Every
+    item of a row is written as ",\\n      " + its repr, so a row's zero tail
+    is a slice of one precomputed run of zero items."""
+    if not len(grid):
         return "[]"
-    rows = [("[\n      " + ",\n      ".join(map(float.__repr__, row)) + "\n    ]")
-            if row else "[]" for row in grid]
+    zero_item = ",\n      0.0"
+    zero_run = zero_item * max(map(len, grid))
+    rows = []
+    for row in grid:
+        head = _head(row)
+        items = "".join(f",\n      {v!r}" for v in head) \
+            + zero_run[:len(zero_item) * (len(row) - len(head))]
+        # "[" + the items without their leading comma
+        rows.append("[" + items[1:] + "\n    ]" if items else "[]")
     return "[\n    " + ",\n    ".join(rows) + "\n  ]"
 
 
 def _to_csv(document: dict) -> str:
     if "grid" in document:
-        lines = ["m_a,m_b,P"]
-        for m_a, row in enumerate(document["grid"]):
-            for m_b, value in enumerate(row):
-                lines.append(f"{m_a},{m_b},{value:.17g}")
-        return "\n".join(lines) + "\n"
+        grid = document["grid"]
+        # line "m_a,m_b,0" of a zero tail is str(m_a) + zero_suffix[m_b]
+        zero_suffix = [f",{m_b},0\n" for m_b in range(max(map(len, grid), default=0))]
+        parts = ["m_a,m_b,P\n"]
+        for m_a, row in enumerate(grid):
+            head = _head(row)
+            parts.extend(f"{m_a},{m_b},{value:.17g}\n" for m_b, value in enumerate(head))
+            if len(head) < len(row):
+                parts.append(f"{m_a}" + f"{m_a}".join(zero_suffix[len(head):len(row)]))
+        return "".join(parts)
     if "zeros" in document:
         lines = ["m_a,m_b,physical"]
         for z in document["zeros"]:
@@ -131,7 +156,7 @@ def _grid_document(command: str, dist: JointDistribution, args) -> dict:
             "eta_b": getattr(args, "eta_b", None),
             "tool_version": __version__,
         },
-        "grid": dist.grid.tolist(),
+        "grid": dist.grid,
         "total_mass": dist.total_mass,
         "diagnostics": {
             "tail_deficit": 1.0 - dist.total_mass,
@@ -302,7 +327,7 @@ def cmd_dicke(args) -> int:
     try:
         bs = BeamSplitterSetting.parse(args.bs) if args.bs else BALANCED
         sweep = [{"J": j, "P_central": float(p)}
-                 for j, p in enumerate(central_zero_sweep(int(args.j_max), 0, bs))]
+                 for j, p in enumerate(central_zero_sweep(int(args.j_max), bs))]
     except (ValueError, ZeroDivisionError) as exc:
         raise _CliError(EXIT_DOMAIN, str(exc))
     doc = {

@@ -14,8 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bs_core import (BALANCED, BeamSplitterSetting, amplitude_block,
-                      amplitude_blocks, bs_prob_exact)
+from .bs_core import BALANCED, BeamSplitterSetting, amplitude_block, bs_prob_exact
 
 
 @dataclass(frozen=True)
@@ -85,13 +84,16 @@ def central_probability_exact(j, m_in, t) -> Fraction:
     return bs_prob_exact(src.to_fock_pair()[0], half, half, t)
 
 
-def central_zero_sweep(j_max: int, m_in=0,
-                       bs: BeamSplitterSetting = BALANCED) -> np.ndarray:
-    """P(M' = 0) for integer J = 0 .. j_max at fixed input projection, read
-    off the even blocks of one pass of :func:`amplitude_blocks`."""
-    sweep = []
-    for twice_j, u in enumerate(amplitude_blocks(bs, 2 * j_max)):
-        if twice_j % 2 == 0:
-            n = AngularState.make(twice_j // 2, m_in).to_fock_pair()[0]
-            sweep.append(u[twice_j // 2, n] ** 2)
-    return np.array(sweep)
+def central_zero_sweep(j_max: int, bs: BeamSplitterSetting = BALANCED) -> np.ndarray:
+    """P(M' = 0) of the input |J, 0> for integer J = 0 .. j_max.
+
+    d^J_00(theta) is the Legendre polynomial P_J(x) at x = cos(theta) = T - R,
+    so the sweep follows (J+1) P_(J+1) = (2J+1) x P_J - J P_(J-1) from
+    P_0 = 1.  At T = 1/2, x is exactly 0.0 and every odd J gives 0.0."""
+    x = float(bs.transmittance - bs.reflectance)
+    legendre = np.empty(max(j_max + 1, 0))
+    prev, cur = 0.0, 1.0
+    for j in range(j_max + 1):
+        legendre[j] = cur
+        prev, cur = cur, ((2 * j + 1) * x * cur - j * prev) / (j + 1)
+    return legendre ** 2

@@ -9,8 +9,10 @@ import pytest
 
 import homlab
 from homlab import cli
-from homlab.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, _to_json, main
+from homlab.cli import (EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, _to_csv, _to_json,
+                        main)
 from homlab.bs_core import BALANCED
+from homlab.detector import LossConfig, lossy_distribution
 from homlab.joint_dist import joint_general
 from homlab.states import coherent, fock, thermal
 
@@ -240,6 +242,65 @@ class TestJsonWriter:
                      "--eta-a", "0.9", "--eta-b", "0.8", "-o", str(out)]) == EXIT_OK
         text = out.read_text()
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def _json_reference(grid) -> str:
+    """``{"grid": grid}`` as json.dumps(indent=2) writes it, cell by cell."""
+    rows = []
+    for row in grid:
+        cells = [f"      {float.__repr__(float(v))}" for v in row]
+        rows.append("[\n" + ",\n".join(cells) + "\n    ]" if cells else "[]")
+    body = "[\n" + ",\n".join(f"    {r}" for r in rows) + "\n  ]" if rows else "[]"
+    return '{\n  "grid": ' + body + "\n}\n"
+
+
+def _csv_reference(grid) -> str:
+    """The grid CSV, cell by cell."""
+    lines = ["m_a,m_b,P"] + [f"{m_a},{m_b},{float(v):.17g}"
+                             for m_a, row in enumerate(grid) for m_b, v in enumerate(row)]
+    return "\n".join(lines) + "\n"
+
+
+class TestGridWriters:
+    """The writers format each row up to its last entry that is not +0.0 and
+    emit the rest from a precomputed zero tail; every byte must stay that of
+    the per-cell writers."""
+
+    GRIDS = {
+        "signed-zeros-and-tiny": [[0.5, -0.0, 0.0, 0.0], [0.0, 0.0, 5e-324, 0.0],
+                                  [-1e-15, 0.0, 0.0, 0.0], [0.25, 0.0, 0.0, -0.0]],
+        "zero-rows-and-tails": [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.0, 0.0, 0.0],
+                                [0.0, 0.3, 0.0], [0.0, 0.0, 0.0]],
+        "last-column": [[0.0, 0.0, 0.2], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        "last-row": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.7]],
+        "all-zero": [[0.0, 0.0], [0.0, 0.0]],
+        "non-square": [[0.1, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1 / 3, 0.0, 0.0]],
+        "empty": [],
+        "ragged": [[], [0.25], [0.0, 0.0], [0.0, 0.5, 0.0, 0.0], [], [-0.0]],
+        "random": np.where(np.random.default_rng(7).random((11, 9)) < 0.5, 0.0,
+                           np.random.default_rng(8).random((11, 9))).tolist(),
+    }
+
+    @pytest.mark.parametrize("name", GRIDS)
+    def test_lists_match_per_cell_writers(self, name):
+        grid = self.GRIDS[name]
+        assert _json_reference(grid) == json.dumps({"grid": grid}, indent=2) + "\n"
+        assert _to_json({"grid": grid}) == _json_reference(grid)
+        assert _to_csv({"grid": grid}) == _csv_reference(grid)
+
+    @pytest.mark.parametrize("name", [n for n in GRIDS if n not in ("empty", "ragged")])
+    def test_arrays_match_per_cell_writers(self, name):
+        grid = np.array(self.GRIDS[name])
+        assert _to_json({"grid": grid}) == _json_reference(grid)
+        assert _to_csv({"grid": grid}) == _csv_reference(grid)
+
+    def test_padded_lossy_grid(self):
+        dist = lossy_distribution(joint_general((fock(1), coherent(1.5)), BALANCED,
+                                                grid_max=60), LossConfig(0.9, 0.8))
+        grid = dist.grid
+        assert grid[-1].sum() == 0.0 and grid[0, 1] > 0.0
+        assert _to_json({"grid": grid}) == _json_reference(grid)
+        assert _to_csv({"grid": grid}) == _csv_reference(grid)
 
 
 class TestZerosCommand:

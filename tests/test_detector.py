@@ -8,7 +8,7 @@ from homlab.bs_core import BALANCED
 from homlab.detector import (LossConfig, SqueezedSource, bernoulli_matrix,
                              herald_posterior, lossy_distribution,
                              spdc_detection_prob, squeezing_db, tmss_prob)
-from homlab.joint_dist import joint_fs_fs, joint_fs_pure
+from homlab.joint_dist import JointDistribution, joint_fs_fs, joint_fs_pure
 from homlab.states import coherent
 
 
@@ -44,6 +44,13 @@ class TestBernoulliMatrix:
             assert np.max(np.abs(a[:big + 1, big] - want)) <= 1e-15
             assert not a[big + 1:, big].any()
 
+    @pytest.mark.parametrize("eta", [0.3, 0.8000664335667, 1.0])
+    def test_smaller_matrix_is_top_left_block(self, eta):
+        # each Pascal column depends only on the one before it
+        full = bernoulli_matrix(eta, 300)
+        for k in (0, 1, 36, 299):
+            assert bernoulli_matrix(eta, k).tobytes() == full[:k, :k].copy().tobytes()
+
     def test_no_overflow_at_size_1500(self):
         # C(M, m) overflows a float above M ~ 1030
         for eta in (0.3, 0.87):
@@ -57,6 +64,45 @@ class TestLossyDistribution:
         d = joint_fs_pure(1, coherent(1), BALANCED)
         out = lossy_distribution(d, LossConfig(1.0, 1.0))
         assert np.max(np.abs(out.grid - d.grid)) < 1e-12
+
+    @staticmethod
+    def _support(grid) -> int:
+        """The smallest k with every entry outside [0, k)^2 equal to +0.0."""
+        nonzero = (grid != 0.0) | np.signbit(grid)
+        k = grid.shape[0]
+        while k and not nonzero[k - 1].any() and not nonzero[:, k - 1].any():
+            k -= 1
+        return k
+
+    @pytest.mark.parametrize("grid_max", [40, 300])
+    def test_padded_grid_matches_full_product(self, grid_max):
+        d = joint_fs_pure(1, coherent(2.0 - 1.5j), BALANCED, grid_max=grid_max)
+        k = self._support(d.grid)
+        assert k < 40
+        ea, eb = 0.8000664335667, 0.71
+        out = lossy_distribution(d, LossConfig(ea, eb)).grid
+        full = bernoulli_matrix(ea, grid_max + 1) @ d.grid @ bernoulli_matrix(eb, grid_max + 1).T
+        assert np.max(np.abs(out - full)) <= 1e-15
+        # loss never moves mass outside the input's support
+        assert out[k:].tobytes() == np.zeros_like(out[k:]).tobytes()
+        assert out[:, k:].tobytes() == np.zeros_like(out[:, k:]).tobytes()
+
+    def test_full_support_is_the_full_product_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        grid = rng.random((25, 25))
+        grid[-1, 0] = 0.5  # support reaches the last row
+        grid /= grid.sum()
+        d = JointDistribution(grid, BALANCED, input_label="random")
+        assert self._support(d.grid) == 25
+        ea, eb = 0.9, 0.35
+        want = bernoulli_matrix(ea, 25) @ d.grid @ bernoulli_matrix(eb, 25).T
+        got = lossy_distribution(d, LossConfig(ea, eb)).grid
+        assert got.tobytes() == want.tobytes()
+
+    def test_perfect_detectors_return_the_input_bit_for_bit(self):
+        d = joint_fs_pure(1, coherent(1.5), BALANCED, grid_max=80)
+        out = lossy_distribution(d, LossConfig(1.0, 1.0))
+        assert out.grid.tobytes() == d.grid.tobytes()
 
     def test_mass_preserved(self):
         d = joint_fs_pure(1, coherent(1.5), BALANCED)

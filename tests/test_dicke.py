@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import expm
 
 from homlab.bs_core import (BALANCED, BeamSplitterSetting, amplitude_block,
-                            measured_amplitude)
+                            amplitude_blocks, measured_amplitude)
 from homlab.dicke import (AngularState, central_probability_exact,
                           central_zero_sweep, fock_to_jm, jm_to_fock, wigner_d)
 
@@ -109,6 +109,21 @@ class TestCentralZero:
         # odd J = odd excitation number at M = 0 -> exact zeros
         assert sweep[1] == 0.0 and sweep[3] == 0.0 and sweep[5] == 0.0
         assert sweep[2] > 0 and sweep[4] > 0
+
+    @pytest.mark.parametrize("bs", [BALANCED, BeamSplitterSetting.parse("3/4"),
+                                    BeamSplitterSetting.parse("theta=1.1")])
+    def test_sweep_matches_block_path(self, bs):
+        # reference: P(M' = 0) read off the even blocks U_2J at column J
+        want = [u[s // 2, s // 2] ** 2
+                for s, u in enumerate(amplitude_blocks(bs, 200)) if s % 2 == 0]
+        sweep = central_zero_sweep(100, bs)
+        assert sweep.shape == (101,)
+        assert np.max(np.abs(sweep - want)) <= 1e-15
+        if bs == BALANCED:
+            assert not sweep[1::2].any() and not np.signbit(sweep).any()
+
+    def test_empty_sweep_below_j0(self):
+        assert central_zero_sweep(-1).shape == (0,)
 
     def test_legendre_closed_form_to_j100(self):
         # balanced rotation of |J, 0>: P(M' = 0) = P_J(0)^2 = (C(J, J/2) / 2^J)^2
