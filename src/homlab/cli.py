@@ -70,19 +70,21 @@ def _to_json(document: dict) -> str:
     written directly: with an indent, json runs its pure-Python encoder, which
     costs more than the rest of a large grid command.  ``float.__repr__`` is
     the text json writes for a finite float; ``JointDistribution`` admits no
-    NaN or infinity."""
+    NaN or infinity.  The pieces are joined once, so a large grid's text is
+    not copied again after its rows are built."""
     if "grid" not in document:
         return json.dumps(document, indent=2) + "\n"
-    items = []
-    for key, value in document.items():
+    parts = ["{"]
+    for i, (key, value) in enumerate(document.items()):
+        parts.append(f"{',' if i else ''}\n  {json.dumps(key)}: ")
         if key == "grid":
-            text = _grid_json(value)
+            _grid_json(value, parts)
         else:
             # json escapes newlines inside strings, so every newline here is
             # layout and re-indenting by one level is exact
-            text = json.dumps(value, indent=2).replace("\n", "\n  ")
-        items.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(items) + "\n}\n"
+            parts.append(json.dumps(value, indent=2).replace("\n", "\n  "))
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def _head(row) -> list[float]:
@@ -94,22 +96,24 @@ def _head(row) -> list[float]:
     return values[:nonzero[-1] + 1 if nonzero.size else 0].tolist()
 
 
-def _grid_json(grid) -> str:
-    """The text of a grid (rows of floats) at the first indent level.  Every
-    item of a row is written as ",\\n      " + its repr, so a row's zero tail
-    is a slice of one precomputed run of zero items."""
+def _grid_json(grid, parts: list) -> None:
+    """Append the text of a grid (rows of floats) at the first indent level
+    to ``parts``, one piece per row.  Every item of a row is written as
+    ",\\n      " + its repr, so a row's zero tail is a slice of one
+    precomputed run of zero items."""
     if not len(grid):
-        return "[]"
+        parts.append("[]")
+        return
     zero_item = ",\n      0.0"
     zero_run = zero_item * max(map(len, grid))
-    rows = []
-    for row in grid:
+    for i, row in enumerate(grid):
         head = _head(row)
         items = "".join(f",\n      {v!r}" for v in head) \
             + zero_run[:len(zero_item) * (len(row) - len(head))]
+        parts.append(",\n    " if i else "[\n    ")
         # "[" + the items without their leading comma
-        rows.append("[" + items[1:] + "\n    ]" if items else "[]")
-    return "[\n    " + ",\n    ".join(rows) + "\n  ]"
+        parts.append("[" + items[1:] + "\n    ]" if items else "[]")
+    parts.append("\n  ]")
 
 
 def _to_csv(document: dict) -> str:

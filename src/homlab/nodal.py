@@ -61,11 +61,14 @@ def _falling(x: int, q: int) -> int:
 
 def _g_int(m_a: int, m_b: int, n: int, num: int, rnum: int) -> int:
     """Integer numerator of g at rational T; total over all integer m_a, m_b."""
+    # running products (m_a)_j num^j and (m_b)_j (-rnum)^j
+    ff_a, ff_b = [1], [1]
+    for j in range(n):
+        ff_a.append(ff_a[-1] * (m_a - j) * num)
+        ff_b.append(ff_b[-1] * (j - m_b) * rnum)
     total = 0
     for q in range(n + 1):
-        term = (math.comb(n, q) * _falling(m_a, n - q) * num ** (n - q)
-                * _falling(m_b, q) * rnum ** q)
-        total += -term if q % 2 else term
+        total += math.comb(n, q) * ff_a[n - q] * ff_b[q]
     return total
 
 
@@ -206,26 +209,22 @@ def _ptrim(p):
     return tuple(p)
 
 
-def _padd(p, q):
-    size = max(len(p), len(q))
-    return _ptrim(tuple((p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-                        for i in range(size)))
-
-
 def _pmul(p, q):
+    """Product of coefficient lists, untrimmed."""
     out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
-        if a == 0:
-            continue
         for j, b in enumerate(q):
             out[i + j] += a * b
-    return _ptrim(tuple(out))
+    return out
 
 
-def _taylor_shift(p, c: int):
-    """Compose p(k + c): coefficient j is sum_i C(i, j) p_i c^(i - j)."""
-    return tuple(sum(math.comb(i, j) * p[i] * c ** (i - j) for i in range(j, len(p)))
-                 for j in range(len(p)))
+def _shift(p, c: int):
+    """Compose p(k + c) by repeated synthetic division by k - c."""
+    out = list(p)
+    for j in range(len(out) - 1):
+        for i in range(len(out) - 2, j - 1, -1):
+            out[i] += c * out[i + 1]
+    return tuple(out)
 
 
 def _preflect(p):
@@ -292,34 +291,32 @@ class VerifyResult:
     certificates_agree: bool
 
 
-def _g_composite(sol: ParametricSolution):
+def _g_composite(sol: ParametricSolution, num: int, rnum: int):
     """Exact integer-coefficient numerator polynomial of g(m_a(k), m_b(k)), by
-    the Horner scheme of ``_g_wrapped`` on polynomials: 2n products."""
-    num, rnum, _ = _int_weights(sol.n, sol.t)
+    the Horner scheme of ``_g_wrapped`` on coefficient lists: 2n products,
+    one trim."""
     n = sol.n
-    ff_a = [(1,)]
+    a, b = list(sol.a_coeffs), list(sol.b_coeffs)
+    ff_a = [[1]]
     for j in range(n):
-        ff_a.append(_pmul(ff_a[-1], _padd(sol.a_coeffs, (-j,))))
-    total = (0,)
+        ff_a.append(_pmul(ff_a[-1], [a[0] - j] + a[1:]))
+    total = [0]
     for q in range(n, -1, -1):
         d_q = math.comb(n, q) * (-rnum) ** q * num ** (n - q)
-        total = _padd(total, tuple(d_q * c for c in ff_a[n - q]))
+        total = [t + d_q * c for t, c in itertools.zip_longest(total, ff_a[n - q], fillvalue=0)]
         if q:
-            total = _pmul(total, _padd(sol.b_coeffs, (1 - q,)))
-    return total
+            total = _pmul(total, [b[0] - (q - 1)] + b[1:])
+    return _ptrim(total)
 
 
 def verify_parametric(sol: ParametricSolution) -> VerifyResult:
     """Certify a parametric family by two independent exact routes:
     full coefficient expansion, and evaluation at 3n + 1 integer points."""
-    residual = _g_composite(sol)
-    first = None
-    for idx, coeff in enumerate(residual):
-        if coeff != 0:
-            first = (idx, Fraction(coeff, sol.t.denominator ** sol.n))
-            break
+    num, rnum, scale = _int_weights(sol.n, sol.t)
+    residual = _g_composite(sol, num, rnum)
+    first = next(((idx, Fraction(coeff, scale))
+                  for idx, coeff in enumerate(residual) if coeff != 0), None)
     valid_expand = first is None
-    num, rnum, _ = _int_weights(sol.n, sol.t)
     valid_eval = all(_g_int(sol.m_a(k), sol.m_b(k), sol.n, num, rnum) == 0
                      for k in range(3 * sol.n + 1))
     return VerifyResult(valid=valid_expand,
@@ -329,20 +326,36 @@ def verify_parametric(sol: ParametricSolution) -> VerifyResult:
 
 
 def canonical_form(sol: ParametricSolution) -> ParametricSolution:
-    """Representative of the family's orbit under k -> k + c and k -> -k + c:
-    the lexicographically smallest coefficient vector over a window of shifts
-    wide enough to contain the orbit minimum for in-range families."""
-    span = 3 * (max((abs(c) for c in sol.a_coeffs + sol.b_coeffs), default=0) + 1)
-    # a shift's first coefficient is p(c), and the reflected shift's is p(-c):
-    # only the shifts tying on the smallest one can hold the minimum, so only
-    # they are expanded
-    firsts = {c: _peval(sol.a_coeffs, c) for c in range(-span, span + 1)}
+    """Representative of the family under k -> k + c and k -> -k + c with
+    |c| <= span = 3 (largest |coefficient| + 1): of the shifts tying on the
+    smallest a(c) in that window, the lexicographically smallest coefficient
+    pair, of the family or of its reflection.  Not an orbit invariant: for
+    even degree and a negative leading coefficient the smallest a(c) is at a
+    window end, and the window depends on the member passed in (ROADMAP
+    direction 2)."""
+    a, b = sol.a_coeffs, sol.b_coeffs
+    span = 3 * (max((abs(c) for c in a + b), default=0) + 1)
+    # an integer minimiser of a(c) inside the window lies within 1 of a local
+    # minimum of a; a non-constant a of degree <= 3 has at most one, the root
+    # x of a' = u + v c + w c^2 where a'' = sqrt(v^2 - 4 u w), or -u / v if
+    # w = 0 < v.  Floors by isqrt put x in [lo, hi + 1): lo - 1 .. hi + 2
+    # holds the integers within 1 of it with one to spare on each side
+    if len(a) == 1:
+        near = range(-span, span + 1)
+    else:
+        u, v, w = (tuple(i * c for i, c in enumerate(a))[1:] + (0, 0))[:3]
+        floors = [-u // v] if not w and v > 0 else []
+        if w and v * v >= 4 * u * w:
+            s = math.isqrt(v * v - 4 * u * w)
+            floors = [(r - v) // (2 * w) for r in (s, s + 1)]
+        near = [-span, span, *(range(min(floors) - 1, max(floors) + 3) if floors else ())]
+    firsts = {c: _peval(a, c) for c in near if -span <= c <= span}
     lowest = min(firsts.values())
-    images = ((1, sol.a_coeffs, sol.b_coeffs),
-              (-1, _preflect(sol.a_coeffs), _preflect(sol.b_coeffs)))
-    best = min((_taylor_shift(pa, sign * c), _taylor_shift(pb, sign * c))
-               for c, first in firsts.items() if first == lowest
-               for sign, pa, pb in images)
+    # the shift by c has first coefficient a(c), and so has the reflection
+    # of the shift, p(-k + c): only the shifts tying on the smallest one can
+    # hold the minimum
+    pairs = [(_shift(a, c), _shift(b, c)) for c, first in firsts.items() if first == lowest]
+    best = min(pairs + [(_preflect(pa), _preflect(pb)) for pa, pb in pairs])
     return ParametricSolution(a_coeffs=best[0], b_coeffs=best[1], n=sol.n, t=sol.t)
 
 
@@ -355,10 +368,12 @@ def _search_strip(args):
     Two necessary conditions bound the enumeration.  (a_0, b_0) is a zero of
     g.  At the highest index D with (a_D, b_D) != (0, 0), num * a_D equals
     rnum * b_D: the top homogeneous part of g is (T x - R y)^n, so the
-    k^(n D) coefficient of the composite is (T a_D - R b_D)^n.  For each such
-    start and lead, blocks of middle coefficients are sieved at k = 1 and
-    their survivors at each further point, so memory stays
-    O(_BLOCK + (hi - lo + 1)^(degree - 1)).
+    k^(n D) coefficient of the composite is (T a_D - R b_D)^n.  Each such
+    start and lead makes a head (a_0, b_0, a_top, b_top), under which the
+    middle coefficients of a and of b each range over the same m tuples.  One
+    sieve call at k = 1 covers a block of heads times a block of a-middles
+    times all m b-middles; its survivors are filtered at each further point,
+    so memory stays O(_BLOCK + heads + m).
     """
     (n, num, rnum, degree, lo, hi, a0_values) = args
     coeffs = np.arange(lo, hi + 1, dtype=np.int64)
@@ -366,31 +381,39 @@ def _search_strip(args):
     rows, cols = np.divmod(np.flatnonzero(
         _g_wrapped(a0s[:, None], coeffs, n, num, rnum) == 0), coeffs.size)
     starts = list(zip(a0s[rows].tolist(), coeffs[cols].tolist()))
+    leads = [(p, q) for p in range(lo, hi + 1) for q in range(lo, hi + 1)
+             if (p, q) != (0, 0) and num * p == rnum * q]
+    heads = np.array([start + lead for start in starts for lead in leads],
+                     dtype=np.int64).reshape(-1, 4)
     hits = []
     for top in range(1, degree + 1):
-        leads = [(p, q) for p in range(lo, hi + 1) for q in range(lo, hi + 1)
-                 if (p, q) != (0, 0) and num * p == rnum * q]
         tuples = list(itertools.product(range(lo, hi + 1), repeat=top - 1))
         mids = np.array(tuples, dtype=np.int64).reshape(len(tuples), top - 1)
+        m = len(mids)
         # sum_{0 < j < top} c_j k^j of every middle tuple, at each point k
         mid_at = [mids @ (k ** np.arange(1, top, dtype=np.int64))
                   for k in range(degree * n + 1)]
-        block = max(1, _BLOCK // len(mids))
-        for (a0, b0), (pa, pb), first in itertools.product(
-                starts, leads, range(0, len(mids), block)):
-            x = a0 + pa + mid_at[1][first:first + block]
-            ia, ib = np.divmod(np.flatnonzero(
-                _g_wrapped(x[:, None], b0 + pb + mid_at[1], n, num, rnum) == 0), len(mids))
-            ia += first
+        n_rows = min(m, max(1, _BLOCK // m))
+        n_heads = max(1, _BLOCK // (n_rows * m))
+        for h0, r0 in itertools.product(range(0, len(heads), n_heads), range(0, m, n_rows)):
+            a0, b0, pa, pb = heads[h0:h0 + n_heads].T
+            x = (a0 + pa)[:, None, None] + mid_at[1][None, r0:r0 + n_rows, None]
+            y = (b0 + pb)[:, None, None] + mid_at[1][None, None, :]
+            ih, ia, ib = np.unravel_index(np.flatnonzero(
+                _g_wrapped(x, y, n, num, rnum) == 0), x.shape[:2] + (m,))
+            ih += h0
+            ia += r0
             for k in range(2, degree * n + 1):
-                if ia.size == 0:
+                if ih.size == 0:
                     break
+                a0, b0, pa, pb = heads[ih].T
                 keep = _g_wrapped(a0 + pa * k ** top + mid_at[k][ia],
                                   b0 + pb * k ** top + mid_at[k][ib], n, num, rnum) == 0
-                ia, ib = ia[keep], ib[keep]
+                ih, ia, ib = ih[keep], ia[keep], ib[keep]
             pad = (0,) * (degree - top)
             hits.extend(((a0, *i, pa, *pad), (b0, *j, pb, *pad))
-                        for i, j in zip(mids[ia].tolist(), mids[ib].tolist()))
+                        for (a0, b0, pa, pb), i, j in zip(
+                            heads[ih].tolist(), mids[ia].tolist(), mids[ib].tolist()))
     return [(a, b) for a, b in hits if any(a[1:]) and any(b[1:])]
 
 

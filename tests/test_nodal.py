@@ -337,6 +337,41 @@ class TestExactKernelsAgainstOracles:
         found = [(s.a_coeffs, s.b_coeffs) for s in search_parametric(3, HALF, 3, (-1, 1))]
         assert found == _brute_force_families(3, HALF, 3, -1, 1)
 
+    @pytest.mark.parametrize("n, t, bound", [(3, HALF, 2), (2, THREE_Q, 3)])
+    def test_sieve_blocks_split_heads_and_rows(self, monkeypatch, n, t, bound):
+        # block 1 sieves one (head, row) at a time, 7 splits the middle rows,
+        # 50 takes several heads per call at degree 2 and more at degree 1
+        expected = _brute_force_families(n, t, 2, -bound, bound)
+        for block in (1, 7, 50):
+            monkeypatch.setattr(nodal, "_BLOCK", block)
+            found = [(s.a_coeffs, s.b_coeffs) for s in search_parametric(n, t, 2, (-bound, bound))]
+            assert found == expected, block
+
+    def test_canonical_form_matches_full_window_oracle(self):
+        # canonical_form evaluates a(c) only at the window ends and beside the
+        # critical points of a; _canonical expands every shift of the window
+        rng = random.Random(7321)
+        ties = 0
+        for case in range(5000):
+            bound = rng.choice((40, 100, 400) if case % 50 == 0 else (1, 2, 3, 5, 8, 13))
+            a = [rng.randint(-bound, bound) for _ in range(rng.randint(1, 4))]
+            b = [rng.randint(-bound, bound) for _ in range(rng.randint(1, 4))]
+            if len(a) > 1:
+                a[-1] = rng.choice((-1, 1)) * rng.randint(1, bound)
+            if len(a) == 3 and case % 3 == 0:
+                # a critical point at a half-integer (a tie beside it when
+                # a_2 > 0) or, for a_1 = 0, an even a (a tie at the window
+                # ends when a_2 < 0)
+                a[2] = rng.choice((-1, 1)) * rng.randint(1, max(1, bound // 5))
+                a[1] = a[2] * (2 * rng.randint(-3, 2) + 1) if case % 2 else 0
+            a, b = _trim(a), _trim(b)
+            span = 3 * (max(abs(c) for c in a + b) + 1)
+            values = [_value(a, c) for c in range(-span, span + 1)]
+            ties += values.count(min(values)) > 1
+            canon = canonical_form(ParametricSolution(a_coeffs=a, b_coeffs=b, n=2, t=HALF))
+            assert (canon.a_coeffs, canon.b_coeffs) == _canonical(a, b), (a, b)
+        assert ties > 500
+
 
 def _expansion_cases():
     """Every built-in family, each copy with one coefficient moved by +-1, and
