@@ -38,10 +38,10 @@ EXIT_IO = 4
 # ---------------------------------------------------------------------------
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write through a temporary file and ``os.replace``.  ``mkstemp`` opens
-    it 0600, so it gets the mode ``open(path, "w")`` would give: 0666 less
-    the umask, which can only be read by setting it."""
+def _atomic_write(path: str, chunks) -> None:
+    """Write the text ``chunks`` through a temporary file and ``os.replace``.
+    ``mkstemp`` opens it 0600, so it gets the mode ``open(path, "w")`` would
+    give: 0666 less the umask, which can only be read by setting it."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".homlab-")
     try:
@@ -49,7 +49,7 @@ def _atomic_write(path: str, text: str) -> None:
         os.umask(umask)
         with os.fdopen(fd, "w") as fh:
             os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -58,33 +58,32 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _emit(document: dict, path: str | None, fmt: str) -> None:
-    text = _to_csv(document) if fmt == "csv" else _to_json(document)
+    """Write ``document`` chunk by chunk: it is never held as one text."""
+    chunks = _to_csv(document) if fmt == "csv" else _to_json(document)
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        _atomic_write(path, text)
+        _atomic_write(path, chunks)
 
 
-def _to_json(document: dict) -> str:
-    """``json.dumps(document, indent=2) + "\\n"``, with a ``"grid"`` of floats
-    written directly: with an indent, json runs its pure-Python encoder, which
-    costs more than the rest of a large grid command.  ``float.__repr__`` is
-    the text json writes for a finite float; ``JointDistribution`` admits no
-    NaN or infinity.  The pieces are joined once, so a large grid's text is
-    not copied again after its rows are built."""
+def _to_json(document: dict):
+    """The chunks of ``json.dumps(document, indent=2) + "\\n"``, one per row of
+    a ``"grid"`` of floats, which is written directly: with an indent, json
+    runs its pure-Python encoder, which costs more than the rest of a large
+    grid command.  ``float.__repr__`` is the text json writes for a finite
+    float; ``JointDistribution`` admits no NaN or infinity."""
     if "grid" not in document:
-        return json.dumps(document, indent=2) + "\n"
-    parts = ["{"]
+        yield json.dumps(document, indent=2) + "\n"
+        return
     for i, (key, value) in enumerate(document.items()):
-        parts.append(f"{',' if i else ''}\n  {json.dumps(key)}: ")
+        yield f"{',' if i else '{'}\n  {json.dumps(key)}: "
         if key == "grid":
-            _grid_json(value, parts)
+            yield from _grid_json(value)
         else:
             # json escapes newlines inside strings, so every newline here is
             # layout and re-indenting by one level is exact
-            parts.append(json.dumps(value, indent=2).replace("\n", "\n  "))
-    parts.append("\n}\n")
-    return "".join(parts)
+            yield json.dumps(value, indent=2).replace("\n", "\n  ")
+    yield "\n}\n"
 
 
 def _head(row) -> list[float]:
@@ -96,13 +95,13 @@ def _head(row) -> list[float]:
     return values[:nonzero[-1] + 1 if nonzero.size else 0].tolist()
 
 
-def _grid_json(grid, parts: list) -> None:
-    """Append the text of a grid (rows of floats) at the first indent level
-    to ``parts``, one piece per row.  Every item of a row is written as
-    ",\\n      " + its repr, so a row's zero tail is a slice of one
-    precomputed run of zero items."""
+def _grid_json(grid):
+    """The text of a grid (rows of floats) at the first indent level, one
+    chunk per row.  Every item of a row is written as ",\\n      " + its
+    repr, so a row's zero tail is a slice of one precomputed run of zero
+    items."""
     if not len(grid):
-        parts.append("[]")
+        yield "[]"
         return
     zero_item = ",\n      0.0"
     zero_run = zero_item * max(map(len, grid))
@@ -110,35 +109,31 @@ def _grid_json(grid, parts: list) -> None:
         head = _head(row)
         items = "".join(f",\n      {v!r}" for v in head) \
             + zero_run[:len(zero_item) * (len(row) - len(head))]
-        parts.append(",\n    " if i else "[\n    ")
         # "[" + the items without their leading comma
-        parts.append("[" + items[1:] + "\n    ]" if items else "[]")
-    parts.append("\n  ]")
+        yield (",\n    " if i else "[\n    ") + ("[" + items[1:] + "\n    ]" if items else "[]")
+    yield "\n  ]"
 
 
-def _to_csv(document: dict) -> str:
+def _to_csv(document: dict):
+    """The chunks of a document's CSV text: a grid row's head and tail, or a line."""
     if "grid" in document:
         grid = document["grid"]
         # line "m_a,m_b,0" of a zero tail is str(m_a) + zero_suffix[m_b]
         zero_suffix = [f",{m_b},0\n" for m_b in range(max(map(len, grid), default=0))]
-        parts = ["m_a,m_b,P\n"]
+        yield "m_a,m_b,P\n"
         for m_a, row in enumerate(grid):
             head = _head(row)
-            parts.extend(f"{m_a},{m_b},{value:.17g}\n" for m_b, value in enumerate(head))
+            yield "".join(f"{m_a},{m_b},{value:.17g}\n" for m_b, value in enumerate(head))
             if len(head) < len(row):
-                parts.append(f"{m_a}" + f"{m_a}".join(zero_suffix[len(head):len(row)]))
-        return "".join(parts)
-    if "zeros" in document:
-        lines = ["m_a,m_b,physical"]
-        for z in document["zeros"]:
-            lines.append(f"{z['m_a']},{z['m_b']},{int(z['physical'])}")
-        return "\n".join(lines) + "\n"
-    if "sweep" in document:
-        lines = ["J,P_central"]
-        for row in document["sweep"]:
-            lines.append(f"{row['J']},{row['P_central']:.17g}")
-        return "\n".join(lines) + "\n"
-    raise ValueError("document has no CSV rendering")
+                yield f"{m_a}" + f"{m_a}".join(zero_suffix[len(head):len(row)])
+    elif "zeros" in document:
+        yield "m_a,m_b,physical\n"
+        yield from (f"{z['m_a']},{z['m_b']},{int(z['physical'])}\n" for z in document["zeros"])
+    elif "sweep" in document:
+        yield "J,P_central\n"
+        yield from (f"{r['J']},{r['P_central']:.17g}\n" for r in document["sweep"])
+    else:
+        raise ValueError("document has no CSV rendering")
 
 
 def _bs_meta(bs: BeamSplitterSetting) -> dict:

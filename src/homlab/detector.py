@@ -74,12 +74,13 @@ def lossy_distribution(dist: JointDistribution, loss: LossConfig) -> JointDistri
     support: the smallest square [0, k)^2 outside which every entry is +0.0.
     Only that block is multiplied, by the loss matrices of size k, which are
     the top-left blocks of those of the full grid bit for bit, since each
-    Pascal column depends only on the one before it."""
+    Pascal column depends only on the one before it.  Nothing writes the
+    padding, so a large output grid's pages outside the block stay unmapped."""
     rows, cols = np.nonzero((dist.grid != 0.0) | np.signbit(dist.grid))
     k = int(max(rows.max(), cols.max())) + 1 if rows.size else 0
     a = bernoulli_matrix(loss.eta_a, k)
     b = bernoulli_matrix(loss.eta_b, k)
-    grid = np.zeros_like(dist.grid)
+    grid = np.zeros(dist.grid.shape)
     grid[:k, :k] = a @ dist.grid[:k, :k] @ b.T
     label = f"{dist.input_label} | loss eta=({loss.eta_a:g},{loss.eta_b:g})"
     return JointDistribution(grid, dist.bs, input_label=label,

@@ -257,9 +257,12 @@ class ParametricSolution:
     t: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "a_coeffs", _ptrim(tuple(int(c) for c in self.a_coeffs)))
-        object.__setattr__(self, "b_coeffs", _ptrim(tuple(int(c) for c in self.b_coeffs)))
-        object.__setattr__(self, "t", Fraction(self.t))
+        # trimmed int tuples and a Fraction, as the search passes, are kept
+        for name, c in (("a_coeffs", self.a_coeffs), ("b_coeffs", self.b_coeffs)):
+            if not (type(c) is tuple and all(type(x) is int for x in c) and _ptrim(c) == c):
+                object.__setattr__(self, name, _ptrim(tuple(map(int, c))))
+        if type(self.t) is not Fraction:
+            object.__setattr__(self, "t", Fraction(self.t))
         if len(self.a_coeffs) > 4 or len(self.b_coeffs) > 4:
             raise ValueError("polynomial degree must be at most 3")
 

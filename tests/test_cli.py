@@ -1,8 +1,10 @@
+import itertools
 import json
 import os
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,7 +236,7 @@ class TestJsonWriter:
         {},
     ])
     def test_matches_json_dumps(self, doc):
-        assert _to_json(doc) == json.dumps(doc, indent=2) + "\n"
+        assert "".join(_to_json(doc)) == json.dumps(doc, indent=2) + "\n"
 
     def test_cli_grid_file(self, tmp_path):
         out = tmp_path / "g.json"
@@ -285,22 +287,22 @@ class TestGridWriters:
     def test_lists_match_per_cell_writers(self, name):
         grid = self.GRIDS[name]
         assert _json_reference(grid) == json.dumps({"grid": grid}, indent=2) + "\n"
-        assert _to_json({"grid": grid}) == _json_reference(grid)
-        assert _to_csv({"grid": grid}) == _csv_reference(grid)
+        assert "".join(_to_json({"grid": grid})) == _json_reference(grid)
+        assert "".join(_to_csv({"grid": grid})) == _csv_reference(grid)
 
     @pytest.mark.parametrize("name", [n for n in GRIDS if n not in ("empty", "ragged")])
     def test_arrays_match_per_cell_writers(self, name):
         grid = np.array(self.GRIDS[name])
-        assert _to_json({"grid": grid}) == _json_reference(grid)
-        assert _to_csv({"grid": grid}) == _csv_reference(grid)
+        assert "".join(_to_json({"grid": grid})) == _json_reference(grid)
+        assert "".join(_to_csv({"grid": grid})) == _csv_reference(grid)
 
     def test_padded_lossy_grid(self):
         dist = lossy_distribution(joint_general((fock(1), coherent(1.5)), BALANCED,
                                                 grid_max=60), LossConfig(0.9, 0.8))
         grid = dist.grid
         assert grid[-1].sum() == 0.0 and grid[0, 1] > 0.0
-        assert _to_json({"grid": grid}) == _json_reference(grid)
-        assert _to_csv({"grid": grid}) == _csv_reference(grid)
+        assert "".join(_to_json({"grid": grid})) == _json_reference(grid)
+        assert "".join(_to_csv({"grid": grid})) == _csv_reference(grid)
 
 
 class TestZerosCommand:
@@ -473,6 +475,60 @@ class TestOutputFile:
                      "-o", str(out)]) == EXIT_OK
         assert json.loads(out.read_text())["t"] == 2
         assert [p.name for p in tmp_path.iterdir()] == ["h.json"]
+
+
+class TestStreamedWriter:
+    """``_emit`` writes a document as it is rendered, one grid row at a time,
+    so its memory is one row's text, and a failure leaves no partial file."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_memory_is_one_row(self, tmp_path, fmt):
+        # 1500 x 1500 cells with a zero tail after 100 columns: tens of MB
+        grid = np.zeros((1500, 1500))
+        grid[:, :100] = np.random.default_rng(5).random((1500, 100))
+        out = tmp_path / f"g.{fmt}"
+        tracemalloc.start()
+        try:
+            cli._emit({"grid": grid, "total_mass": 1.0}, str(out), fmt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size > 20_000_000
+        assert peak < 2_000_000
+
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "g.json"
+        out.write_text("old")
+        rows = cli._to_json
+
+        def broken(document):
+            # more than a write buffer reaches the temporary file first
+            yield from itertools.islice(rows(document), 50)
+            raise RuntimeError("renderer failed")
+
+        monkeypatch.setattr(cli, "_to_json", broken)
+        with pytest.raises(RuntimeError):
+            cli._emit({"grid": np.full((200, 200), 0.1)}, str(out), "json")
+        assert out.read_text() == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["g.json"]
+
+    def test_no_csv_rendering_writes_nothing(self, tmp_path, capsys):
+        with pytest.raises(ValueError):
+            cli._emit({"rows": []}, None, "csv")
+        assert capsys.readouterr().out == ""
+        with pytest.raises(ValueError):
+            cli._emit({"rows": []}, str(tmp_path / "r.csv"), "csv")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_stdout_matches_file(self, tmp_path, capsys, fmt):
+        argv = ["lossy", "--a", "fock:1", "--b", "coherent:beta=2", "--grid-max", "40",
+                *ETAS, "--format", fmt]
+        out = tmp_path / f"g.{fmt}"
+        assert main([*argv, "-o", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
 class TestImports:
