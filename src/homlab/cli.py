@@ -15,17 +15,7 @@ import sys
 import tempfile
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
-from .bs_core import BALANCED, BeamSplitterSetting
-from .detector import (LossConfig, SqueezedSource, herald_posterior,
-                       lossy_distribution, spdc_detection_prob, squeezing_db)
-from .dicke import central_zero_sweep
-from .joint_dist import JointDistribution, joint_general
-from .nodal import (KNOWN_FAMILIES, bfs_zeros, cnl_scan, search_parametric,
-                    verify_parametric)
-from .states import parse_state
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -90,6 +80,7 @@ def _head(row) -> list[float]:
     """``row`` up to its last entry that is not +0.0, as Python floats; the
     writers emit the rest from one precomputed zero tail.  -0.0 prints as
     ``-0.0`` / ``-0``, so it belongs to the head."""
+    import numpy as np
     values = np.asarray(row, dtype=float)
     nonzero = np.flatnonzero((values != 0.0) | np.signbit(values))
     return values[:nonzero[-1] + 1 if nonzero.size else 0].tolist()
@@ -136,14 +127,14 @@ def _to_csv(document: dict):
         raise ValueError("document has no CSV rendering")
 
 
-def _bs_meta(bs: BeamSplitterSetting) -> dict:
+def _bs_meta(bs) -> dict:
     if bs.is_exact:
         return {"T_num": bs.exact_t.numerator, "T_den": bs.exact_t.denominator}
     return {"theta": bs.theta}
 
 
-def _grid_document(command: str, dist: JointDistribution, args) -> dict:
-    report = cnl_scan(dist)
+def _grid_document(command: str, dist, args) -> dict:
+    from . import nodal
     return {
         "meta": {
             "command": command,
@@ -159,7 +150,7 @@ def _grid_document(command: str, dist: JointDistribution, args) -> dict:
         "total_mass": dist.total_mass,
         "diagnostics": {
             "tail_deficit": 1.0 - dist.total_mass,
-            "cnl_verdict": report.verdict,
+            "cnl_verdict": nodal.cnl_scan(dist).verdict,
             "warnings": list(dist.warnings),
         },
     }
@@ -218,10 +209,11 @@ def _require(args, *names) -> None:
 
 
 def _parse_states(args):
+    from . import bs_core, states
     try:
-        state_a = parse_state(args.a, cutoff=args.cutoff_a)
-        state_b = parse_state(args.b, cutoff=args.cutoff_b)
-        bs = BeamSplitterSetting.parse(args.bs)
+        state_a = states.parse_state(args.a, cutoff=args.cutoff_a)
+        state_b = states.parse_state(args.b, cutoff=args.cutoff_b)
+        bs = bs_core.BeamSplitterSetting.parse(args.bs)
     except (ValueError, KeyError, ZeroDivisionError) as exc:
         raise _CliError(EXIT_USAGE, f"invalid state/beam-splitter flag: {exc}")
     except OSError as exc:
@@ -235,10 +227,11 @@ def _parse_states(args):
 
 
 def cmd_dist(args) -> int:
+    from . import joint_dist
     _require(args, "a", "b")
     state_a, state_b, bs = _parse_states(args)
     try:
-        dist = joint_general((state_a, state_b), bs, grid_max=args.grid_max)
+        dist = joint_dist.joint_general((state_a, state_b), bs, grid_max=args.grid_max)
     except ValueError as exc:
         raise _CliError(EXIT_DOMAIN, str(exc))
     _emit(_grid_document("dist", dist, args), args.output, args.format)
@@ -246,12 +239,13 @@ def cmd_dist(args) -> int:
 
 
 def cmd_lossy(args) -> int:
+    from . import detector, joint_dist
     _require(args, "a", "b", "eta_a", "eta_b")
     state_a, state_b, bs = _parse_states(args)
     try:
-        loss = LossConfig(eta_a=float(args.eta_a), eta_b=float(args.eta_b))
-        dist = lossy_distribution(
-            joint_general((state_a, state_b), bs, grid_max=args.grid_max), loss)
+        loss = detector.LossConfig(eta_a=float(args.eta_a), eta_b=float(args.eta_b))
+        dist = detector.lossy_distribution(
+            joint_dist.joint_general((state_a, state_b), bs, grid_max=args.grid_max), loss)
     except ValueError as exc:
         raise _CliError(EXIT_DOMAIN, str(exc))
     _emit(_grid_document("lossy", dist, args), args.output, args.format)
@@ -259,9 +253,10 @@ def cmd_lossy(args) -> int:
 
 
 def cmd_zeros(args) -> int:
+    from . import nodal
     _require(args, "n", "T", "max")
     try:
-        zs = bfs_zeros(int(args.n), Fraction(str(args.T)), int(args.max))
+        zs = nodal.bfs_zeros(int(args.n), Fraction(str(args.T)), int(args.max))
     except (ValueError, ZeroDivisionError) as exc:
         raise _CliError(EXIT_USAGE, f"--n/--T/--max: {exc}")
     doc = zs.to_json()
@@ -274,12 +269,13 @@ def cmd_zeros(args) -> int:
 
 
 def cmd_parametric(args) -> int:
+    from . import nodal
     _require(args, "n", "T")
     try:
         t = Fraction(str(args.T))
-        sols = search_parametric(int(args.n), t, int(args.degree),
-                                 (int(args.coeff_min), int(args.coeff_max)),
-                                 workers=args.workers or 1)
+        sols = nodal.search_parametric(int(args.n), t, int(args.degree),
+                                       (int(args.coeff_min), int(args.coeff_max)),
+                                       workers=args.workers or 1)
     except (ValueError, ZeroDivisionError) as exc:
         raise _CliError(EXIT_USAGE, str(exc))
     doc = {
@@ -296,13 +292,14 @@ def cmd_parametric(args) -> int:
 
 
 def cmd_herald(args) -> int:
+    from . import detector
     _require(args, "t", "eta", "r")
     try:
-        source = SqueezedSource(r=float(args.r))
+        source = detector.SqueezedSource(r=float(args.r))
         t = int(args.t)
         n_prime = t if args.n_prime is None else int(args.n_prime)
-        posterior = herald_posterior(n_prime, t, float(args.eta), source)
-        detection = spdc_detection_prob(t, float(args.eta), source)
+        posterior = detector.herald_posterior(n_prime, t, float(args.eta), source)
+        detection = detector.spdc_detection_prob(t, float(args.eta), source)
     except ValueError as exc:
         raise _CliError(EXIT_DOMAIN, str(exc))
     doc = {
@@ -313,7 +310,7 @@ def cmd_herald(args) -> int:
         "r": float(args.r),
         "posterior": posterior,
         "detection_prob": detection,
-        "squeezing_db": squeezing_db(float(args.r)),
+        "squeezing_db": detector.squeezing_db(float(args.r)),
     }
     if args.output is not None:
         _emit(doc, args.output, "json")
@@ -322,11 +319,14 @@ def cmd_herald(args) -> int:
 
 
 def cmd_dicke(args) -> int:
+    from . import bs_core, dicke
     _require(args, "j_max")
+    if args.j_max < 0:
+        raise _CliError(EXIT_USAGE, "--j-max: must be non-negative")
     try:
-        bs = BeamSplitterSetting.parse(args.bs) if args.bs else BALANCED
+        bs = bs_core.BeamSplitterSetting.parse(args.bs) if args.bs else bs_core.BALANCED
         sweep = [{"J": j, "P_central": float(p)}
-                 for j, p in enumerate(central_zero_sweep(int(args.j_max), bs))]
+                 for j, p in enumerate(dicke.central_zero_sweep(int(args.j_max), bs))]
     except (ValueError, ZeroDivisionError) as exc:
         raise _CliError(EXIT_DOMAIN, str(exc))
     doc = {
@@ -339,13 +339,14 @@ def cmd_dicke(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import nodal
     if args.tables not in (None, "all"):
         raise _CliError(EXIT_USAGE, f"--tables: unknown table set {args.tables!r}")
     rows = []
     all_valid = True
-    for (n, t), families in sorted(KNOWN_FAMILIES.items()):
+    for (n, t), families in sorted(nodal.KNOWN_FAMILIES.items()):
         for sol in families:
-            result = verify_parametric(sol)
+            result = nodal.verify_parametric(sol)
             ok = result.valid and result.certificates_agree
             all_valid &= ok
             rows.append({"n": n, "T": f"{t}", "m_a": list(sol.a_coeffs),

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .joint_dist import JointDistribution
+if TYPE_CHECKING:  # heralding needs only math: numpy is imported by the loss model
+    import numpy as np
+    from .joint_dist import JointDistribution
 
 #: relative heralding terms are scaled down by 2^-512 once one passes this
 _RESCALE_ABOVE = 2.0 ** 900
@@ -57,6 +58,7 @@ def bernoulli_matrix(eta: float, size: int) -> np.ndarray:
     A[m, M] = (1-eta) A[m, M-1] + eta A[m-1, M-1], from A[0, 0] = 1.  The
     columns are built as the contiguous rows of the transpose.
     """
+    import numpy as np
     at = np.zeros((size, size))
     if size:
         at[0, 0] = 1.0
@@ -76,6 +78,7 @@ def lossy_distribution(dist: JointDistribution, loss: LossConfig) -> JointDistri
     the top-left blocks of those of the full grid bit for bit, since each
     Pascal column depends only on the one before it.  Nothing writes the
     padding, so a large output grid's pages outside the block stay unmapped."""
+    import numpy as np
     rows, cols = np.nonzero((dist.grid != 0.0) | np.signbit(dist.grid))
     k = int(max(rows.max(), cols.max())) + 1 if rows.size else 0
     a = bernoulli_matrix(loss.eta_a, k)
@@ -83,8 +86,7 @@ def lossy_distribution(dist: JointDistribution, loss: LossConfig) -> JointDistri
     grid = np.zeros(dist.grid.shape)
     grid[:k, :k] = a @ dist.grid[:k, :k] @ b.T
     label = f"{dist.input_label} | loss eta=({loss.eta_a:g},{loss.eta_b:g})"
-    return JointDistribution(grid, dist.bs, input_label=label,
-                             warnings=dist.warnings)
+    return replace(dist, grid=grid, input_label=label)
 
 
 def tmss_prob(n: int, source: SqueezedSource) -> float:

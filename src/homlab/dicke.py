@@ -90,8 +90,10 @@ def central_zero_sweep(j_max: int, bs: BeamSplitterSetting = BALANCED) -> np.nda
     d^J_00(theta) is the Legendre polynomial P_J(x) at x = cos(theta) = T - R,
     so the sweep follows (J+1) P_(J+1) = (2J+1) x P_J - J P_(J-1) from
     P_0 = 1.  At T = 1/2, x is exactly 0.0 and every odd J gives 0.0."""
+    if j_max < 0:
+        raise ValueError("j_max must be non-negative")
     x = float(bs.transmittance - bs.reflectance)
-    legendre = np.empty(max(j_max + 1, 0))
+    legendre = np.empty(j_max + 1)
     prev, cur = 0.0, 1.0
     for j in range(j_max + 1):
         legendre[j] = cur

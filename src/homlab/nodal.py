@@ -21,11 +21,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .bs_core import BeamSplitterSetting
-from .joint_dist import JointDistribution
+if TYPE_CHECKING:  # annotations only; numpy is imported by the array kernels
+    from .bs_core import BeamSplitterSetting
+    from .joint_dist import JointDistribution
 
 #: entries per block of the wrapping-int64 sieves, which bounds their memory
 _BLOCK = 1 << 17
@@ -99,12 +99,13 @@ def cos_factor_residual(m_prime: int, n: int, bs: BeamSplitterSetting) -> Fracti
     return Fraction(total, scale)
 
 
-def _g_wrapped(x, y, n: int, num: int, rnum: int) -> np.ndarray:
+def _g_wrapped(x, y, n: int, num: int, rnum: int):
     """``_g_int`` at the broadcast arrays x, y in wrapping int64 arithmetic,
     i.e. modulo 2**64.  That is a ring homomorphism, so every zero of g maps
     to 0; a 0 may also be a nonzero multiple of 2**64, so callers that need
     exact zeros recheck.  Horner's rule in the falling-factorial basis of y,
     g = d_0 + y (d_1 + (y - 1) (d_2 + ...)), forms d_q on x alone."""
+    import numpy as np
     x = np.asarray(x, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
     with np.errstate(over="ignore"):
@@ -182,8 +183,9 @@ class ZeroSet:
 def bfs_zeros(n: int, t, m_max: int) -> ZeroSet:
     """Exhaustive exact scan for integer zeros of g at rational T: a wrapping
     int64 sieve over blocks of rows, each of its zeros confirmed by ``_g_int``."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    import numpy as np
+    if n < 0 or m_max < 0:
+        raise ValueError("n and m_max must be non-negative")
     t = Fraction(t)
     num, rnum, _ = _int_weights(n, t)
     m_b = np.arange(m_max + 1, dtype=np.int64)
@@ -378,6 +380,7 @@ def _search_strip(args):
     times all m b-middles; its survivors are filtered at each further point,
     so memory stays O(_BLOCK + heads + m).
     """
+    import numpy as np
     (n, num, rnum, degree, lo, hi, a0_values) = args
     coeffs = np.arange(lo, hi + 1, dtype=np.int64)
     a0s = np.array(a0_values, dtype=np.int64)
@@ -440,15 +443,11 @@ def search_parametric(n: int, t, degree: int, coeff_range: tuple[int, int],
         raise ValueError("empty coefficient range")
     a0_values = list(range(lo, hi + 1))
     if workers > 1:
-        # imported here: it pulls in multiprocessing, which every homlab
-        # start would otherwise pay for (20-30 ms) and only a pool needs
         from concurrent.futures import ProcessPoolExecutor
         chunks = [a0_values[i::workers] for i in range(workers)]
         args = [(n, num, rnum, degree, lo, hi, chunk) for chunk in chunks if chunk]
-        hits = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_search_strip, args):
-                hits.extend(part)
+            hits = [hit for part in pool.map(_search_strip, args) for hit in part]
     else:
         hits = _search_strip((n, num, rnum, degree, lo, hi, a0_values))
     # k -> +-k + c maps a family onto itself, so g(a(k), b(k)) vanishes for

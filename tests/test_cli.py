@@ -1,7 +1,7 @@
+import functools
 import itertools
 import json
 import os
-import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -9,7 +9,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import homlab
 from homlab import cli
 from homlab.cli import (EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, _to_csv, _to_json,
                         main)
@@ -176,7 +175,7 @@ class TestConfigFile:
 
     def test_workers_from_file_apply(self, tmp_path, monkeypatch):
         seen = []
-        monkeypatch.setattr(cli, "search_parametric",
+        monkeypatch.setattr("homlab.nodal.search_parametric",
                             lambda *args, workers: seen.append(workers) or [])
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"workers": 2}))
@@ -440,6 +439,8 @@ class TestExitCodes:
          '{"type": "pure", "amplitudes": [["one", 0]]}', EXIT_USAGE),
         (["dist", "--a", "fock:0", "--b", "custom:file={config}"],
          '{"type": "mixed", "rho": [[[1, 0]], 0]}', EXIT_USAGE),
+        (["zeros", "--n", "2", "--T", "1/2", "--max", "-1"], None, EXIT_USAGE),
+        (["dicke", "--j-max", "-1"], None, EXIT_USAGE),
     ])
     def test_exit_code(self, tmp_path, argv, config, code):
         cfg = tmp_path / "run.json"
@@ -532,23 +533,43 @@ class TestStreamedWriter:
 
 
 class TestImports:
-    """Only ``--workers > 1`` needs a process pool, so no start imports one;
-    every start still imports numpy and the modules a job uses, so the time
-    of ``--version`` stays the time of a job's start."""
+    """Each command imports only the modules it runs, and numpy only where it
+    builds an array; only ``--workers > 1`` needs a process pool."""
+
+    VERSION = ("-m", "homlab.cli", "--version")
+    PACKAGE = ("-c", "import homlab")
+    VERIFY = ("-m", "homlab.cli", "verify")
+    HERALD = ("-m", "homlab.cli", "herald", "--t", "2", "--eta", "0.87", "--r", "1.5")
+    ZEROS = ("-m", "homlab.cli", "zeros", "--n", "3", "--T", "3/4", "--max", "20")
+    PARAMETRIC = ("-m", "homlab.cli", "parametric", "--n", "2", "--T", "1/2",
+                  "--coeff-min", "-1", "--coeff-max", "1")
 
     @staticmethod
+    @functools.cache
     def _imported(args):
         # -X importtime lists each module on stderr as it is first imported
         lines = _run_python(["-X", "importtime", *args]).stderr.splitlines()
-        return {line.rsplit("|", 1)[1].strip() for line in lines
-                if line.startswith("import time:")}
+        return frozenset(line.rsplit("|", 1)[1].strip() for line in lines
+                         if line.startswith("import time:"))
 
-    @pytest.mark.parametrize("args", [["-m", "homlab.cli", "--version"],
-                                      ["-c", "import homlab"]])
+    @pytest.mark.parametrize("args", [VERSION, PACKAGE, VERIFY, HERALD, ZEROS, PARAMETRIC])
     def test_no_process_pool_on_start(self, args):
         imported = self._imported(args)
         assert "multiprocessing" not in imported
         assert "concurrent.futures.process" not in imported
+
+    @pytest.mark.parametrize("args", [VERSION, PACKAGE])
+    def test_start_loads_no_library(self, args):
         # -m runs homlab.cli as __main__, which is not an import
-        library = {f"homlab.{m.name}" for m in pkgutil.iter_modules(homlab.__path__)}
-        assert {"numpy", *library - {"homlab.cli"}} <= imported
+        imported = self._imported(args)
+        assert "numpy" not in imported
+        assert {m for m in imported if m.startswith("homlab.")} <= {"homlab.cli"}
+
+    @pytest.mark.parametrize("args", [VERIFY, HERALD])
+    def test_no_numpy_without_arrays(self, args):
+        assert "numpy" not in self._imported(args)
+
+    @pytest.mark.parametrize("args", [ZEROS, PARAMETRIC, VERIFY])
+    def test_exact_commands_load_no_float_modules(self, args):
+        float_modules = {"homlab.states", "homlab.joint_dist", "homlab.detector", "homlab.dicke"}
+        assert not float_modules & self._imported(args)

@@ -122,8 +122,10 @@ class TestCentralZero:
         if bs == BALANCED:
             assert not sweep[1::2].any() and not np.signbit(sweep).any()
 
-    def test_empty_sweep_below_j0(self):
-        assert central_zero_sweep(-1).shape == (0,)
+    def test_negative_j_max_rejected(self):
+        with pytest.raises(ValueError):
+            central_zero_sweep(-1)
+        assert central_zero_sweep(0).tolist() == [1.0]
 
     def test_legendre_closed_form_to_j100(self):
         # balanced rotation of |J, 0>: P(M' = 0) = P_J(0)^2 = (C(J, J/2) / 2^J)^2

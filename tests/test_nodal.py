@@ -75,6 +75,12 @@ class TestBfsZeros:
         with pytest.raises(ValueError):
             bfs_zeros(-1, HALF, 3)
 
+    def test_negative_bound_rejected(self):
+        # m_max = -1 would scan nothing and report an empty zero set
+        with pytest.raises(ValueError):
+            bfs_zeros(2, HALF, -1)
+        assert bfs_zeros(2, HALF, 0).zeros == ()
+
 
 @pytest.mark.parametrize("t", [Fraction(3, 2), Fraction(-1, 2)])
 def test_transmittance_outside_unit_interval_rejected(t):
