@@ -11,12 +11,11 @@ _MODULE_OF = {name: module for module, names in [
                  "lossy_distribution spdc_detection_prob squeezing_db tmss_prob"),
     ("dicke", "AngularState central_probability_exact central_zero_sweep fock_to_jm "
               "jm_to_fock wigner_d"),
-    ("joint_dist", "JointDistribution joint_fs_fs joint_fs_fs_exact joint_fs_mixed "
-                   "joint_fs_pure joint_general joint_pure_mixed joint_pure_pure"),
-    ("nodal", "BALANCED_N2_FAMILIES BALANCED_N3_FAMILIES CnlReport KNOWN_FAMILIES "
-              "ParametricSolution T34_N2_FAMILIES VerifyResult ZeroSet bfs_zeros canonical_form "
-              "cnl_scan cos_factor_residual extremal_branch_points g_poly search_parametric "
-              "verify_parametric"),
+    ("joint_dist", "CnlReport JointDistribution cnl_scan joint_fs_fs joint_fs_fs_exact "
+                   "joint_fs_mixed joint_fs_pure joint_general joint_pure_mixed joint_pure_pure"),
+    ("nodal", "BALANCED_N2_FAMILIES BALANCED_N3_FAMILIES KNOWN_FAMILIES ParametricSolution "
+              "T34_N2_FAMILIES VerifyResult ZeroSet bfs_zeros canonical_form cos_factor_residual "
+              "extremal_branch_points g_poly search_parametric verify_parametric"),
     ("states", "EPS_NORM MixedState Parity PureState ValidationReport coherent fock "
                "fock_superposition load_custom odd_cat parse_state photon_added_smss thermal "
                "validate"),

@@ -16,8 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # annotations only; numpy is imported by amplitude_blocks
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -100,6 +102,7 @@ def amplitude_blocks(bs: BeamSplitterSetting, s_max: int):
     the mirror symmetry U_s[s-p, n] = (-1)^(s-n) U_s[p, n] holds bit for bit,
     so the central zeros come out as exact 0.0.
     """
+    import numpy as np
     c, sn = bs.cos_half, bs.sin_half
     u = np.ones((1, 1))
     for s in range(s_max + 1):

@@ -76,14 +76,23 @@ def _to_json(document: dict):
     yield "\n}\n"
 
 
-def _head(row) -> list[float]:
-    """``row`` up to its last entry that is not +0.0, as Python floats; the
-    writers emit the rest from one precomputed zero tail.  -0.0 prints as
-    ``-0.0`` / ``-0``, so it belongs to the head."""
+def _heads(grid):
+    """Each row of ``grid`` up to its last entry that is not +0.0, as Python
+    floats; the writers emit the rest from one precomputed zero tail.  -0.0
+    prints as ``-0.0`` / ``-0``, so it belongs to the head.  +0.0 is the one
+    float whose bits are all zero, so one comparison and one argmax find the
+    ends of a block of rows of 64 Ki cells at most."""
     import numpy as np
-    values = np.asarray(row, dtype=float)
-    nonzero = np.flatnonzero((values != 0.0) | np.signbit(values))
-    return values[:nonzero[-1] + 1 if nonzero.size else 0].tolist()
+    width = max(map(len, grid), default=0)
+    if not isinstance(grid, np.ndarray):  # rows of any length: pad them with +0.0
+        grid = [np.pad(np.asarray(row, dtype=float), (0, width - len(row))) for row in grid]
+    step = max(1, (1 << 16) // max(width, 1))
+    for start in range(0, len(grid), step):
+        block = np.asarray(grid[start:start + step], dtype=float)
+        kept = np.ones((len(block), width + 1), dtype=bool)  # column 0: a row of +0.0 ends at 0
+        np.not_equal(block.view(np.int64), 0, out=kept[:, 1:])
+        ends = width - kept[:, ::-1].argmax(axis=1)
+        yield from (values[:end].tolist() for values, end in zip(block, ends))
 
 
 def _grid_json(grid):
@@ -96,8 +105,7 @@ def _grid_json(grid):
         return
     zero_item = ",\n      0.0"
     zero_run = zero_item * max(map(len, grid))
-    for i, row in enumerate(grid):
-        head = _head(row)
+    for i, (row, head) in enumerate(zip(grid, _heads(grid))):
         items = "".join(f",\n      {v!r}" for v in head) \
             + zero_run[:len(zero_item) * (len(row) - len(head))]
         # "[" + the items without their leading comma
@@ -112,8 +120,7 @@ def _to_csv(document: dict):
         # line "m_a,m_b,0" of a zero tail is str(m_a) + zero_suffix[m_b]
         zero_suffix = [f",{m_b},0\n" for m_b in range(max(map(len, grid), default=0))]
         yield "m_a,m_b,P\n"
-        for m_a, row in enumerate(grid):
-            head = _head(row)
+        for m_a, (row, head) in enumerate(zip(grid, _heads(grid))):
             yield "".join(f"{m_a},{m_b},{value:.17g}\n" for m_b, value in enumerate(head))
             if len(head) < len(row):
                 yield f"{m_a}" + f"{m_a}".join(zero_suffix[len(head):len(row)])
@@ -134,7 +141,7 @@ def _bs_meta(bs) -> dict:
 
 
 def _grid_document(command: str, dist, args) -> dict:
-    from . import nodal
+    from . import joint_dist
     return {
         "meta": {
             "command": command,
@@ -150,7 +157,7 @@ def _grid_document(command: str, dist, args) -> dict:
         "total_mass": dist.total_mass,
         "diagnostics": {
             "tail_deficit": 1.0 - dist.total_mass,
-            "cnl_verdict": nodal.cnl_scan(dist).verdict,
+            "cnl_verdict": joint_dist.cnl_scan(dist).verdict,
             "warnings": list(dist.warnings),
         },
     }
@@ -325,7 +332,7 @@ def cmd_dicke(args) -> int:
         raise _CliError(EXIT_USAGE, "--j-max: must be non-negative")
     try:
         bs = bs_core.BeamSplitterSetting.parse(args.bs) if args.bs else bs_core.BALANCED
-        sweep = [{"J": j, "P_central": float(p)}
+        sweep = [{"J": j, "P_central": p}
                  for j, p in enumerate(dicke.central_zero_sweep(int(args.j_max), bs))]
     except (ValueError, ZeroDivisionError) as exc:
         raise _CliError(EXIT_DOMAIN, str(exc))

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .bs_core import BALANCED, BeamSplitterSetting, amplitude_block, bs_prob_exact
 
 
@@ -84,18 +82,19 @@ def central_probability_exact(j, m_in, t) -> Fraction:
     return bs_prob_exact(src.to_fock_pair()[0], half, half, t)
 
 
-def central_zero_sweep(j_max: int, bs: BeamSplitterSetting = BALANCED) -> np.ndarray:
+def central_zero_sweep(j_max: int, bs: BeamSplitterSetting = BALANCED) -> list[float]:
     """P(M' = 0) of the input |J, 0> for integer J = 0 .. j_max.
 
     d^J_00(theta) is the Legendre polynomial P_J(x) at x = cos(theta) = T - R,
     so the sweep follows (J+1) P_(J+1) = (2J+1) x P_J - J P_(J-1) from
-    P_0 = 1.  At T = 1/2, x is exactly 0.0 and every odd J gives 0.0."""
+    P_0 = 1, and each probability is P_J * P_J.  At T = 1/2, x is exactly 0.0
+    and every odd J gives 0.0."""
     if j_max < 0:
         raise ValueError("j_max must be non-negative")
     x = float(bs.transmittance - bs.reflectance)
-    legendre = np.empty(j_max + 1)
+    sweep = []
     prev, cur = 0.0, 1.0
     for j in range(j_max + 1):
-        legendre[j] = cur
+        sweep.append(cur * cur)
         prev, cur = cur, ((2 * j + 1) * x * cur - j * prev) / (j + 1)
-    return legendre ** 2
+    return sweep

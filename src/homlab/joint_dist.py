@@ -77,6 +77,28 @@ class JointDistribution:
         return float(np.sum(total * self.grid))
 
 
+@dataclass(frozen=True)
+class CnlReport:
+    """Per-entry diagonal check of a joint distribution."""
+
+    diagonal: tuple[float, ...]
+    tol: float
+
+    @property
+    def passes(self) -> tuple[bool, ...]:
+        return tuple(v <= self.tol for v in self.diagonal)
+
+    @property
+    def verdict(self) -> bool:
+        return all(self.passes)
+
+
+def cnl_scan(dist: JointDistribution, tol: float = 1e-14) -> CnlReport:
+    """Check every diagonal entry of the distribution against ``tol``: the
+    central nodal line is dark when every entry passes."""
+    return CnlReport(diagonal=tuple(float(v) for v in dist.diagonal()), tol=tol)
+
+
 def joint_fs_fs(n: int, m: int, bs: BeamSplitterSetting,
                 grid_max: int | None = None) -> JointDistribution:
     """Fock |n> in a, Fock |m> in b: mass lives on the anti-diagonal

@@ -8,11 +8,11 @@ which has rational value whenever T is rational: this is what makes exact
 certification of destructive-interference zeros possible.  g is evaluated
 here only, and only exactly: at T = num/den it is ``_g_int`` over den^n.
 
-Covers: diagonal nodal-line scans of computed distributions, exhaustive
-integer (Diophantine) zero searches at rational transmittance, verification
-and brute-force search of parametric integer-polynomial zero families, and
-the closed-form extremal branch points of the two-photon case at the
-balanced setting.
+Covers: exhaustive integer (Diophantine) zero searches at rational
+transmittance, verification and brute-force search of parametric
+integer-polynomial zero families, and the closed-form extremal branch points
+of the two-photon case at the balanced setting.  The diagonal nodal-line scan
+of a computed grid is :func:`homlab.joint_dist.cnl_scan`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # annotations only; numpy is imported by the array kernels
     from .bs_core import BeamSplitterSetting
-    from .joint_dist import JointDistribution
 
 #: entries per block of the wrapping-int64 sieves, which bounds their memory
 _BLOCK = 1 << 17
@@ -119,32 +118,6 @@ def _g_wrapped(x, y, n: int, num: int, rnum: int):
             if q:
                 total *= y - (q - 1)
     return total
-
-
-# ---------------------------------------------------------------------------
-# diagonal scan of a computed distribution
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CnlReport:
-    """Per-entry diagonal check of a joint distribution."""
-
-    diagonal: tuple[float, ...]
-    tol: float
-
-    @property
-    def passes(self) -> tuple[bool, ...]:
-        return tuple(v <= self.tol for v in self.diagonal)
-
-    @property
-    def verdict(self) -> bool:
-        return all(self.passes)
-
-
-def cnl_scan(dist: JointDistribution, tol: float = 1e-14) -> CnlReport:
-    """Check every diagonal entry of the distribution against ``tol``."""
-    return CnlReport(diagonal=tuple(float(v) for v in dist.diagonal()), tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import cmath
 import enum
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,14 +149,21 @@ def fock(n: int, cutoff: int | None = None) -> PureState:
 
 def coherent(beta: complex, cutoff: int | None = None,
              eps_norm: float = EPS_NORM) -> PureState:
-    """Coherent state, c_m = exp(-|beta|^2/2) beta^m / sqrt(m!)."""
+    """Coherent state, c_m = exp(-|beta|^2/2) beta^m / sqrt(m!), by the
+    recurrence c_m = c_(m-1) beta / sqrt(m) from its first term that is a
+    normal float, found in log space (c_0 underflows once |beta|^2 > 1416)."""
     beta = complex(beta)
+    if not cmath.isfinite(beta):
+        raise ValueError(f"coherent amplitude beta={beta} must be finite")
+    mean = abs(beta) ** 2
     if cutoff is None:
-        cutoff = _auto_cutoff_poisson(abs(beta) ** 2, eps_norm)
+        cutoff = _auto_cutoff_poisson(mean, eps_norm)
     amps = np.zeros(cutoff + 1, dtype=complex)
-    amps[0] = math.exp(-abs(beta) ** 2 / 2)
-    for m in range(1, cutoff + 1):
-        amps[m] = amps[m - 1] * beta / math.sqrt(m)
+    for m in range(cutoff + 1):
+        if m and amps[m - 1]:
+            amps[m] = amps[m - 1] * beta / math.sqrt(m)
+        elif (c := math.exp(_log_poisson(m, mean) / 2)) >= sys.float_info.min:
+            amps[m] = cmath.rect(c, m * cmath.phase(beta))
     return PureState(amps, label=f"coherent:beta={_fmt_complex(beta)}")
 
 
@@ -187,13 +195,8 @@ def odd_cat(alpha: complex, cutoff: int | None = None,
         # plain Poisson cutoff is not quite enough; shrink eps to compensate
         cutoff = max(_auto_cutoff_poisson(a2, eps_norm / 4), 1)
     norm = math.sqrt(2.0 - 2.0 * math.exp(-2.0 * a2))
-    amps = np.zeros(cutoff + 1, dtype=complex)
-    coh = math.exp(-a2 / 2)  # |c^coherent_0|, built up recursively
-    term = complex(coh)
-    for m in range(1, cutoff + 1):
-        term = term * alpha / math.sqrt(m)
-        if m % 2:
-            amps[m] = 2.0 * term / norm
+    amps = 2.0 * coherent(alpha, cutoff).amplitudes / norm
+    amps[0::2] = 0.0
     return PureState(amps, label=f"oddcat:alpha={_fmt_complex(alpha)}")
 
 
@@ -322,18 +325,20 @@ def _fmt_complex(z: complex) -> str:
 # cutoff selection: smallest support with tail mass below eps
 # ---------------------------------------------------------------------------
 
-def _auto_cutoff_poisson(mean: float, eps: float) -> int:
+def _log_poisson(m: int, mean: float) -> float:
+    """log(exp(-mean) mean^m / m!), the log of a Poisson weight."""
     if mean == 0.0:
-        return 0
-    term = math.exp(-mean)
-    total = term
-    m = 0
-    while 1.0 - total > eps:
+        return 0.0 if m == 0 else -math.inf
+    return m * math.log(mean) - mean - math.lgamma(m + 1)
+
+
+def _auto_cutoff_poisson(mean: float, eps: float) -> int:
+    total, m = math.exp(_log_poisson(0, mean)), 0
+    while not 1.0 - total <= eps:  # a NaN weight never converges
         m += 1
-        term *= mean / m
-        total += term
+        total += math.exp(_log_poisson(m, mean))
         if m > 100000:
-            raise RuntimeError("cutoff search failed to converge")
+            raise ValueError(f"no Poisson cutoff up to 100000 for mean {mean:g}")
     return m
 
 
@@ -356,5 +361,5 @@ def _auto_cutoff_squeezed(r: float, eps: float) -> int:
             break
         probe *= 2
         if probe > 100000:
-            raise RuntimeError("cutoff search failed to converge")
+            raise ValueError(f"no squeezed-state cutoff up to 100000 for r={r:g}")
     return probe

@@ -109,6 +109,13 @@ class TestDistCommand:
         assert main(["dist", "--a", "nonsense:1", "--b", "fock:0",
                      "--bs", "1/2"]) == EXIT_USAGE
 
+    def test_bright_coherent_state(self, tmp_path):
+        # the Poisson cutoff search used to start from exp(-745.29) = 0.0
+        out = tmp_path / "g.json"
+        assert main(["dist", "--a", "coherent:beta=27.3", "--b", "fock:0",
+                     "--grid-max", "4", "-o", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["meta"]["grid_max"] == 4
+
     def test_bad_grid_max_exits_3(self):
         assert main(["dist", "--a", "fock:2", "--b", "fock:3",
                      "--bs", "1/2", "--grid-max", "2"]) == EXIT_DOMAIN
@@ -441,6 +448,8 @@ class TestExitCodes:
          '{"type": "mixed", "rho": [[[1, 0]], 0]}', EXIT_USAGE),
         (["zeros", "--n", "2", "--T", "1/2", "--max", "-1"], None, EXIT_USAGE),
         (["dicke", "--j-max", "-1"], None, EXIT_USAGE),
+        (["dist", "--a", "coherent:beta=nan", "--b", "fock:0"], None, EXIT_USAGE),
+        (["lossy", "--a", "fock:1", "--b", "coherent:beta=-inf", *ETAS], None, EXIT_USAGE),
     ])
     def test_exit_code(self, tmp_path, argv, config, code):
         cfg = tmp_path / "run.json"
@@ -543,6 +552,11 @@ class TestImports:
     ZEROS = ("-m", "homlab.cli", "zeros", "--n", "3", "--T", "3/4", "--max", "20")
     PARAMETRIC = ("-m", "homlab.cli", "parametric", "--n", "2", "--T", "1/2",
                   "--coeff-min", "-1", "--coeff-max", "1")
+    DICKE = ("-m", "homlab.cli", "dicke", "--j-max", "6")
+    DIST = ("-m", "homlab.cli", "dist", "--a", "fock:1", "--b", "coherent:beta=1",
+            "--grid-max", "4")
+    LOSSY = ("-m", "homlab.cli", "lossy", "--a", "fock:1", "--b", "thermal:nbar=1",
+             "--grid-max", "4", "--eta-a", "0.9", "--eta-b", "0.8")
 
     @staticmethod
     @functools.cache
@@ -565,9 +579,18 @@ class TestImports:
         assert "numpy" not in imported
         assert {m for m in imported if m.startswith("homlab.")} <= {"homlab.cli"}
 
-    @pytest.mark.parametrize("args", [VERIFY, HERALD])
+    @pytest.mark.parametrize("args", [VERIFY, HERALD, DICKE])
     def test_no_numpy_without_arrays(self, args):
         assert "numpy" not in self._imported(args)
+
+    def test_dicke_loads_only_the_splitter(self):
+        grid_modules = {"homlab.states", "homlab.joint_dist", "homlab.detector", "homlab.nodal"}
+        assert not grid_modules & self._imported(self.DICKE)
+
+    @pytest.mark.parametrize("args", [DIST, LOSSY])
+    def test_grid_commands_load_no_zero_search(self, args):
+        imported = self._imported(args)
+        assert "homlab.joint_dist" in imported and "homlab.nodal" not in imported
 
     @pytest.mark.parametrize("args", [ZEROS, PARAMETRIC, VERIFY])
     def test_exact_commands_load_no_float_modules(self, args):

@@ -103,7 +103,7 @@ class TestCentralZero:
             assert abs(amp) ** 2 < 1e-14
 
     def test_sweep_shape(self):
-        sweep = central_zero_sweep(6)
+        sweep = np.asarray(central_zero_sweep(6))
         assert sweep.shape == (7,)
         assert sweep[0] == 1.0
         # odd J = odd excitation number at M = 0 -> exact zeros
@@ -116,7 +116,7 @@ class TestCentralZero:
         # reference: P(M' = 0) read off the even blocks U_2J at column J
         want = [u[s // 2, s // 2] ** 2
                 for s, u in enumerate(amplitude_blocks(bs, 200)) if s % 2 == 0]
-        sweep = central_zero_sweep(100, bs)
+        sweep = np.asarray(central_zero_sweep(100, bs))
         assert sweep.shape == (101,)
         assert np.max(np.abs(sweep - want)) <= 1e-15
         if bs == BALANCED:
@@ -125,11 +125,16 @@ class TestCentralZero:
     def test_negative_j_max_rejected(self):
         with pytest.raises(ValueError):
             central_zero_sweep(-1)
-        assert central_zero_sweep(0).tolist() == [1.0]
+        assert np.asarray(central_zero_sweep(0)).tolist() == [1.0]
+
+    def test_sweep_is_a_list_of_floats(self):
+        sweep = central_zero_sweep(4, BeamSplitterSetting.parse("theta=1.1"))
+        assert type(sweep) is list and len(sweep) == 5
+        assert all(type(p) is float for p in sweep)
 
     def test_legendre_closed_form_to_j100(self):
         # balanced rotation of |J, 0>: P(M' = 0) = P_J(0)^2 = (C(J, J/2) / 2^J)^2
-        sweep = central_zero_sweep(100)
+        sweep = np.asarray(central_zero_sweep(100))
         for j in range(101):
             if j % 2:
                 assert sweep[j] == 0.0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from homlab.bs_core import BALANCED, BeamSplitterSetting, bs_prob_exact
-from homlab.joint_dist import (JointDistribution, joint_fs_fs,
+from homlab.joint_dist import (JointDistribution, cnl_scan, joint_fs_fs,
                                joint_fs_fs_exact, joint_fs_mixed,
                                joint_fs_pure, joint_general, joint_pure_mixed,
                                joint_pure_pure)
@@ -246,3 +246,15 @@ class TestPlumbing:
         bad = MixedState(np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex))
         with pytest.raises(ValueError):
             joint_pure_mixed(fock(1, cutoff=2), bad, BALANCED)
+
+
+class TestCnlScan:
+    def test_odd_fock_passes(self):
+        d = joint_fs_pure(1, coherent(2), BALANCED, grid_max=30)
+        assert cnl_scan(d).verdict
+
+    def test_vacuum_fails(self):
+        d = joint_fs_fs(0, 0, BALANCED)
+        report = cnl_scan(d)
+        assert not report.verdict
+        assert report.passes == (False,)

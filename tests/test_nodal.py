@@ -11,30 +11,16 @@ import numpy as np
 import pytest
 
 from homlab import nodal
-from homlab.bs_core import BALANCED, BeamSplitterSetting
-from homlab.joint_dist import joint_fs_fs, joint_fs_pure
+from homlab.bs_core import BeamSplitterSetting
 from homlab.nodal import (BALANCED_N2_FAMILIES, BALANCED_N3_FAMILIES,
                           KNOWN_FAMILIES, ParametricSolution,
                           T34_N2_FAMILIES, ZeroSet, _g_int, _g_wrapped,
-                          _int_weights, bfs_zeros, canonical_form, cnl_scan,
+                          _int_weights, bfs_zeros, canonical_form,
                           extremal_branch_points, g_poly, search_parametric,
                           verify_parametric)
-from homlab.states import coherent
 
 HALF = Fraction(1, 2)
 THREE_Q = Fraction(3, 4)
-
-
-class TestCnlScan:
-    def test_odd_fock_passes(self):
-        d = joint_fs_pure(1, coherent(2), BALANCED, grid_max=30)
-        assert cnl_scan(d).verdict
-
-    def test_vacuum_fails(self):
-        d = joint_fs_fs(0, 0, BALANCED)
-        report = cnl_scan(d)
-        assert not report.verdict
-        assert report.passes == (False,)
 
 
 class TestBfsZeros:

@@ -1,8 +1,10 @@
+import cmath
 import json
 import math
 
 import numpy as np
 import pytest
+from scipy.stats import poisson
 
 from homlab.states import (EPS_NORM, MixedState, Parity, PureState, coherent,
                            fock, fock_superposition, load_custom, odd_cat,
@@ -49,6 +51,28 @@ class TestCoherent:
         assert 1.0 - s.norm_squared < EPS_NORM
         assert s.mean_photon_number == pytest.approx(2.0, abs=1e-7)
 
+    @pytest.mark.parametrize("modulus", [5, 27, 28, 40])
+    def test_cutoff_against_poisson_tail(self, modulus):
+        # exp(-|beta|^2) is subnormal from |beta|^2 ~ 708 and 0 from 745, so
+        # neither the cutoff nor the amplitudes may start from it
+        mean = modulus ** 2
+        s = coherent(modulus)
+        deficit = poisson.sf(s.cutoff, mean)
+        assert deficit < EPS_NORM <= poisson.sf(s.cutoff - 1, mean)
+        assert abs(s.norm_squared - (1.0 - deficit)) <= 1e-12
+
+    def test_amplitude_ratios(self):
+        # c_m / c_(m-1) = beta / sqrt(m), phase included
+        beta = cmath.rect(2.5, 2.0)
+        amps = coherent(beta).amplitudes
+        np.testing.assert_allclose(amps[1:] / amps[:-1],
+                                   beta / np.sqrt(np.arange(1, amps.size)), rtol=1e-12)
+
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf"), complex(1, float("nan"))])
+    def test_non_finite_rejected(self, beta):
+        with pytest.raises(ValueError):
+            coherent(beta)
+
 
 class TestThermal:
     def test_geometric_weights(self):
@@ -88,6 +112,17 @@ class TestOddCat:
     def test_degenerate_alpha(self):
         with pytest.raises(ValueError):
             odd_cat(0)
+
+    @pytest.mark.parametrize("modulus", [27, 38.5, 40])
+    def test_bright_cat(self, modulus):
+        # |c_m|^2 = 2 Poisson(m; |alpha|^2) on odd m once e^(-2|alpha|^2) = 0;
+        # e^(-|alpha|^2/2), the old start of the recurrence, is subnormal at
+        # 38.5 and 0 at 40
+        s = odd_cat(modulus)
+        odd = np.arange(1, s.cutoff + 1, 2)
+        np.testing.assert_allclose(np.abs(s.amplitudes[odd]) ** 2,
+                                   2 * poisson.pmf(odd, modulus ** 2), rtol=1e-11, atol=1e-300)
+        assert 0.0 <= 1.0 - s.norm_squared < EPS_NORM
 
 
 class TestPhotonAddedSqueezed:
