@@ -17,6 +17,7 @@ of a computed grid is :func:`homlab.joint_dist.cnl_scan`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # annotations only; numpy is imported by the array kernels
     from .bs_core import BeamSplitterSetting
 
-#: entries per block of the wrapping-int64 sieves, which bounds their memory
+#: entries per block of the wrapping-int64 sieve of ``bfs_zeros``, its memory bound
 _BLOCK = 1 << 17
 
 # ---------------------------------------------------------------------------
@@ -100,9 +101,9 @@ def cos_factor_residual(m_prime: int, n: int, bs: BeamSplitterSetting) -> Fracti
 
 def _g_wrapped(x, y, n: int, num: int, rnum: int):
     """``_g_int`` at the broadcast arrays x, y in wrapping int64 arithmetic,
-    i.e. modulo 2**64.  That is a ring homomorphism, so every zero of g maps
-    to 0; a 0 may also be a nonzero multiple of 2**64, so callers that need
-    exact zeros recheck.  Horner's rule in the falling-factorial basis of y,
+    i.e. modulo 2**64, for ``bfs_zeros``, which rechecks each 0: the ring
+    homomorphism maps every zero of g to 0, but a 0 may also be a nonzero
+    multiple of 2**64.  Horner's rule in the falling-factorial basis of y,
     g = d_0 + y (d_1 + (y - 1) (d_2 + ...)), forms d_q on x alone."""
     import numpy as np
     x = np.asarray(x, dtype=np.int64)
@@ -311,7 +312,12 @@ def canonical_form(sol: ParametricSolution) -> ParametricSolution:
     even degree and a negative leading coefficient the smallest a(c) is at a
     window end, and the window depends on the member passed in (ROADMAP
     direction 2)."""
-    a, b = sol.a_coeffs, sol.b_coeffs
+    a, b = _canonical_pair(sol.a_coeffs, sol.b_coeffs)
+    return ParametricSolution(a_coeffs=a, b_coeffs=b, n=sol.n, t=sol.t)
+
+
+def _canonical_pair(a: tuple, b: tuple) -> tuple[tuple, tuple]:
+    """``canonical_form`` on the trimmed coefficient tuples a and b."""
     span = 3 * (max((abs(c) for c in a + b), default=0) + 1)
     # an integer minimiser of a(c) inside the window lies within 1 of a local
     # minimum of a; a non-constant a of degree <= 3 has at most one, the root
@@ -333,74 +339,75 @@ def canonical_form(sol: ParametricSolution) -> ParametricSolution:
     # of the shift, p(-k + c): only the shifts tying on the smallest one can
     # hold the minimum
     pairs = [(_shift(a, c), _shift(b, c)) for c, first in firsts.items() if first == lowest]
-    best = min(pairs + [(_preflect(pa), _preflect(pb)) for pa, pb in pairs])
-    return ParametricSolution(a_coeffs=best[0], b_coeffs=best[1], n=sol.n, t=sol.t)
+    return min(pairs + [(_preflect(pa), _preflect(pb)) for pa, pb in pairs])
+
+
+def _row_zeros(x: int, cols: range, n: int, num: int, rnum: int) -> list[int]:
+    """The y in ``cols`` with g(x, y) = 0, exactly: the difference table of
+    n + 1 ``_g_int`` values, summed up n times from its constant n-th row."""
+    row, heads = [_g_int(x, y, n, num, rnum) for y in range(cols[0], cols[0] + n + 1)], []
+    for _ in range(n + 1):
+        heads.append(row[0])
+        row = [v - u for u, v in zip(row, row[1:])]
+    row = [heads.pop()] * len(cols)
+    while heads:
+        row = list(itertools.accumulate(row[:-1], initial=heads.pop()))
+    return [y for y, v in zip(cols, row) if not v]
 
 
 def _search_strip(args):
-    """Coefficient pairs (a, b), a_0 in ``a0_values``, both polynomials
-    non-constant, whose composite g(a(k), b(k)) is 0 modulo 2**64 at every
-    k = 0 .. degree * n.  Every family passes; ``verify_parametric`` rejects
-    the rest.
+    """Coefficient pairs (a, b), a_0 in ``a0_values``, both non-constant, whose
+    composite g(a(k), b(k)) is 0 at k = -2 .. 2; ``verify_parametric`` rejects
+    those that are no family.  Coefficients up to the top index D, the highest
+    with (a_D, b_D) != (0, 0), lie in [lo, hi], those above it are 0, and
+    num * a_D = rnum * b_D: the top homogeneous part of g is (T x - R y)^n, so
+    the k^(n D) coefficient of the composite is (T a_D - R b_D)^n.
 
-    Two necessary conditions bound the enumeration.  (a_0, b_0) is a zero of
-    g.  At the highest index D with (a_D, b_D) != (0, 0), num * a_D equals
-    rnum * b_D: the top homogeneous part of g is (T x - R y)^n, so the
-    k^(n D) coefficient of the composite is (T a_D - R b_D)^n.  Each such
-    start and lead makes a head (a_0, b_0, a_top, b_top), under which the
-    middle coefficients of a and of b each range over the same m tuples.  One
-    sieve call at k = 1 covers a block of heads times a block of a-middles
-    times all m b-middles; its survivors are filtered at each further point,
-    so memory stays O(_BLOCK + heads + m).
-    """
-    import numpy as np
+    Three zeros fix a pair: a_2 = (a(1) + a(-1)) / 2 - a_0 and a_1 + a_3 =
+    (a(1) - a(-1)) / 2, likewise for b, with (a_3, b_3) = (0, 0) or a lead.
+    So g is scanned exactly on the box ``near`` of every a(+-1), and on rows of
+    the box ``far`` of every a(+-2) as the k = +-2 check asks for them."""
     (n, num, rnum, degree, lo, hi, a0_values) = args
-    coeffs = np.arange(lo, hi + 1, dtype=np.int64)
-    a0s = np.array(a0_values, dtype=np.int64)
-    rows, cols = np.divmod(np.flatnonzero(
-        _g_wrapped(a0s[:, None], coeffs, n, num, rnum) == 0), coeffs.size)
-    starts = list(zip(a0s[rows].tolist(), coeffs[cols].tolist()))
-    leads = [(p, q) for p in range(lo, hi + 1) for q in range(lo, hi + 1)
-             if (p, q) != (0, 0) and num * p == rnum * q]
-    heads = np.array([start + lead for start in starts for lead in leads],
-                     dtype=np.int64).reshape(-1, 4)
+    near, far = (range(min(ends), max(ends) + 1) for ends in (
+        [sum(f(lo * k ** j, hi * k ** j) for j in range(top + 1))
+         for k in ks for top in range(1, degree + 1) for f in (min, max)]
+        for ks in ((1, -1), (2, -2))))
+    zeros = [(x, y) for x in near for y in _row_zeros(x, near, n, num, rnum)]
+    far_zeros = functools.cache(lambda x: set(_row_zeros(x, far, n, num, rnum)))
+    tops = [(p, q) for p in range(lo, hi + 1) for q in range(lo, hi + 1)
+            if degree == 3 and (p, q) != (0, 0) and num * p == rnum * q] + [(0, 0)]
+    # (a(1) + a(-1), b(1) + b(-1)) / 2 -> [(a_1, b_1, a_3, b_3)]
+    halves: dict[tuple[int, int], list] = {}
+    for (x1, y1), (x2, y2) in itertools.product(zeros, repeat=2):
+        if (x1 + x2) % 2 == 0 == (y1 + y2) % 2:
+            da, db = (x1 - x2) // 2, (y1 - y2) // 2
+            halves.setdefault(((x1 + x2) // 2, (y1 + y2) // 2), []).extend(
+                (da - a3, db - b3, a3, b3) for a3, b3 in tops
+                if lo <= da - a3 <= hi and lo <= db - b3 <= hi)
     hits = []
-    for top in range(1, degree + 1):
-        tuples = list(itertools.product(range(lo, hi + 1), repeat=top - 1))
-        mids = np.array(tuples, dtype=np.int64).reshape(len(tuples), top - 1)
-        m = len(mids)
-        # sum_{0 < j < top} c_j k^j of every middle tuple, at each point k
-        mid_at = [mids @ (k ** np.arange(1, top, dtype=np.int64))
-                  for k in range(degree * n + 1)]
-        n_rows = min(m, max(1, _BLOCK // m))
-        n_heads = max(1, _BLOCK // (n_rows * m))
-        for h0, r0 in itertools.product(range(0, len(heads), n_heads), range(0, m, n_rows)):
-            a0, b0, pa, pb = heads[h0:h0 + n_heads].T
-            x = (a0 + pa)[:, None, None] + mid_at[1][None, r0:r0 + n_rows, None]
-            y = (b0 + pb)[:, None, None] + mid_at[1][None, None, :]
-            ih, ia, ib = np.unravel_index(np.flatnonzero(
-                _g_wrapped(x, y, n, num, rnum) == 0), x.shape[:2] + (m,))
-            ih += h0
-            ia += r0
-            for k in range(2, degree * n + 1):
-                if ih.size == 0:
-                    break
-                a0, b0, pa, pb = heads[ih].T
-                keep = _g_wrapped(a0 + pa * k ** top + mid_at[k][ia],
-                                  b0 + pb * k ** top + mid_at[k][ib], n, num, rnum) == 0
-                ih, ia, ib = ih[keep], ia[keep], ib[keep]
-            pad = (0,) * (degree - top)
-            hits.extend(((a0, *i, pa, *pad), (b0, *j, pb, *pad))
-                        for (a0, b0, pa, pb), i, j in zip(
-                            heads[ih].tolist(), mids[ia].tolist(), mids[ib].tolist()))
-    return [(a, b) for a, b in hits if any(a[1:]) and any(b[1:])]
+    for a0, b0 in [(x, y) for x, y in zeros if x in a0_values and lo <= y <= hi]:
+        for (sa, sb), splits in halves.items():
+            a2, b2 = sa - a0, sb - b0
+            inside = lo <= a2 <= hi and lo <= b2 <= hi
+            if not inside and (a2 or b2):
+                continue
+            for a1, b1, a3, b3 in splits:
+                # the lead condition at the top index; a lead needs (a_2, b_2) inside
+                pa, pb = (a3, b3) if a3 or b3 else (a2, b2) if a2 or b2 else (a1, b1)
+                if ((a3 or b3) and not inside or num * pa != rnum * pb
+                        or not (a1 or a2 or a3) or not (b1 or b2 or b3)):
+                    continue
+                if all(b0 + k * (b1 + k * (b2 + k * b3))
+                       in far_zeros(a0 + k * (a1 + k * (a2 + k * a3))) for k in (2, -2)):
+                    hits.append(((a0, a1, a2, a3)[:degree + 1], (b0, b1, b2, b3)[:degree + 1]))
+    return hits
 
 
 def search_parametric(n: int, t, degree: int, coeff_range: tuple[int, int],
                       workers: int = 1) -> list[ParametricSolution]:
-    """Exhaustive scan of integer coefficient tuples, pruned by necessary
-    conditions (see ``_search_strip``), for polynomial pairs that annihilate
-    g identically.
+    """Exhaustive exact search for integer polynomial pairs that annihilate g
+    identically: each pair is fixed by its zeros at k = -1, 0, 1, found on a
+    box, and kept if it has zeros at k = +-2 too (see ``_search_strip``).
 
     Constant-in-k polynomials are excluded (they reduce to single integer
     zeros already covered by :func:`bfs_zeros`).  Results are canonicalized,
@@ -414,6 +421,10 @@ def search_parametric(n: int, t, degree: int, coeff_range: tuple[int, int],
     lo, hi = coeff_range
     if lo > hi:
         raise ValueError("empty coefficient range")
+    if num == 0 or rnum == 0:
+        # at T = 1, g = num^n (m_a)_n vanishes only for m_a in {0, .., n - 1},
+        # a finite set that no non-constant a(k) stays in; T = 0 likewise in m_b
+        return []
     a0_values = list(range(lo, hi + 1))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -425,11 +436,9 @@ def search_parametric(n: int, t, degree: int, coeff_range: tuple[int, int],
         hits = _search_strip((n, num, rnum, degree, lo, hi, a0_values))
     # k -> +-k + c maps a family onto itself, so g(a(k), b(k)) vanishes for
     # every member of a canonical class or for none: verify once per class
-    found: dict[tuple, ParametricSolution] = {}
-    for a, b in hits:
-        canon = canonical_form(ParametricSolution(a_coeffs=a, b_coeffs=b, n=n, t=t))
-        found.setdefault((canon.a_coeffs, canon.b_coeffs), canon)
-    return [found[key] for key in sorted(found) if verify_parametric(found[key]).valid]
+    classes = sorted({_canonical_pair(_ptrim(a), _ptrim(b)) for a, b in hits})
+    found = [ParametricSolution(a_coeffs=a, b_coeffs=b, n=n, t=t) for a, b in classes]
+    return [sol for sol in found if verify_parametric(sol).valid]
 
 
 # ---------------------------------------------------------------------------

@@ -579,7 +579,7 @@ class TestImports:
         assert "numpy" not in imported
         assert {m for m in imported if m.startswith("homlab.")} <= {"homlab.cli"}
 
-    @pytest.mark.parametrize("args", [VERIFY, HERALD, DICKE])
+    @pytest.mark.parametrize("args", [VERIFY, HERALD, DICKE, PARAMETRIC])
     def test_no_numpy_without_arrays(self, args):
         assert "numpy" not in self._imported(args)
 

@@ -150,12 +150,12 @@ class TestSearchParametric:
 
     def test_verifies_each_canonical_class_once(self, monkeypatch):
         canonical, verified = [], []
-        for name, log in (("canonical_form", canonical), ("verify_parametric", verified)):
+        for name, log in (("_canonical_pair", canonical), ("verify_parametric", verified)):
             real = getattr(nodal, name)
-            monkeypatch.setattr(nodal, name, lambda sol, real=real, log=log:
-                                log.append(real(sol)) or log[-1])
+            monkeypatch.setattr(nodal, name, lambda *args, real=real, log=log:
+                                log.append(real(*args)) or log[-1])
         sols = search_parametric(3, HALF, 2, (-2, 2))
-        keys = sorted({(c.a_coeffs, c.b_coeffs) for c in canonical})
+        keys = sorted(set(canonical))
         assert len(keys) == len(verified) < len(canonical)
         assert [(s.a_coeffs, s.b_coeffs) for s in sols] == keys
         assert all(res.valid for res in verified)
@@ -263,23 +263,24 @@ def _canonical(a, b):
 
 
 def _brute_force_families(n, t, degree, lo, hi):
-    """Every non-constant pair with coefficients in [lo, hi] whose composite
-    vanishes at the n * degree + 1 points 0 .. n * degree, canonicalised."""
+    """Every non-constant pair whose coefficients up to its degree lie in
+    [lo, hi], those above it 0, and whose composite vanishes at the
+    n * degree + 2 points 0 .. n * degree + 1, canonicalised.  Polynomials
+    are grouped by their values at k = 0 and 1, so only pairs that vanish at
+    both are expanded."""
     g_zero = lru_cache(maxsize=None)(lambda x, y: _g_fraction(x, y, n, t) == 0)
-    polys = [p for p in itertools.product(range(lo, hi + 1), repeat=degree + 1)
-             if any(p[1:])]
-    by_start = {}
-    for p in polys:
-        by_start.setdefault(p[0], []).append(p)
+    by_head = {}
+    for top in range(1, degree + 1):
+        for p in itertools.product(range(lo, hi + 1), repeat=top + 1):
+            if any(p[1:]):
+                by_head.setdefault((p[0], _value(p, 1)), set()).add(_trim(p))
     families = set()
-    for a in polys:
-        for b0, bs in by_start.items():
-            if not g_zero(a[0], b0):
-                continue
-            for b in bs:
+    for (a0, a1), (b0, b1) in itertools.product(by_head, repeat=2):
+        if g_zero(a0, b0) and g_zero(a1, b1):
+            for a, b in itertools.product(by_head[a0, a1], by_head[b0, b1]):
                 if all(g_zero(_value(a, k), _value(b, k))
-                       for k in range(1, n * degree + 2)):
-                    families.add(_canonical(_trim(a), _trim(b)))
+                       for k in range(2, n * degree + 2)):
+                    families.add(_canonical(a, b))
     return sorted(families)
 
 
@@ -326,18 +327,23 @@ class TestExactKernelsAgainstOracles:
         monkeypatch.setattr(nodal, "_BLOCK", 5)
         assert bfs_zeros(3, THREE_Q, 200).zeros == (
             (1, 0), (1, 1), (1, 11), (2, 0), (3, 1), (11, 55), (70, 162))
-        found = [(s.a_coeffs, s.b_coeffs) for s in search_parametric(3, HALF, 3, (-1, 1))]
-        assert found == _brute_force_families(3, HALF, 3, -1, 1)
 
-    @pytest.mark.parametrize("n, t, bound", [(3, HALF, 2), (2, THREE_Q, 3)])
-    def test_sieve_blocks_split_heads_and_rows(self, monkeypatch, n, t, bound):
-        # block 1 sieves one (head, row) at a time, 7 splits the middle rows,
-        # 50 takes several heads per call at degree 2 and more at degree 1
-        expected = _brute_force_families(n, t, 2, -bound, bound)
-        for block in (1, 7, 50):
-            monkeypatch.setattr(nodal, "_BLOCK", block)
-            found = [(s.a_coeffs, s.b_coeffs) for s in search_parametric(n, t, 2, (-bound, bound))]
-            assert found == expected, block
+    # ranges without 0 or lopsided about it move the boxes of a(+-1) and
+    # a(+-2) off centre; at degree 2 on (1, 6) the line a = b = 1 + 6 k has
+    # a(-1) = -5, below every a(-1) of a quadratic; T = 2/3 and 2/7 have an
+    # even numerator; T = 0 and 1 have no family at all
+    @pytest.mark.parametrize("n, t, degree, lo, hi", [
+        (3, HALF, 3, 1, 6), (3, HALF, 3, -1, 5), (2, HALF, 3, -2, 7), (3, HALF, 3, 0, 3),
+        (3, HALF, 2, 1, 6), (1, HALF, 2, -1, 5), (3, HALF, 2, 2, 2), (3, HALF, 3, -1, -1),
+        (1, Fraction(2, 3), 3, -2, 2), (1, Fraction(2, 7), 2, -1, 5),
+        (2, Fraction(2, 7), 2, -3, 3), (0, HALF, 2, -2, 2), (5, HALF, 3, -1, 2),
+        (1, Fraction(1), 2, -2, 2), (3, Fraction(0), 3, -1, 1), (2, Fraction(1), 3, 0, 2)])
+    def test_search_matches_brute_force_off_centre(self, n, t, degree, lo, hi):
+        expected = _brute_force_families(n, t, degree, lo, hi)
+        found = [(s.a_coeffs, s.b_coeffs) for s in search_parametric(n, t, degree, (lo, hi))]
+        assert found == expected
+        if (n, t, lo) == (3, HALF, 0):  # a cubic family with a nonzero lead
+            assert any(len(a) == 4 for a, _ in found)
 
     def test_canonical_form_matches_full_window_oracle(self):
         # canonical_form evaluates a(c) only at the window ends and beside the
