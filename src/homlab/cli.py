@@ -215,6 +215,17 @@ def _require(args, *names) -> None:
             raise _CliError(EXIT_USAGE, f"--{name.replace('_', '-')}: missing required value")
 
 
+def _transmittance(args) -> Fraction:
+    """--T as an exact fraction; a zero denominator is named, as Fraction
+    reports it only as "Fraction(1, 0)"."""
+    try:
+        return Fraction(str(args.T))
+    except ZeroDivisionError:
+        raise _CliError(EXIT_USAGE, f"--T {args.T}: the denominator is 0")
+    except ValueError as exc:
+        raise _CliError(EXIT_USAGE, f"--T: {exc}")
+
+
 def _parse_states(args):
     from . import bs_core, states
     try:
@@ -262,9 +273,10 @@ def cmd_lossy(args) -> int:
 def cmd_zeros(args) -> int:
     from . import nodal
     _require(args, "n", "T", "max")
+    t = _transmittance(args)
     try:
-        zs = nodal.bfs_zeros(int(args.n), Fraction(str(args.T)), int(args.max))
-    except (ValueError, ZeroDivisionError) as exc:
+        zs = nodal.bfs_zeros(int(args.n), t, int(args.max))
+    except ValueError as exc:
         raise _CliError(EXIT_USAGE, f"--n/--T/--max: {exc}")
     doc = zs.to_json()
     doc["meta"] = {"command": "zeros", "tool_version": __version__}
@@ -278,12 +290,12 @@ def cmd_zeros(args) -> int:
 def cmd_parametric(args) -> int:
     from . import nodal
     _require(args, "n", "T")
+    t = _transmittance(args)
     try:
-        t = Fraction(str(args.T))
         sols = nodal.search_parametric(int(args.n), t, int(args.degree),
                                        (int(args.coeff_min), int(args.coeff_max)),
                                        workers=args.workers or 1)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise _CliError(EXIT_USAGE, str(exc))
     doc = {
         "meta": {"command": "parametric", "tool_version": __version__},

@@ -24,11 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # annotations only; numpy is imported by the array kernels
+if TYPE_CHECKING:  # annotations only
     from .bs_core import BeamSplitterSetting
-
-#: entries per block of the wrapping-int64 sieve of ``bfs_zeros``, its memory bound
-_BLOCK = 1 << 17
 
 # ---------------------------------------------------------------------------
 # integer form of the zero polynomial at rational transmittance
@@ -99,28 +96,6 @@ def cos_factor_residual(m_prime: int, n: int, bs: BeamSplitterSetting) -> Fracti
     return Fraction(total, scale)
 
 
-def _g_wrapped(x, y, n: int, num: int, rnum: int):
-    """``_g_int`` at the broadcast arrays x, y in wrapping int64 arithmetic,
-    i.e. modulo 2**64, for ``bfs_zeros``, which rechecks each 0: the ring
-    homomorphism maps every zero of g to 0, but a 0 may also be a nonzero
-    multiple of 2**64.  Horner's rule in the falling-factorial basis of y,
-    g = d_0 + y (d_1 + (y - 1) (d_2 + ...)), forms d_q on x alone."""
-    import numpy as np
-    x = np.asarray(x, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
-    with np.errstate(over="ignore"):
-        ff_x = [np.ones_like(x)]
-        for j in range(n):
-            ff_x.append(ff_x[-1] * (x - j))
-        total = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=np.int64)
-        for q in range(n, -1, -1):
-            d_q = math.comb(n, q) * (-rnum) ** q * num ** (n - q)
-            total += np.int64((d_q + 2 ** 63) % 2 ** 64 - 2 ** 63) * ff_x[n - q]
-            if q:
-                total *= y - (q - 1)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # exhaustive integer zero search
 # ---------------------------------------------------------------------------
@@ -154,23 +129,120 @@ class ZeroSet:
         }
 
 
+def _scan_primes(n: int, num: int, rnum: int, m_max: int) -> tuple[int, int, int]:
+    """The three primes of the residue scan: each above 2n and prime to num
+    and rnum, the first near isqrt(m_max) (at most 4097, which bounds the
+    tables), each later one more than n / 2 above the one before.  A residue
+    pair with x0 + y0 < n is a root mod every p, as in the proof in
+    ``bfs_zeros``: a share of about n^2 / 2p^2 of a table, below 1/8 for
+    p > 2n.  The gaps keep these bands of different primes from lining up
+    on the rows and columns just past a prime."""
+    primes, p = [], max(2 * n, min(math.isqrt(m_max), 1 << 12), 1) + 1
+    while len(primes) < 3:
+        if all(p % d for d in range(2, math.isqrt(p) + 1)) and num % p and rnum % p:
+            primes.append(p)
+            p += n // 2
+        p += 1
+    return tuple(primes)
+
+
+def _root_table(p: int, size: int, n: int, num: int, rnum: int) -> list[tuple[int, ...]]:
+    """For each x0 < size, the roots y0 < size of g(x0, .) mod p.
+
+    In the falling-factorial basis of y, g(x0, y) = sum_q c_q (y)_q (-rnum)^q
+    with c_q = C(n, q) (x0)_{n-q} num^{n-q}.  The column (y)_q (-rnum)^q mod p
+    of every y is packed into one integer, a slot of ``width`` bits per y, so
+    a row is n + 1 multiply-adds of c_q mod p on whole integers.  A slot then
+    holds v < 2^bits, a sum of n + 1 products below p^2.  Its residue is
+    v - p (v * magic >> shift), the quotient by a multiply-high that is exact
+    for v < 2^bits (Granlund and Montgomery, PLDI 1994); v * magic < 2^width,
+    so no slot carries into the next.  Adding 2^k - 1 to a residue sets its
+    bit k exactly when it is not 0, for 2^k >= p."""
+    bits = ((n + 1) * (p - 1) ** 2).bit_length()
+    shift, k = bits + p.bit_length(), p.bit_length()
+    magic = -(-(1 << shift) // p)
+    nbytes = (2 * bits + 8) // 8
+    width = 8 * nbytes
+    ones = int.from_bytes(b"\1".ljust(nbytes, b"\0") * size, "little")
+    quotient_mask, fill, tops = ((1 << width - shift) - 1) * ones, ((1 << k) - 1) * ones, ones << k
+    column, packed = [1] * size, []
+    for q in range(n + 1):
+        slots = map(int.to_bytes, column, itertools.repeat(nbytes), itertools.repeat("little"))
+        packed.append(int.from_bytes(b"".join(slots), "little"))
+        column = [v * (y - q) * -rnum % p for y, v in enumerate(column)]
+    weights = [math.comb(n, q) % p for q in range(n + 1)]
+    table = []
+    for x0 in range(size):
+        row, ff = 0, 1  # ff = (x0)_{n-q} num^{n-q} mod p
+        for q in range(n, -1, -1):
+            row += weights[q] * ff % p * packed[q]
+            ff = ff * (x0 - (n - q)) * num % p
+            if not ff:
+                break
+        row -= p * ((row * magic >> shift) & quotient_mask)
+        zero_tops, roots = tops ^ ((row + fill) & tops), []
+        while zero_tops:
+            top = zero_tops.bit_length() - 1
+            roots.append(top // width)
+            zero_tops ^= 1 << top
+        table.append(tuple(reversed(roots)))
+    return table
+
+
 def bfs_zeros(n: int, t, m_max: int) -> ZeroSet:
-    """Exhaustive exact scan for integer zeros of g at rational T: a wrapping
-    int64 sieve over blocks of rows, each of its zeros confirmed by ``_g_int``."""
-    import numpy as np
+    """Exhaustive exact scan for integer zeros of g at rational T, in pure
+    integer arithmetic and in memory that does not grow with m_max.
+
+    * m_a + m_b < n: every point is a zero.  Each term of g holds (m_a)_{n-q}
+      and (m_b)_q, and (n - q) + q = n > m_a + m_b, so m_a < n - q or m_b < q:
+      one of the two falling factorials has a factor 0.  This block is
+      listed without a recheck.
+    * T = 1 (rnum = 0) and T = 0 (num = 0): see the comment in the body.
+    * Otherwise a residue scan.  Three primes p, q, r above n that divide
+      neither num nor rnum (``_scan_primes``); mod each, the y^n coefficient
+      of g(x, .) is (-rnum)^n != 0, so each row g(x, .) mod p is a polynomial
+      of degree n with at most n roots, and it depends on x, as num is a unit.
+      ``_root_table`` lists those roots for every x mod p.  Reduction mod p
+      is a ring homomorphism Z -> F_p, so an integer zero (x, y) has y mod p
+      among the roots of row x mod p, for every p: joining the roots mod p
+      and mod q by the Chinese remainder theorem into progressions
+      y = c (mod pq), and keeping the members whose residue mod r is a root,
+      loses no zero.  ``_g_int`` confirms each candidate with m_a + m_b >= n.
+      Memory is the tables, O(n p) with p about max(2n, min(isqrt(m_max),
+      4096)), a row's candidates, O(n^2) while m_max < pq, and the zeros.
+    """
     if n < 0 or m_max < 0:
         raise ValueError("n and m_max must be non-negative")
     t = Fraction(t)
     num, rnum, _ = _int_weights(n, t)
-    m_b = np.arange(m_max + 1, dtype=np.int64)
-    step = max(1, _BLOCK // max(m_b.size, 1))
-    zeros: list[tuple[int, int]] = []
-    for first in range(1, m_max + 1, step):
-        m_a = np.arange(first, min(first + step, m_max + 1), dtype=np.int64)
-        rows, cols = np.divmod(np.flatnonzero(
-            _g_wrapped(m_a[:, None], m_b, n, num, rnum) == 0), m_b.size)
-        zeros.extend(z for z in zip((first + rows).tolist(), cols.tolist())
-                     if _g_int(*z, n, num, rnum) == 0)
+    if not num or not rnum:
+        # only the term q = 0 (T = 1) or q = n (T = 0) of g survives: g is
+        # num^n (m_a)_n or (-rnum)^n (m_b)_n, zero exactly on the rows m_a < n
+        # or the columns m_b < n, all of them for n = 0
+        rows = range(1, min(n, m_max + 1) if num else m_max + 1)
+        cols = range(m_max + 1 if num else min(n, m_max + 1))
+        return ZeroSet(n=n, t=t, m_max=m_max, zeros=tuple(itertools.product(rows, cols)))
+    zeros = [(x, y) for x in range(1, min(n, m_max + 1)) for y in range(min(n - x, m_max + 1))]
+    p, q, r = _scan_primes(n, num, rnum, m_max)
+    tables = [_root_table(prime, min(prime, m_max + 1), n, num, rnum) for prime in (p, q, r)]
+    # y = s mod p and y = u mod q: y = s lift_p + u lift_q mod pq
+    mod, lift_p, lift_q = p * q, q * pow(q, -1, p), p * pow(p, -1, q)
+    # row x reads entry x mod p of each table; a row that some table has no
+    # root for holds no zero
+    rows = zip(range(1, m_max + 1), *(itertools.islice(itertools.cycle(table), 1, None)
+                                      for table in tables))
+    for x, roots_p, roots_q, roots_r in filter(all, rows):
+        if len(roots_p) * len(roots_q) * (m_max // mod + 1) <= m_max:
+            starts, step = [(s * lift_p + u * lift_q) % mod
+                            for s in roots_p for u in roots_q], mod
+        else:  # a row with many roots, as x0 + y0 < n gives: a scan of the
+            # row lists the same candidates in fewer steps
+            starts, step = [y for y in range(m_max + 1)
+                            if y % p in roots_p and y % q in roots_q], m_max + 1
+        for start in starts:
+            for y in range(start, m_max + 1, step):
+                if y % r in roots_r and x + y >= n and not _g_int(x, y, n, num, rnum):
+                    zeros.append((x, y))
     return ZeroSet(n=n, t=t, m_max=m_max, zeros=tuple(sorted(zeros)))
 
 
@@ -272,8 +344,8 @@ class VerifyResult:
 
 def _g_composite(sol: ParametricSolution, num: int, rnum: int):
     """Exact integer-coefficient numerator polynomial of g(m_a(k), m_b(k)), by
-    the Horner scheme of ``_g_wrapped`` on coefficient lists: 2n products,
-    one trim."""
+    Horner's rule in the falling-factorial basis of m_b on coefficient lists,
+    g = d_0 + m_b (d_1 + (m_b - 1) (d_2 + ...)): 2n products, one trim."""
     n = sol.n
     a, b = list(sol.a_coeffs), list(sol.b_coeffs)
     ff_a = [[1]]

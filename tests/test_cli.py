@@ -450,6 +450,8 @@ class TestExitCodes:
         (["dicke", "--j-max", "-1"], None, EXIT_USAGE),
         (["dist", "--a", "coherent:beta=nan", "--b", "fock:0"], None, EXIT_USAGE),
         (["lossy", "--a", "fock:1", "--b", "coherent:beta=-inf", *ETAS], None, EXIT_USAGE),
+        (["zeros", "--n", "3", "--T", "1/0", "--max", "5"], None, EXIT_USAGE),
+        (["zeros", "--n", "3", "--T", "half", "--max", "5"], None, EXIT_USAGE),
     ])
     def test_exit_code(self, tmp_path, argv, config, code):
         cfg = tmp_path / "run.json"
@@ -463,6 +465,13 @@ class TestExitCodes:
         errors = [line for line in proc.stderr.splitlines() if "error:" in line]
         assert len(errors) == 1 and errors[0].startswith("error: "), proc.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["zeros", "--n", "3", "--max", "5"],
+                                      ["parametric", "--n", "2"]])
+    def test_zero_denominator_names_the_flag(self, argv):
+        proc = _run_python(["-m", "homlab.cli", *argv, "--T", "1/0"], check=False)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == "error: --T 1/0: the denominator is 0\n"
 
 
 class TestOutputFile:
@@ -553,6 +562,9 @@ class TestImports:
     PARAMETRIC = ("-m", "homlab.cli", "parametric", "--n", "2", "--T", "1/2",
                   "--coeff-min", "-1", "--coeff-max", "1")
     DICKE = ("-m", "homlab.cli", "dicke", "--j-max", "6")
+    EXACT_SEARCHES = ("-c", "from fractions import Fraction as F; import homlab.nodal as nodal; "
+                            "nodal.bfs_zeros(70, F(1, 2), 80); nodal.bfs_zeros(3, F(3, 4), 500); "
+                            "nodal.search_parametric(2, F(1, 2), 2, (-2, 2))")
     DIST = ("-m", "homlab.cli", "dist", "--a", "fock:1", "--b", "coherent:beta=1",
             "--grid-max", "4")
     LOSSY = ("-m", "homlab.cli", "lossy", "--a", "fock:1", "--b", "thermal:nbar=1",
@@ -579,7 +591,7 @@ class TestImports:
         assert "numpy" not in imported
         assert {m for m in imported if m.startswith("homlab.")} <= {"homlab.cli"}
 
-    @pytest.mark.parametrize("args", [VERIFY, HERALD, DICKE, PARAMETRIC])
+    @pytest.mark.parametrize("args", [VERIFY, HERALD, DICKE, PARAMETRIC, ZEROS, EXACT_SEARCHES])
     def test_no_numpy_without_arrays(self, args):
         assert "numpy" not in self._imported(args)
 

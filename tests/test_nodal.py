@@ -1,21 +1,23 @@
+import hashlib
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
 import pytest
 
 from homlab import nodal
 from homlab.bs_core import BeamSplitterSetting
 from homlab.nodal import (BALANCED_N2_FAMILIES, BALANCED_N3_FAMILIES,
                           KNOWN_FAMILIES, ParametricSolution,
-                          T34_N2_FAMILIES, ZeroSet, _g_int, _g_wrapped,
-                          _int_weights, bfs_zeros, canonical_form,
+                          T34_N2_FAMILIES, ZeroSet, _g_int, _int_weights,
+                          _root_table, _scan_primes, bfs_zeros, canonical_form,
                           extremal_branch_points, g_poly, search_parametric,
                           verify_parametric)
 
@@ -224,10 +226,11 @@ def _falling(x, q):
 
 
 def _g_fraction(x, y, n, t):
-    """g(x, y | n) at transmittance t, exact, for all integers x, y."""
-    return sum((-1) ** q * _falling(x, n - q) * _falling(y, q) * (t ** (n - q))
-               * ((1 - t) ** q) * Fraction(_falling(n, q), _falling(q, q))
-               for q in range(n + 1))
+    """g(x, y | n) at transmittance t, exact, for all integers x, y; a term
+    whose falling factorials vanish is skipped."""
+    return sum((-1) ** q * falling * (t ** (n - q)) * ((1 - t) ** q)
+               * Fraction(_falling(n, q), _falling(q, q))
+               for q in range(n + 1) if (falling := _falling(x, n - q) * _falling(y, q)))
 
 
 def _value(p, k):
@@ -300,22 +303,14 @@ class TestExactKernelsAgainstOracles:
                  for s in search_parametric(n, t, degree, (-bound, bound))]
         assert found == expected
 
-    def test_wrapped_g_is_exact_g_modulo_2_64(self):
-        rng = random.Random(20261018)
-        for n in range(13):
-            t = Fraction(rng.randint(1, 40), rng.randint(41, 80))
-            num, rnum, _ = _int_weights(n, t)
-            xs = [rng.randint(-10 ** 7, 10 ** 7) for _ in range(64)]
-            ys = [rng.randint(-10 ** 7, 10 ** 7) for _ in range(64)]
-            wrapped = _g_wrapped(np.array(xs), np.array(ys), n, num, rnum)
-            for x, y, w in zip(xs, ys, wrapped.tolist()):
-                exact = _g_int(x, y, n, num, rnum) % 2 ** 64
-                assert w == (exact - 2 ** 64 if exact >= 2 ** 63 else exact)
-
-    # n = 70: g is a multiple of 70!, hence of 2**67, so every wrapped value
-    # is 0 and only the exact recheck removes the nonzero corner m_a + m_b >= 70
-    @pytest.mark.parametrize("n, t, m_max", [(5, THREE_Q, 60), (8, Fraction(2, 3), 60),
-                                             (70, HALF, 40)])
+    # n >= 66: g is a multiple of n!, hence of 2**64; T = 2/3 and 2/7 have an
+    # even numerator; T = 0 and 1 take the closed form
+    @pytest.mark.parametrize("n, t, m_max", [
+        (5, THREE_Q, 60), (8, Fraction(2, 3), 60), (70, HALF, 40), (66, Fraction(2, 7), 45),
+        (80, Fraction(2, 3), 50), (66, HALF, 1), (3, Fraction(2, 7), 80), (4, Fraction(2, 3), 70),
+        (2, Fraction(2, 7), 0), (3, Fraction(0), 12), (3, Fraction(1), 12), (0, Fraction(0), 4),
+        (0, Fraction(1), 4), (0, HALF, 6), (0, THREE_Q, 1), (4, HALF, 1), (1, Fraction(1), 0),
+        (70, Fraction(0), 3), (6, Fraction(1), 5)])
     def test_bfs_matches_exact_scan(self, n, t, m_max):
         # against the test file's own Fraction g, not g_poly, which shares
         # _g_int with the recheck
@@ -323,10 +318,57 @@ class TestExactKernelsAgainstOracles:
                          if _g_fraction(a, b, n, t) == 0)
         assert bfs_zeros(n, t, m_max).zeros == expected
 
-    def test_small_blocks_change_nothing(self, monkeypatch):
-        monkeypatch.setattr(nodal, "_BLOCK", 5)
+    def test_root_tables_are_the_roots_of_g_mod_p(self):
+        # _root_table evaluates packed columns; here each cell is one exact g
+        rng = random.Random(20261019)
+        cases = [(3, THREE_Q, 7, 7), (5, HALF, 11, 11), (8, Fraction(2, 3), 17, 17),
+                 (2, Fraction(2, 7), 29, 12), (0, HALF, 3, 3), (13, Fraction(5, 9), 31, 31)]
+        for _ in range(6):
+            n = rng.randint(1, 12)
+            t = Fraction(rng.randint(1, 40), rng.randint(41, 80))
+            num, rnum, _ = _int_weights(n, t)
+            p = next(p for p in range(n + 1, 10 ** 3)
+                     if all(p % d for d in range(2, p)) and num % p and rnum % p)
+            cases.append((n, t, p, rng.randint(1, p)))
+        for n, t, p, size in cases:
+            num, rnum, _ = _int_weights(n, t)
+            table = _root_table(p, size, n, num, rnum)
+            assert table == [tuple(y for y in range(size) if _g_int(x, y, n, num, rnum) % p == 0)
+                             for x in range(size)], (n, t, p, size)
+
+    @pytest.mark.parametrize("primes", [(5, 7, 11), (7, 5, 13), (13, 11, 5), (7, 11, 401)])
+    def test_small_primes_wrap_progressions(self, monkeypatch, primes):
+        # products of the joined primes below m_max, so that each residue
+        # progression has several members in a row
+        monkeypatch.setattr(nodal, "_scan_primes", lambda *args: primes)
         assert bfs_zeros(3, THREE_Q, 200).zeros == (
             (1, 0), (1, 1), (1, 11), (2, 0), (3, 1), (11, 55), (70, 162))
+        expected = tuple((a, b) for a in range(1, 61) for b in range(61)
+                         if _g_fraction(a, b, 5, HALF) == 0)
+        assert bfs_zeros(5, HALF, 60).zeros == expected
+
+    def test_scan_primes_conditions(self):
+        for n, t, m_max in [(0, HALF, 0), (3, THREE_Q, 10 ** 4), (70, HALF, 300),
+                            (5, Fraction(7, 11), 10 ** 9), (4, Fraction(2, 7), 1)]:
+            num, rnum, _ = _int_weights(n, t)
+            primes = _scan_primes(n, num, rnum, m_max)
+            assert len(primes) == 3
+            for before, p in zip([None, *primes], primes):
+                assert all(p % d for d in range(2, p)) and p > max(2 * n, 1)
+                assert num % p and rnum % p
+                assert before is None or p > before + n // 2
+            assert primes[0] <= max(2 * n, min(math.isqrt(m_max), 4096), 1) + 60
+
+    # large n, where a sieve mod 2**64 passes every point: the counts and
+    # sha256 digests that such a sieve with an exact recheck returned
+    @pytest.mark.parametrize("n, t, m_max, count, digest", [
+        (70, HALF, 300, 2495, "99a04d93b52c1bd1492f8121ae2e8a4a0ca03a53a01a87853f9cd6dc103ebd28"),
+        (80, Fraction(2, 3), 200, 3162, "093c4c044a09de64b40c062892ecf676f697528de5e8a87acc2a5ff28b6c660c"),
+        (65, HALF, 300, 2412, "c172501e5ea3745aa2f349a63c20380135b7abd1dcd0376aa925ec152b0ebeb6")])
+    def test_large_n_rows_unchanged(self, n, t, m_max, count, digest):
+        zeros = bfs_zeros(n, t, m_max).zeros
+        assert len(zeros) == count
+        assert hashlib.sha256(repr(zeros).encode()).hexdigest() == digest
 
     # ranges without 0 or lopsided about it move the boxes of a(+-1) and
     # a(+-2) off centre; at degree 2 on (1, 6) the line a = b = 1 + 6 k has
@@ -424,3 +466,16 @@ def test_degree_three_search_has_bounded_memory():
     count, max_rss_kb = json.loads(out)
     assert count == 0
     assert max_rss_kb < 400 * 1024
+
+
+def test_zero_scan_has_bounded_memory():
+    # an int64 row of m_max + 1 entries alone is 800 KB; the residue tables
+    # and a row's candidates are far smaller
+    tracemalloc.start()
+    try:
+        zeros = bfs_zeros(3, THREE_Q, 10 ** 5).zeros
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert zeros == ((1, 0), (1, 1), (1, 11), (2, 0), (3, 1), (11, 55), (70, 162))
+    assert peak < 200_000
