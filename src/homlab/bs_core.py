@@ -6,9 +6,9 @@ b-mode reflection carries the minus sign, so the balanced setting theta = pi/2
 sends |1,1> to (|0,2> - |2,0>)/sqrt(2).
 
 Float amplitudes come from the orthogonal blocks of :func:`amplitude_blocks`,
-which stay accurate at any photon number; :func:`bs_prob_exact` gives exact
-probabilities at rational T.  The zero polynomial g lives in
-:mod:`homlab.nodal`.
+which stay accurate at any photon number.  Exact probabilities at rational T
+are read from the zero polynomial g of :mod:`homlab.nodal` by
+:func:`bs_prob_exact`, which loads that module on first use.
 """
 
 from __future__ import annotations
@@ -55,7 +55,10 @@ class BeamSplitterSetting:
         text = text.strip()
         if text.startswith("theta="):
             return cls.from_angle(float(text[len("theta="):]))
-        return cls.from_transmittance(Fraction(text))
+        try:
+            return cls.from_transmittance(Fraction(text))
+        except ZeroDivisionError:
+            raise ValueError("the denominator is 0") from None
 
     @property
     def is_exact(self) -> bool:
@@ -142,30 +145,26 @@ def measured_amplitude(n: int, m_a: int, m_b: int, bs: BeamSplitterSetting) -> f
 
 
 def bs_prob_exact(n: int, m_a: int, m_b: int, t) -> Fraction:
-    """Exact output probability |f^(n, m_a+m_b-n)_{m_a}|^2 at rational
-    transmittance t.
+    """Exact output probability |f^(n, m)_{m_a}|^2 of measuring (m_a, m_b)
+    from the input |n, m>, m = m_a + m_b - n, at rational transmittance t.
 
-    Every square root in the amplitude appears squared here, so the result is
-    an exact Fraction; used to certify that interference zeros are literal.
+    It is read from the zero polynomial g of :mod:`homlab.nodal`,
+
+        P = m! / (n! m_a! m_b!) T^(m_b - n) R^(m_a - n) g(m_a, m_b | n)^2,
+
+    so P is 0 exactly where g is: this certifies that a zero is literal.
     """
-    t = Fraction(t)
-    if not (0 <= t <= 1):
-        raise ValueError("transmittance must lie in [0, 1]")
-    r = 1 - t
+    from .nodal import _g_int, _int_weights
+    num, rnum, scale = _int_weights(n, t)
     m = m_a + m_b - n
     if m < 0:
         return Fraction(0)
-    p = m_a
-    norm = Fraction(math.factorial(p) * math.factorial(n + m - p),
-                    math.factorial(n) * math.factorial(m))
-    # amplitude = norm^(1/2) * sum_q t_q c^a_q s^b_q; pairwise products have
-    # even trig powers, hence exact T/R monomials
-    terms = []
-    for q in range(max(0, p - m), min(n, p) + 1):
-        coeff = math.comb(n, q) * math.comb(m, p - q) * (-1) ** (p - q)
-        terms.append((coeff, m + 2 * q - p, n + p - 2 * q))
-    total = Fraction(0)
-    for c1, a1, b1 in terms:
-        for c2, a2, b2 in terms:
-            total += c1 * c2 * t ** ((a1 + a2) // 2) * r ** ((b1 + b2) // 2)
-    return norm * total
+    # the factorials also reject negative photon numbers at T = 0 and 1
+    norm = Fraction(math.factorial(m),
+                    math.factorial(n) * math.factorial(m_a) * math.factorial(m_b))
+    if num == 0 or rnum == 0:
+        # the powers of T or R go negative; |n, m> leaves as |m, n> or |n, m>
+        return Fraction((m_b if num == 0 else m_a) == n)
+    t = Fraction(t)
+    return norm * t ** (m_b - n) * (1 - t) ** (m_a - n) \
+        * Fraction(_g_int(m_a, m_b, n, num, rnum), scale) ** 2

@@ -84,8 +84,6 @@ def _heads(grid):
     ends of a block of rows of 64 Ki cells at most."""
     import numpy as np
     width = max(map(len, grid), default=0)
-    if not isinstance(grid, np.ndarray):  # rows of any length: pad them with +0.0
-        grid = [np.pad(np.asarray(row, dtype=float), (0, width - len(row))) for row in grid]
     step = max(1, (1 << 16) // max(width, 1))
     for start in range(0, len(grid), step):
         block = np.asarray(grid[start:start + step], dtype=float)
@@ -226,17 +224,25 @@ def _transmittance(args) -> Fraction:
         raise _CliError(EXIT_USAGE, f"--T: {exc}")
 
 
+def _splitter(text: str, code: int):
+    """--bs as a setting; a bad value exits with ``code`` and names the flag."""
+    from . import bs_core
+    try:
+        return bs_core.BeamSplitterSetting.parse(text)
+    except ValueError as exc:
+        raise _CliError(code, f"--bs {text}: {exc}")
+
+
 def _parse_states(args):
-    from . import bs_core, states
+    from . import states
     try:
         state_a = states.parse_state(args.a, cutoff=args.cutoff_a)
         state_b = states.parse_state(args.b, cutoff=args.cutoff_b)
-        bs = bs_core.BeamSplitterSetting.parse(args.bs)
-    except (ValueError, KeyError, ZeroDivisionError) as exc:
-        raise _CliError(EXIT_USAGE, f"invalid state/beam-splitter flag: {exc}")
+    except (ValueError, KeyError) as exc:
+        raise _CliError(EXIT_USAGE, f"invalid state flag: {exc}")
     except OSError as exc:
         raise _CliError(EXIT_IO, f"cannot read custom state file: {exc}")
-    return state_a, state_b, bs
+    return state_a, state_b, _splitter(args.bs, EXIT_USAGE)
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +299,7 @@ def cmd_parametric(args) -> int:
     t = _transmittance(args)
     try:
         sols = nodal.search_parametric(int(args.n), t, int(args.degree),
-                                       (int(args.coeff_min), int(args.coeff_max)),
-                                       workers=args.workers or 1)
+                                       (int(args.coeff_min), int(args.coeff_max)))
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, str(exc))
     doc = {
@@ -342,12 +347,9 @@ def cmd_dicke(args) -> int:
     _require(args, "j_max")
     if args.j_max < 0:
         raise _CliError(EXIT_USAGE, "--j-max: must be non-negative")
-    try:
-        bs = bs_core.BeamSplitterSetting.parse(args.bs) if args.bs else bs_core.BALANCED
-        sweep = [{"J": j, "P_central": p}
-                 for j, p in enumerate(dicke.central_zero_sweep(int(args.j_max), bs))]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _CliError(EXIT_DOMAIN, str(exc))
+    bs = _splitter(args.bs, EXIT_DOMAIN) if args.bs else bs_core.BALANCED
+    sweep = [{"J": j, "P_central": p}
+             for j, p in enumerate(dicke.central_zero_sweep(int(args.j_max), bs))]
     doc = {
         "meta": {"command": "dicke", "bs": _bs_meta(bs),
                  "tool_version": __version__},
@@ -433,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=2)
     p.add_argument("--coeff-min", type=int, default=-10, dest="coeff_min")
     p.add_argument("--coeff-max", type=int, default=10, dest="coeff_max")
-    p.add_argument("--workers", type=int)
     _add_common(p, grid=False)
     p.set_defaults(func=cmd_parametric)
 

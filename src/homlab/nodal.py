@@ -7,6 +7,7 @@ All zeros of the post-measurement amplitude live in the polynomial
 which has rational value whenever T is rational: this is what makes exact
 certification of destructive-interference zeros possible.  g is evaluated
 here only, and only exactly: at T = num/den it is ``_g_int`` over den^n.
+:func:`homlab.bs_core.bs_prob_exact` reads exact probabilities from it.
 
 Covers: exhaustive integer (Diophantine) zero searches at rational
 transmittance, verification and brute-force search of parametric
@@ -427,10 +428,10 @@ def _row_zeros(x: int, cols: range, n: int, num: int, rnum: int) -> list[int]:
     return [y for y, v in zip(cols, row) if not v]
 
 
-def _search_strip(args):
-    """Coefficient pairs (a, b), a_0 in ``a0_values``, both non-constant, whose
-    composite g(a(k), b(k)) is 0 at k = -2 .. 2; ``verify_parametric`` rejects
-    those that are no family.  Coefficients up to the top index D, the highest
+def _search_strip(n: int, num: int, rnum: int, degree: int, lo: int, hi: int) -> list:
+    """Coefficient pairs (a, b), both non-constant, whose composite
+    g(a(k), b(k)) is 0 at k = -2 .. 2; ``verify_parametric`` rejects those
+    that are no family.  Coefficients up to the top index D, the highest
     with (a_D, b_D) != (0, 0), lie in [lo, hi], those above it are 0, and
     num * a_D = rnum * b_D: the top homogeneous part of g is (T x - R y)^n, so
     the k^(n D) coefficient of the composite is (T a_D - R b_D)^n.
@@ -439,7 +440,6 @@ def _search_strip(args):
     (a(1) - a(-1)) / 2, likewise for b, with (a_3, b_3) = (0, 0) or a lead.
     So g is scanned exactly on the box ``near`` of every a(+-1), and on rows of
     the box ``far`` of every a(+-2) as the k = +-2 check asks for them."""
-    (n, num, rnum, degree, lo, hi, a0_values) = args
     near, far = (range(min(ends), max(ends) + 1) for ends in (
         [sum(f(lo * k ** j, hi * k ** j) for j in range(top + 1))
          for k in ks for top in range(1, degree + 1) for f in (min, max)]
@@ -457,7 +457,7 @@ def _search_strip(args):
                 (da - a3, db - b3, a3, b3) for a3, b3 in tops
                 if lo <= da - a3 <= hi and lo <= db - b3 <= hi)
     hits = []
-    for a0, b0 in [(x, y) for x, y in zeros if x in a0_values and lo <= y <= hi]:
+    for a0, b0 in [(x, y) for x, y in zeros if lo <= x <= hi and lo <= y <= hi]:
         for (sa, sb), splits in halves.items():
             a2, b2 = sa - a0, sb - b0
             inside = lo <= a2 <= hi and lo <= b2 <= hi
@@ -475,8 +475,8 @@ def _search_strip(args):
     return hits
 
 
-def search_parametric(n: int, t, degree: int, coeff_range: tuple[int, int],
-                      workers: int = 1) -> list[ParametricSolution]:
+def search_parametric(n: int, t, degree: int,
+                      coeff_range: tuple[int, int]) -> list[ParametricSolution]:
     """Exhaustive exact search for integer polynomial pairs that annihilate g
     identically: each pair is fixed by its zeros at k = -1, 0, 1, found on a
     box, and kept if it has zeros at k = +-2 too (see ``_search_strip``).
@@ -497,15 +497,7 @@ def search_parametric(n: int, t, degree: int, coeff_range: tuple[int, int],
         # at T = 1, g = num^n (m_a)_n vanishes only for m_a in {0, .., n - 1},
         # a finite set that no non-constant a(k) stays in; T = 0 likewise in m_b
         return []
-    a0_values = list(range(lo, hi + 1))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        chunks = [a0_values[i::workers] for i in range(workers)]
-        args = [(n, num, rnum, degree, lo, hi, chunk) for chunk in chunks if chunk]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            hits = [hit for part in pool.map(_search_strip, args) for hit in part]
-    else:
-        hits = _search_strip((n, num, rnum, degree, lo, hi, a0_values))
+    hits = _search_strip(n, num, rnum, degree, lo, hi)
     # k -> +-k + c maps a family onto itself, so g(a(k), b(k)) vanishes for
     # every member of a canonical class or for none: verify once per class
     classes = sorted({_canonical_pair(_ptrim(a), _ptrim(b)) for a, b in hits})

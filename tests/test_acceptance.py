@@ -79,7 +79,6 @@ def test_criterion_5_diophantine_scan():
           "seven known pairs")
 
 
-@pytest.mark.slow
 def test_criterion_5_extended_scan():
     zs = h.bfs_zeros(3, THREE_Q, 10 ** 4)
     expected = {(1, 0), (1, 1), (1, 11), (2, 0), (3, 1), (11, 55), (70, 162)}

@@ -26,6 +26,8 @@ class TestBeamSplitterSetting:
     def test_parse(self):
         assert BeamSplitterSetting.parse("1/2").exact_t == Fraction(1, 2)
         assert BeamSplitterSetting.parse("theta=1.0472").theta == 1.0472
+        with pytest.raises(ValueError, match="denominator is 0"):
+            BeamSplitterSetting.parse("1/0")
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -83,20 +85,27 @@ class TestGPoly:
             g_poly(-1, 0, 1, BALANCED)
 
 
+def _expansion(n, m, p):
+    """The amplitude f^(n,m)_p as norm2^(1/2) times the sum of
+    k cos(theta/2)^i sin(theta/2)^j over the returned (k, i, j): the binomial
+    expansion of (c a^dag + s b^dag)^n (c b^dag - s a^dag)^m at a^dag^p."""
+    norm2 = Fraction(math.factorial(p) * math.factorial(n + m - p),
+                     math.factorial(n) * math.factorial(m))
+    return norm2, [(math.comb(n, q) * math.comb(m, p - q) * (-1) ** (p - q),
+                    m + 2 * q - p, n + p - 2 * q)
+                   for q in range(max(0, p - m), min(n, p) + 1)]
+
+
 def _amplitude_oracle(n, m, p, t):
     """Exact-arithmetic expansion of the transformed-state amplitude.
 
-    All terms of the double sum share the parities of the two trig exponents,
+    All terms of the sum share the parities of the two trig exponents,
     so the amplitude factors as sqrt(T)^ea sqrt(R)^eb times a rational sum;
     every piece is computed with Fractions and rooted only at the end.
     """
     t = Fraction(t)
     r = 1 - t
-    norm2 = Fraction(math.factorial(p) * math.factorial(n + m - p),
-                     math.factorial(n) * math.factorial(m))
-    qs = range(max(0, p - m), min(n, p) + 1)
-    terms = [(math.comb(n, q) * math.comb(m, p - q) * (-1) ** (p - q),
-              m + 2 * q - p, n + p - 2 * q) for q in qs]
+    norm2, terms = _expansion(n, m, p)
     if not terms:
         return 0.0
     ea = terms[0][1] % 2
@@ -219,7 +228,48 @@ class TestParitySymmetry:
                         assert lhs == rhs
 
 
+def _prob_oracle(n, m_a, m_b, t):
+    """|f^(n, m)_{m_a}|^2 as the double sum over pairs of ``_expansion``
+    terms: every square root appears squared, so each product is an exact T/R
+    monomial.  It shares no code with the zero polynomial."""
+    t = Fraction(t)
+    r = 1 - t
+    m = m_a + m_b - n
+    if m < 0:
+        return Fraction(0)
+    norm, terms = _expansion(n, m, m_a)
+    total = Fraction(0)
+    for c1, a1, b1 in terms:
+        for c2, a2, b2 in terms:
+            total += c1 * c2 * t ** ((a1 + a2) // 2) * r ** ((b1 + b2) // 2)
+    return norm * total
+
+
 class TestExactProbability:
+    @pytest.mark.parametrize("t", ["0", "1", "1/2", "3/4", "2/7", "1/3", "5/9"])
+    def test_double_sum_oracle(self, t):
+        # the whole box, T = 0 and 1 included, where the powers of T or R in
+        # the g identity would go negative
+        t = Fraction(t)
+        for n in range(9):
+            for m_a in range(13):
+                for m_b in range(13):
+                    got = bs_prob_exact(n, m_a, m_b, t)
+                    assert type(got) is Fraction
+                    assert got == _prob_oracle(n, m_a, m_b, t), (n, m_a, m_b)
+
+    @pytest.mark.parametrize("n", [40, 80, 150])
+    def test_mpmath_wigner_sum_at_large_n(self, n):
+        # (n, n) measured from |n, n> at T = 1/3: d^n_00 of the 2n-photon block
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(120):
+            theta = 2 * mpmath.acos(mpmath.sqrt(mpmath.mpf(1) / 3))
+            want = _wigner_d_mp(2 * n, n, n, theta) ** 2
+            got = bs_prob_exact(n, n, n, Fraction(1, 3))
+            assert want > 0
+            got = mpmath.mpf(got.numerator) / got.denominator
+            assert abs(got - want) <= want * mpmath.mpf(10) ** -75
+
     def test_frozen_values(self):
         # [DERIVED] single photon through T=3/4: P(transmit) = 3/4;
         # |1,1> coincidence P(1,1) = (T-R)^2 = 1/4

@@ -180,18 +180,6 @@ class TestConfigFile:
         doc = json.loads(out.read_text())
         assert (doc["degree"], doc["coeff_range"]) == (3, [-1, 1])
 
-    def test_workers_from_file_apply(self, tmp_path, monkeypatch):
-        seen = []
-        monkeypatch.setattr("homlab.nodal.search_parametric",
-                            lambda *args, workers: seen.append(workers) or [])
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"workers": 2}))
-        assert main(["parametric", "--config", str(cfg), "--n", "2", "--T", "1/2",
-                     "-o", str(tmp_path / "p.json")]) == EXIT_OK
-        assert main(["parametric", "--n", "2", "--T", "1/2",
-                     "-o", str(tmp_path / "p.json")]) == EXIT_OK
-        assert seen == [2, 1]
-
 
 class TestLossyCommand:
     def test_runs(self, tmp_path):
@@ -236,7 +224,7 @@ class TestJsonWriter:
          "diagnostics": {"warnings": ["w"], "cnl_verdict": True}},
         {"grid": np.random.default_rng(4).random((9, 7)).tolist()},
         {"grid": []},
-        {"grid": [[], [0.25]]},
+        {"grid": [[], []]},
         {"meta": {"command": "zeros"}, "zeros": [{"m_a": 1, "m_b": 0}]},
         {"rows": [], "all_valid": True, "label": "grid"},
         {},
@@ -284,7 +272,6 @@ class TestGridWriters:
         "all-zero": [[0.0, 0.0], [0.0, 0.0]],
         "non-square": [[0.1, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1 / 3, 0.0, 0.0]],
         "empty": [],
-        "ragged": [[], [0.25], [0.0, 0.0], [0.0, 0.5, 0.0, 0.0], [], [-0.0]],
         "random": np.where(np.random.default_rng(7).random((11, 9)) < 0.5, 0.0,
                            np.random.default_rng(8).random((11, 9))).tolist(),
     }
@@ -296,7 +283,7 @@ class TestGridWriters:
         assert "".join(_to_json({"grid": grid})) == _json_reference(grid)
         assert "".join(_to_csv({"grid": grid})) == _csv_reference(grid)
 
-    @pytest.mark.parametrize("name", [n for n in GRIDS if n not in ("empty", "ragged")])
+    @pytest.mark.parametrize("name", [n for n in GRIDS if n != "empty"])
     def test_arrays_match_per_cell_writers(self, name):
         grid = np.array(self.GRIDS[name])
         assert "".join(_to_json({"grid": grid})) == _json_reference(grid)
@@ -430,7 +417,7 @@ class TestExitCodes:
         (["zeros", "--n", "-1", "--T", "1/2", "--max", "3"], None, EXIT_USAGE),
         (["parametric", "--n", "3", "--T", "3/2", "--coeff-min", "-1",
           "--coeff-max", "1"], None, EXIT_USAGE),
-        (["parametric", "--n", "2", "--T=-1/2", "--workers", "2"], None, EXIT_USAGE),
+        (["parametric", "--n", "2", "--T=-1/2"], None, EXIT_USAGE),
         (["parametric", "--n", "2", "--T", "1/0"], None, EXIT_USAGE),
         (["verify", "--tables", "bogus"], None, EXIT_USAGE),
         (["verify", "--tables", "appendix-c"], None, EXIT_USAGE),
@@ -452,6 +439,7 @@ class TestExitCodes:
         (["lossy", "--a", "fock:1", "--b", "coherent:beta=-inf", *ETAS], None, EXIT_USAGE),
         (["zeros", "--n", "3", "--T", "1/0", "--max", "5"], None, EXIT_USAGE),
         (["zeros", "--n", "3", "--T", "half", "--max", "5"], None, EXIT_USAGE),
+        (["dicke", "--j-max", "3", "--bs", "1/0"], None, EXIT_DOMAIN),
     ])
     def test_exit_code(self, tmp_path, argv, config, code):
         cfg = tmp_path / "run.json"
@@ -472,6 +460,13 @@ class TestExitCodes:
         proc = _run_python(["-m", "homlab.cli", *argv, "--T", "1/0"], check=False)
         assert proc.returncode == EXIT_USAGE
         assert proc.stderr == "error: --T 1/0: the denominator is 0\n"
+
+    @pytest.mark.parametrize("argv, code", [(["dist", *GRID], EXIT_USAGE),
+                                            (["dicke", "--j-max", "3"], EXIT_DOMAIN)])
+    def test_zero_splitter_denominator_names_the_flag(self, argv, code):
+        proc = _run_python(["-m", "homlab.cli", *argv, "--bs", "1/0"], check=False)
+        assert proc.returncode == code
+        assert proc.stderr == "error: --bs 1/0: the denominator is 0\n"
 
 
 class TestOutputFile:
@@ -552,7 +547,7 @@ class TestStreamedWriter:
 
 class TestImports:
     """Each command imports only the modules it runs, and numpy only where it
-    builds an array; only ``--workers > 1`` needs a process pool."""
+    builds an array; none starts a process pool."""
 
     VERSION = ("-m", "homlab.cli", "--version")
     PACKAGE = ("-c", "import homlab")
@@ -565,6 +560,9 @@ class TestImports:
     EXACT_SEARCHES = ("-c", "from fractions import Fraction as F; import homlab.nodal as nodal; "
                             "nodal.bfs_zeros(70, F(1, 2), 80); nodal.bfs_zeros(3, F(3, 4), 500); "
                             "nodal.search_parametric(2, F(1, 2), 2, (-2, 2))")
+    EXACT_PROBABILITIES = ("-c", "from fractions import Fraction as F; import homlab; "
+                                 "homlab.bs_prob_exact(3, 11, 55, F(3, 4)); "
+                                 "homlab.central_probability_exact(3, 1, F(1, 3))")
     DIST = ("-m", "homlab.cli", "dist", "--a", "fock:1", "--b", "coherent:beta=1",
             "--grid-max", "4")
     LOSSY = ("-m", "homlab.cli", "lossy", "--a", "fock:1", "--b", "thermal:nbar=1",
@@ -591,7 +589,8 @@ class TestImports:
         assert "numpy" not in imported
         assert {m for m in imported if m.startswith("homlab.")} <= {"homlab.cli"}
 
-    @pytest.mark.parametrize("args", [VERIFY, HERALD, DICKE, PARAMETRIC, ZEROS, EXACT_SEARCHES])
+    @pytest.mark.parametrize("args", [VERIFY, HERALD, DICKE, PARAMETRIC, ZEROS, EXACT_SEARCHES,
+                                      EXACT_PROBABILITIES])
     def test_no_numpy_without_arrays(self, args):
         assert "numpy" not in self._imported(args)
 

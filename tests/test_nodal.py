@@ -76,7 +76,7 @@ def test_transmittance_outside_unit_interval_rejected(t):
     with pytest.raises(ValueError):
         bfs_zeros(3, t, 5)
     with pytest.raises(ValueError):
-        search_parametric(3, t, 2, (-1, 1), workers=2)
+        search_parametric(3, t, 2, (-1, 1))
     with pytest.raises(ValueError):
         verify_parametric(ParametricSolution(a_coeffs=(0, 1), b_coeffs=(0, 1), n=1, t=t))
     # the end points are splitters: at n = 1, g = T m_a - R m_b
@@ -144,11 +144,6 @@ class TestSearchParametric:
         a = search_parametric(2, HALF, 2, (-3, 3))
         b = search_parametric(2, HALF, 2, (-3, 3))
         assert a == b
-
-    def test_workers_agree(self):
-        serial = search_parametric(2, HALF, 2, (-3, 3), workers=1)
-        parallel = search_parametric(2, HALF, 2, (-3, 3), workers=2)
-        assert serial == parallel
 
     def test_verifies_each_canonical_class_once(self, monkeypatch):
         canonical, verified = [], []
