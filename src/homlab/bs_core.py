@@ -14,7 +14,7 @@ are read from the zero polynomial g of :mod:`homlab.nodal` by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -22,24 +22,23 @@ if TYPE_CHECKING:  # annotations only; numpy is imported by amplitude_blocks
     import numpy as np
 
 
-@dataclass(frozen=True)
-class BeamSplitterSetting:
+class BeamSplitterSetting(namedtuple("BeamSplitterSetting", "exact_t theta")):
     """Either an exact rational transmittance or a floating mixing angle.
 
     Exactly one of ``exact_t`` / ``theta`` is set.  Exact settings keep T and
     R as Fractions so downstream polynomial evaluation stays exact.
     """
 
-    exact_t: Fraction | None = None
-    theta: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.exact_t is None) == (self.theta is None):
+    def __new__(cls, exact_t: Fraction | None = None, theta: float | None = None):
+        if (exact_t is None) == (theta is None):
             raise ValueError("specify exactly one of exact_t or theta")
-        if self.exact_t is not None and not (0 <= self.exact_t <= 1):
+        if exact_t is not None and not (0 <= exact_t <= 1):
             raise ValueError("transmittance must lie in [0, 1]")
-        if self.theta is not None and not (0.0 <= self.theta <= math.pi):
+        if theta is not None and not (0.0 <= theta <= math.pi):
             raise ValueError("theta must lie in [0, pi]")
+        return super().__new__(cls, exact_t, theta)
 
     @classmethod
     def from_transmittance(cls, t) -> "BeamSplitterSetting":

@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import tempfile
-from fractions import Fraction
 
 from . import __version__
 
@@ -213,9 +212,10 @@ def _require(args, *names) -> None:
             raise _CliError(EXIT_USAGE, f"--{name.replace('_', '-')}: missing required value")
 
 
-def _transmittance(args) -> Fraction:
+def _transmittance(args):
     """--T as an exact fraction; a zero denominator is named, as Fraction
     reports it only as "Fraction(1, 0)"."""
+    from fractions import Fraction
     try:
         return Fraction(str(args.T))
     except ZeroDivisionError:
@@ -224,13 +224,13 @@ def _transmittance(args) -> Fraction:
         raise _CliError(EXIT_USAGE, f"--T: {exc}")
 
 
-def _splitter(text: str, code: int):
-    """--bs as a setting; a bad value exits with ``code`` and names the flag."""
+def _splitter(text: str):
+    """--bs as a setting; a bad value is a usage error that names the flag."""
     from . import bs_core
     try:
         return bs_core.BeamSplitterSetting.parse(text)
     except ValueError as exc:
-        raise _CliError(code, f"--bs {text}: {exc}")
+        raise _CliError(EXIT_USAGE, f"--bs {text}: {exc}")
 
 
 def _parse_states(args):
@@ -242,7 +242,7 @@ def _parse_states(args):
         raise _CliError(EXIT_USAGE, f"invalid state flag: {exc}")
     except OSError as exc:
         raise _CliError(EXIT_IO, f"cannot read custom state file: {exc}")
-    return state_a, state_b, _splitter(args.bs, EXIT_USAGE)
+    return state_a, state_b, _splitter(args.bs)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +347,7 @@ def cmd_dicke(args) -> int:
     _require(args, "j_max")
     if args.j_max < 0:
         raise _CliError(EXIT_USAGE, "--j-max: must be non-negative")
-    bs = _splitter(args.bs, EXIT_DOMAIN) if args.bs else bs_core.BALANCED
+    bs = _splitter(args.bs) if args.bs else bs_core.BALANCED
     sweep = [{"J": j, "P_central": p}
              for j, p in enumerate(dicke.central_zero_sweep(int(args.j_max), bs))]
     doc = {
@@ -476,4 +476,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    import gc
+    try:
+        code = main()
+    finally:
+        # what is left lives until exit: frozen, it is not walked by the
+        # collections of interpreter shutdown (argparse's exits pass here too)
+        gc.freeze()
+    sys.exit(code)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # heralding needs only math: numpy is imported by the loss model
@@ -23,32 +23,30 @@ if TYPE_CHECKING:  # heralding needs only math: numpy is imported by the loss mo
 _RESCALE_ABOVE = 2.0 ** 900
 
 
-@dataclass(frozen=True)
-class LossConfig:
+class LossConfig(namedtuple("LossConfig", "eta_a eta_b")):
     """Detector efficiencies per mode."""
 
-    eta_a: float
-    eta_b: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for eta in (self.eta_a, self.eta_b):
+    def __new__(cls, eta_a: float, eta_b: float):
+        for eta in (eta_a, eta_b):
             if not (0.0 <= eta <= 1.0):
                 raise ValueError("efficiency must lie in [0, 1]")
+        return super().__new__(cls, eta_a, eta_b)
 
 
-@dataclass(frozen=True)
-class SqueezedSource:
+class SqueezedSource(namedtuple("SqueezedSource", "r cutoff")):
     """Two-mode squeezed vacuum pair source with photon-pair weights
     tanh^(2n)(r) / cosh^2(r)."""
 
-    r: float
-    cutoff: int = 400
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.r < 0:
+    def __new__(cls, r: float, cutoff: int = 400):
+        if r < 0:
             raise ValueError("squeezing parameter r must be non-negative")
-        if self.cutoff < 0:
+        if cutoff < 0:
             raise ValueError("cutoff must be non-negative")
+        return super().__new__(cls, r, cutoff)
 
 
 def bernoulli_matrix(eta: float, size: int) -> np.ndarray:
@@ -79,6 +77,7 @@ def lossy_distribution(dist: JointDistribution, loss: LossConfig) -> JointDistri
     Pascal column depends only on the one before it.  Nothing writes the
     padding, so a large output grid's pages outside the block stay unmapped."""
     import numpy as np
+    from .joint_dist import JointDistribution
     rows, cols = np.nonzero((dist.grid != 0.0) | np.signbit(dist.grid))
     k = int(max(rows.max(), cols.max())) + 1 if rows.size else 0
     a = bernoulli_matrix(loss.eta_a, k)
@@ -86,7 +85,7 @@ def lossy_distribution(dist: JointDistribution, loss: LossConfig) -> JointDistri
     grid = np.zeros(dist.grid.shape)
     grid[:k, :k] = a @ dist.grid[:k, :k] @ b.T
     label = f"{dist.input_label} | loss eta=({loss.eta_a:g},{loss.eta_b:g})"
-    return replace(dist, grid=grid, input_label=label)
+    return JointDistribution(grid=grid, bs=dist.bs, input_label=label, warnings=dist.warnings)
 
 
 def tmss_prob(n: int, source: SqueezedSource) -> float:

@@ -9,26 +9,25 @@ vanishing rotation amplitudes of symmetric Dicke states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .bs_core import BALANCED, BeamSplitterSetting, amplitude_block, bs_prob_exact
 
 
-@dataclass(frozen=True)
-class AngularState:
+class AngularState(namedtuple("AngularState", "twice_j twice_m")):
     """|J, M> stored as doubled integers so half-integer spin stays exact."""
 
-    twice_j: int
-    twice_m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.twice_j < 0:
+    def __new__(cls, twice_j: int, twice_m: int):
+        if twice_j < 0:
             raise ValueError("J must be non-negative")
-        if abs(self.twice_m) > self.twice_j:
+        if abs(twice_m) > twice_j:
             raise ValueError("|M| must not exceed J")
-        if (self.twice_j - self.twice_m) % 2:
+        if (twice_j - twice_m) % 2:
             raise ValueError("J - M must be an integer")
+        return super().__new__(cls, twice_j, twice_m)
 
     @classmethod
     def make(cls, j, m) -> "AngularState":

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -102,8 +102,7 @@ def cos_factor_residual(m_prime: int, n: int, bs: BeamSplitterSetting) -> Fracti
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZeroSet:
+class ZeroSet(namedtuple("ZeroSet", "n t m_max zeros")):
     """All integer zeros of g(., .|n) at rational T within the scan bound.
 
     The scan runs over 1 <= m_a <= m_max, 0 <= m_b <= m_max: the m_a = 0 row
@@ -112,10 +111,7 @@ class ZeroSet:
     measured pair is reachable from some input with the a-mode Fock state.
     """
 
-    n: int
-    t: Fraction
-    m_max: int
-    zeros: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     def physical(self) -> tuple[tuple[int, int], ...]:
         return tuple(z for z in self.zeros if z[0] + z[1] >= self.n)
@@ -295,25 +291,20 @@ def _peval(p, k: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParametricSolution:
+class ParametricSolution(namedtuple("ParametricSolution", "a_coeffs b_coeffs n t")):
     """Integer polynomial pair (m_a(k), m_b(k)) claimed to annihilate g
     identically; coefficients stored low-to-high, degree <= 3."""
 
-    a_coeffs: tuple[int, ...]
-    b_coeffs: tuple[int, ...]
-    n: int
-    t: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, a_coeffs, b_coeffs, n, t):
         # trimmed int tuples and a Fraction, as the search passes, are kept
-        for name, c in (("a_coeffs", self.a_coeffs), ("b_coeffs", self.b_coeffs)):
-            if not (type(c) is tuple and all(type(x) is int for x in c) and _ptrim(c) == c):
-                object.__setattr__(self, name, _ptrim(tuple(map(int, c))))
-        if type(self.t) is not Fraction:
-            object.__setattr__(self, "t", Fraction(self.t))
-        if len(self.a_coeffs) > 4 or len(self.b_coeffs) > 4:
+        a, b = (c if type(c) is tuple and all(type(x) is int for x in c) and _ptrim(c) == c
+                else _ptrim(tuple(map(int, c))) for c in (a_coeffs, b_coeffs))
+        t = t if type(t) is Fraction else Fraction(t)
+        if len(a) > 4 or len(b) > 4:
             raise ValueError("polynomial degree must be at most 3")
+        return super().__new__(cls, a, b, n, t)
 
     def m_a(self, k: int) -> int:
         return _peval(self.a_coeffs, k)
@@ -335,12 +326,12 @@ class ParametricSolution:
         }
 
 
-@dataclass(frozen=True)
-class VerifyResult:
-    valid: bool
-    residual_coefficients: tuple
-    first_nonzero: tuple[int, Fraction] | None
-    certificates_agree: bool
+class VerifyResult(namedtuple("VerifyResult",
+                              "valid residual_coefficients first_nonzero certificates_agree")):
+    """Outcome of ``verify_parametric``: ``first_nonzero`` is the (index,
+    coefficient) of the residual's lowest nonzero term, or None."""
+
+    __slots__ = ()
 
 
 def _g_composite(sol: ParametricSolution, num: int, rnum: int):
@@ -502,7 +493,9 @@ def search_parametric(n: int, t, degree: int,
     # every member of a canonical class or for none: verify once per class
     classes = sorted({_canonical_pair(_ptrim(a), _ptrim(b)) for a, b in hits})
     found = [ParametricSolution(a_coeffs=a, b_coeffs=b, n=n, t=t) for a, b in classes]
-    return [sol for sol in found if verify_parametric(sol).valid]
+    # the expansion alone decides; ``verify_parametric`` also evaluates g at
+    # 3n + 1 points, a second certificate that the search does not need
+    return [sol for sol in found if _g_composite(sol, num, rnum) == (0,)]
 
 
 # ---------------------------------------------------------------------------

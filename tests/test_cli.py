@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import json
 import os
@@ -9,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import homlab
 from homlab import cli
 from homlab.cli import (EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, _to_csv, _to_json,
                         main)
@@ -421,7 +423,7 @@ class TestExitCodes:
         (["parametric", "--n", "2", "--T", "1/0"], None, EXIT_USAGE),
         (["verify", "--tables", "bogus"], None, EXIT_USAGE),
         (["verify", "--tables", "appendix-c"], None, EXIT_USAGE),
-        (["dicke", "--j-max", "3", "--bs", "3/2"], None, EXIT_DOMAIN),
+        (["dicke", "--j-max", "3", "--bs", "3/2"], None, EXIT_USAGE),
         (["dist", "--config", "{config}"],
          '{"a": "fock:1", "b": "fock:0", "format": "xml"}', EXIT_USAGE),
         (["parametric", "--config", "{config}", "--n", "2", "--T", "1/2"],
@@ -439,7 +441,7 @@ class TestExitCodes:
         (["lossy", "--a", "fock:1", "--b", "coherent:beta=-inf", *ETAS], None, EXIT_USAGE),
         (["zeros", "--n", "3", "--T", "1/0", "--max", "5"], None, EXIT_USAGE),
         (["zeros", "--n", "3", "--T", "half", "--max", "5"], None, EXIT_USAGE),
-        (["dicke", "--j-max", "3", "--bs", "1/0"], None, EXIT_DOMAIN),
+        (["dicke", "--j-max", "3", "--bs", "1/0"], None, EXIT_USAGE),
     ])
     def test_exit_code(self, tmp_path, argv, config, code):
         cfg = tmp_path / "run.json"
@@ -462,7 +464,7 @@ class TestExitCodes:
         assert proc.stderr == "error: --T 1/0: the denominator is 0\n"
 
     @pytest.mark.parametrize("argv, code", [(["dist", *GRID], EXIT_USAGE),
-                                            (["dicke", "--j-max", "3"], EXIT_DOMAIN)])
+                                            (["dicke", "--j-max", "3"], EXIT_USAGE)])
     def test_zero_splitter_denominator_names_the_flag(self, argv, code):
         proc = _run_python(["-m", "homlab.cli", *argv, "--bs", "1/0"], check=False)
         assert proc.returncode == code
@@ -598,6 +600,15 @@ class TestImports:
         grid_modules = {"homlab.states", "homlab.joint_dist", "homlab.detector", "homlab.nodal"}
         assert not grid_modules & self._imported(self.DICKE)
 
+    @pytest.mark.parametrize("args", [VERSION, VERIFY, HERALD, DICKE, ZEROS, PARAMETRIC])
+    def test_no_dataclasses_without_numpy(self, args):
+        # dataclasses loads inspect, and with it ast, dis and tokenize
+        assert not {"dataclasses", "inspect"} & self._imported(args)
+
+    @pytest.mark.parametrize("args", [VERSION, HERALD])
+    def test_no_fractions_without_exact_work(self, args):
+        assert not {"fractions", "decimal"} & self._imported(args)
+
     @pytest.mark.parametrize("args", [DIST, LOSSY])
     def test_grid_commands_load_no_zero_search(self, args):
         imported = self._imported(args)
@@ -607,3 +618,42 @@ class TestImports:
     def test_exact_commands_load_no_float_modules(self, args):
         float_modules = {"homlab.states", "homlab.joint_dist", "homlab.detector", "homlab.dicke"}
         assert not float_modules & self._imported(args)
+
+
+class TestEntryPoint:
+    """``python -m homlab.cli`` freezes the heap before interpreter teardown,
+    so shutdown's collections skip it; ``main`` itself freezes nothing, and
+    the process ends as it did without the freeze."""
+
+    HERALD = ["herald", "--t", "2", "--eta", "0.87", "--r", "1.5"]
+    # atexit handlers run after the entry point's ``finally``
+    FROZEN = ("import atexit, gc, runpy, sys; sys.argv[0] = 'homlab'; "
+              "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0)); "
+              "runpy.run_module('homlab.cli', run_name='__main__')")
+
+    def test_main_does_not_freeze(self, capsys):
+        before = gc.get_freeze_count()
+        assert main(self.HERALD) == EXIT_OK
+        assert main(["herald", "--t", "2", "--eta", "0.87", "--r", "-1"]) == EXIT_DOMAIN
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("argv", [["--version"], HERALD, ["zeros", "--n", "x"]])
+    def test_entry_point_freezes_on_every_exit(self, argv):
+        proc = _run_python(["-c", self.FROZEN, *argv], check=False)
+        assert proc.stdout.splitlines()[-1] == "frozen True", proc.stderr
+
+    @pytest.mark.parametrize("argv, code, stdout, stderr", [
+        (["--version"], EXIT_OK, f"{homlab.__version__}\n", ""),
+        (HERALD, EXIT_OK, "posterior P(n'=2 | t=2) = 0.7133\n", ""),
+        (["zeros", "--n", "x"], EXIT_USAGE, "",
+         "usage: homlab zeros [-h] [--n N] [--T T] [--max MAX] [--config CONFIG]\n"
+         "                    [-o OUTPUT] [--format {json,csv}]\n"
+         "homlab zeros: error: argument --n: invalid int value: 'x'\n"),
+        (["zeros", "--n", "3", "--T", "1/0", "--max", "5"], EXIT_USAGE, "",
+         "error: --T 1/0: the denominator is 0\n"),
+        (["herald", "--t", "2", "--eta", "0.87", "--r", "-1"], EXIT_DOMAIN, "",
+         "error: squeezing parameter r must be non-negative\n"),
+    ])
+    def test_process_ends_as_before(self, argv, code, stdout, stderr):
+        proc = _run_python(["-m", "homlab.cli", *argv], check=False)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, stderr)

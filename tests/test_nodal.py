@@ -146,16 +146,17 @@ class TestSearchParametric:
         assert a == b
 
     def test_verifies_each_canonical_class_once(self, monkeypatch):
-        canonical, verified = [], []
-        for name, log in (("_canonical_pair", canonical), ("verify_parametric", verified)):
+        # one exact expansion of g(a(k), b(k)) per class, and each is zero
+        canonical, expanded = [], []
+        for name, log in (("_canonical_pair", canonical), ("_g_composite", expanded)):
             real = getattr(nodal, name)
             monkeypatch.setattr(nodal, name, lambda *args, real=real, log=log:
                                 log.append(real(*args)) or log[-1])
         sols = search_parametric(3, HALF, 2, (-2, 2))
         keys = sorted(set(canonical))
-        assert len(keys) == len(verified) < len(canonical)
+        assert len(keys) == len(expanded) < len(canonical)
         assert [(s.a_coeffs, s.b_coeffs) for s in sols] == keys
-        assert all(res.valid for res in verified)
+        assert all(residual == (0,) for residual in expanded)
 
     def test_constant_polynomials_excluded(self):
         # (m_a, m_b) = (0, 0) solves g = 0 trivially but is not a family

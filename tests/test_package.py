@@ -4,7 +4,9 @@ objects as in their modules."""
 
 import importlib
 import pkgutil
+import re
 import types
+from fractions import Fraction
 
 import pytest
 
@@ -43,3 +45,52 @@ def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         homlab.no_such_name  # noqa: B018
     assert not hasattr(homlab, "bs_prob")
+
+
+# (module, record, keyword fields, a bad field, its error) for the records of
+# the modules that commands without numpy load
+RECORDS = [
+    ("bs_core", "BeamSplitterSetting", {"exact_t": Fraction(1, 2), "theta": None},
+     {"exact_t": Fraction(3, 2)}, "transmittance must lie in [0, 1]"),
+    ("detector", "LossConfig", {"eta_a": 0.9, "eta_b": 0.8},
+     {"eta_b": 1.2}, "efficiency must lie in [0, 1]"),
+    ("detector", "SqueezedSource", {"r": 1.5, "cutoff": 400},
+     {"cutoff": -1}, "cutoff must be non-negative"),
+    ("dicke", "AngularState", {"twice_j": 3, "twice_m": -1},
+     {"twice_m": 5}, "|M| must not exceed J"),
+    ("nodal", "ParametricSolution",
+     {"a_coeffs": (0, 1, 2), "b_coeffs": (1, 3, 2), "n": 2, "t": Fraction(1, 2)},
+     {"b_coeffs": (1, 0, 0, 0, 1)}, "polynomial degree must be at most 3"),
+    ("nodal", "ZeroSet", {"n": 1, "t": Fraction(1, 2), "m_max": 1, "zeros": ((1, 1),)},
+     None, None),
+    ("nodal", "VerifyResult", {"valid": True, "residual_coefficients": (0,),
+                               "first_nonzero": None, "certificates_agree": True},
+     None, None),
+]
+
+
+@pytest.mark.parametrize("module, name, fields, bad, message", RECORDS)
+def test_records_are_immutable_values(module, name, fields, bad, message):
+    cls = getattr(importlib.import_module(f"homlab.{module}"), name)
+    record = cls(**fields)
+    assert record == cls(**fields) and hash(record) == hash(cls(**fields))
+    assert {key: getattr(record, key) for key in fields} == fields
+    for key in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, key, 0)
+    if bad is not None:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cls(**{**fields, **bad})
+
+
+def test_record_defaults_and_normal_form():
+    from homlab.bs_core import BeamSplitterSetting
+    from homlab.detector import SqueezedSource
+    from homlab.nodal import ParametricSolution
+    assert SqueezedSource(r=1.0) == SqueezedSource(1.0, 400)
+    assert BeamSplitterSetting(theta=1.0).exact_t is None
+    with pytest.raises(ValueError, match="specify exactly one of exact_t or theta"):
+        BeamSplitterSetting()
+    sol = ParametricSolution(a_coeffs=[0, 1, 0], b_coeffs=(0, 1), n=3, t="1/2")
+    assert sol == ParametricSolution(a_coeffs=(0, 1), b_coeffs=(0, 1), n=3, t=Fraction(1, 2))
+    assert type(sol.t) is Fraction
