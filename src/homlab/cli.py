@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 usage/parse error, 3 domain/verification error,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -475,8 +476,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
 
 
-if __name__ == "__main__":
-    import gc
+def run() -> None:
+    """The ``homlab`` command, installed or run as ``python -m homlab.cli``:
+    ``main()`` on ``sys.argv``, then exit with its code."""
     try:
         code = main()
     finally:
@@ -484,3 +486,7 @@ if __name__ == "__main__":
         # collections of interpreter shutdown (argparse's exits pass here too)
         gc.freeze()
     sys.exit(code)
+
+
+if __name__ == "__main__":
+    run()

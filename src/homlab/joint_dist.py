@@ -138,8 +138,7 @@ def joint_pure_mixed(psi_a: PureState, rho_b: MixedState, bs: BeamSplitterSettin
 
 
 def joint_general(rho_ab, bs: BeamSplitterSetting,
-                  grid_max: int | None = None,
-                  eps_norm: float = EPS_NORM) -> JointDistribution:
+                  grid_max: int | None = None) -> JointDistribution:
     """Joint distribution of any bipartite input (see the module docstring).
 
     ``rho_ab`` is either a pair ``(state_a, state_b)`` of pure/mixed states
@@ -201,8 +200,8 @@ def joint_general(rho_ab, bs: BeamSplitterSetting,
         grid[m_a, s - m_a] = probs[m_a]
     trace = float(weights.sum())
     warnings = ()
-    if 1.0 - trace > eps_norm:
-        warnings = (f"input trace deficit {1.0 - trace:.3e} exceeds {eps_norm:g}",)
+    if 1.0 - trace > EPS_NORM:
+        warnings = (f"input trace deficit {1.0 - trace:.3e} exceeds {EPS_NORM:g}",)
     return JointDistribution(grid, bs, input_label=label, warnings=warnings)
 
 

@@ -18,7 +18,6 @@ of a computed grid is :func:`homlab.joint_dist.cnl_scan`.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import namedtuple
@@ -47,8 +46,8 @@ def _int_weights(n: int, t: Fraction) -> tuple[int, int, int]:
 
 
 def _falling(x: int, q: int) -> int:
-    """(x)_q = x (x-1) ... (x-q+1), 1 for q = 0; total over all integer x,
-    as ``verify_parametric`` evaluates g at negative x too."""
+    """(x)_q = x (x-1) ... (x-q+1), 1 for q = 0; total over all integer x.
+    ``cos_factor_residual`` reads it; g itself is ``_g_int``."""
     if q < 0:
         raise ValueError("the falling factorial requires q >= 0")
     out = 1
@@ -126,15 +125,16 @@ class ZeroSet(namedtuple("ZeroSet", "n t m_max zeros")):
         }
 
 
-def _scan_primes(n: int, num: int, rnum: int, m_max: int) -> tuple[int, int, int]:
-    """The three primes of the residue scan: each above 2n and prime to num
-    and rnum, the first near isqrt(m_max) (at most 4097, which bounds the
-    tables), each later one more than n / 2 above the one before.  A residue
-    pair with x0 + y0 < n is a root mod every p, as in the proof in
-    ``bfs_zeros``: a share of about n^2 / 2p^2 of a table, below 1/8 for
-    p > 2n.  The gaps keep these bands of different primes from lining up
-    on the rows and columns just past a prime."""
-    primes, p = [], max(2 * n, min(math.isqrt(m_max), 1 << 12), 1) + 1
+def _scan_primes(n: int, num: int, rnum: int, cols: int) -> tuple[int, int, int]:
+    """The three primes of the residue scan of a box of ``cols`` columns:
+    each above 2n and prime to num and rnum, the first near isqrt(cols) (at
+    most 4097, which bounds the tables), each later one more than n / 2
+    above the one before.  A residue pair with x0 + y0 < n is a root mod
+    every p, as in the proof in ``bfs_zeros``: a share of about n^2 / 2p^2
+    of a table, below 1/8 for p > 2n.  The gaps keep these bands of
+    different primes from lining up on the rows and columns just past a
+    prime."""
+    primes, p = [], max(2 * n, min(math.isqrt(cols), 1 << 12), 1) + 1
     while len(primes) < 3:
         if all(p % d for d in range(2, math.isqrt(p) + 1)) and num % p and rnum % p:
             primes.append(p)
@@ -143,8 +143,10 @@ def _scan_primes(n: int, num: int, rnum: int, m_max: int) -> tuple[int, int, int
     return tuple(primes)
 
 
-def _root_table(p: int, size: int, n: int, num: int, rnum: int) -> list[tuple[int, ...]]:
-    """For each x0 < size, the roots y0 < size of g(x0, .) mod p.
+def _root_table(p: int, size: int, n: int, num: int, rnum: int,
+                lo: int) -> list[tuple[int, ...]]:
+    """For each x0 < size, the j < size such that lo + j is a root of
+    g(x0, .) mod p.
 
     In the falling-factorial basis of y, g(x0, y) = sum_q c_q (y)_q (-rnum)^q
     with c_q = C(n, q) (x0)_{n-q} num^{n-q}.  The column (y)_q (-rnum)^q mod p
@@ -166,7 +168,7 @@ def _root_table(p: int, size: int, n: int, num: int, rnum: int) -> list[tuple[in
     for q in range(n + 1):
         slots = map(int.to_bytes, column, itertools.repeat(nbytes), itertools.repeat("little"))
         packed.append(int.from_bytes(b"".join(slots), "little"))
-        column = [v * (y - q) * -rnum % p for y, v in enumerate(column)]
+        column = [v * (lo + j - q) * -rnum % p for j, v in enumerate(column)]
     weights = [math.comb(n, q) % p for q in range(n + 1)]
     table = []
     for x0 in range(size):
@@ -186,6 +188,47 @@ def _root_table(p: int, size: int, n: int, num: int, rnum: int) -> list[tuple[in
     return table
 
 
+def _candidates(n: int, num: int, rnum: int, xs: range, ys: range):
+    """The points (x, y) of the box xs x ys (ranges of step 1), in any order,
+    at which g is 0 mod three primes p, q, r: among them are the integer
+    zeros of g on the box.  num and rnum must be non-zero.
+
+    Mod a prime above 2n that divides neither num nor rnum (``_scan_primes``)
+    the row g(x, .) has the y^n coefficient (-rnum)^n != 0, so at most n
+    roots, which ``_root_table`` lists for every x mod p.  Reduction mod p is
+    a ring homomorphism, so an integer zero (x, y) of either sign has y mod p
+    among the roots of row x mod p for every p: joining the roots mod p and
+    mod q by the Chinese remainder theorem into progressions y = c (mod pq),
+    and keeping the members whose residue mod r is a root, loses no zero.
+    Memory is the tables, O(n p) with p about max(2n, min(isqrt(len(ys)),
+    4096)), and a row's candidates, O(n^2) while len(ys) <= pq."""
+    p, q, r = _scan_primes(n, num, rnum, len(ys))
+    # a box inside [0, stop) needs only the first stop residues: smaller
+    # tables at large n
+    stop = max(xs.stop, ys.stop) if min(xs.start, ys.start) >= 0 else math.inf
+    # the tables and the scan run on y - lo
+    lo, cols = ys.start, len(ys)
+    tables = [_root_table(prime, min(prime, stop), n, num, rnum, lo) for prime in (p, q, r)]
+    # y = s mod p and y = u mod q: y = s lift_p + u lift_q mod pq; a
+    # progression has at most ``reach`` members in the box
+    mod, lift_p, lift_q = p * q, q * pow(q, -1, p), p * pow(p, -1, q)
+    reach = cols // mod + 1
+    # row x reads entry x mod p of each table; a row that some table has no
+    # root for holds no zero.  x rides in a 1-tuple, so that x = 0 passes
+    rows = zip(zip(xs), *(itertools.islice(itertools.cycle(table), xs.start % prime, None)
+                          for prime, table in zip((p, q, r), tables)))
+    for (x,), roots_p, roots_q, roots_r in filter(all, rows):
+        if len(roots_p) * len(roots_q) * reach < cols:
+            starts, step = [(s * lift_p + u * lift_q) % mod for s in roots_p for u in roots_q], mod
+        else:  # a row with many roots, as x0 + y0 < n gives: a scan of the
+            # row lists the same candidates in fewer steps
+            starts, step = [y for y in range(cols) if y % p in roots_p and y % q in roots_q], cols
+        for start in starts:
+            for y in range(start, cols, step):
+                if y % r in roots_r:
+                    yield x, lo + y
+
+
 def bfs_zeros(n: int, t, m_max: int) -> ZeroSet:
     """Exhaustive exact scan for integer zeros of g at rational T, in pure
     integer arithmetic and in memory that does not grow with m_max.
@@ -195,18 +238,9 @@ def bfs_zeros(n: int, t, m_max: int) -> ZeroSet:
       one of the two falling factorials has a factor 0.  This block is
       listed without a recheck.
     * T = 1 (rnum = 0) and T = 0 (num = 0): see the comment in the body.
-    * Otherwise a residue scan.  Three primes p, q, r above n that divide
-      neither num nor rnum (``_scan_primes``); mod each, the y^n coefficient
-      of g(x, .) is (-rnum)^n != 0, so each row g(x, .) mod p is a polynomial
-      of degree n with at most n roots, and it depends on x, as num is a unit.
-      ``_root_table`` lists those roots for every x mod p.  Reduction mod p
-      is a ring homomorphism Z -> F_p, so an integer zero (x, y) has y mod p
-      among the roots of row x mod p, for every p: joining the roots mod p
-      and mod q by the Chinese remainder theorem into progressions
-      y = c (mod pq), and keeping the members whose residue mod r is a root,
-      loses no zero.  ``_g_int`` confirms each candidate with m_a + m_b >= n.
-      Memory is the tables, O(n p) with p about max(2n, min(isqrt(m_max),
-      4096)), a row's candidates, O(n^2) while m_max < pq, and the zeros.
+    * Otherwise the residue scan ``_candidates`` on the box, and ``_g_int``
+      confirms each candidate with m_a + m_b >= n.  Memory is the scan's and
+      the zeros.
     """
     if n < 0 or m_max < 0:
         raise ValueError("n and m_max must be non-negative")
@@ -220,26 +254,8 @@ def bfs_zeros(n: int, t, m_max: int) -> ZeroSet:
         cols = range(m_max + 1 if num else min(n, m_max + 1))
         return ZeroSet(n=n, t=t, m_max=m_max, zeros=tuple(itertools.product(rows, cols)))
     zeros = [(x, y) for x in range(1, min(n, m_max + 1)) for y in range(min(n - x, m_max + 1))]
-    p, q, r = _scan_primes(n, num, rnum, m_max)
-    tables = [_root_table(prime, min(prime, m_max + 1), n, num, rnum) for prime in (p, q, r)]
-    # y = s mod p and y = u mod q: y = s lift_p + u lift_q mod pq
-    mod, lift_p, lift_q = p * q, q * pow(q, -1, p), p * pow(p, -1, q)
-    # row x reads entry x mod p of each table; a row that some table has no
-    # root for holds no zero
-    rows = zip(range(1, m_max + 1), *(itertools.islice(itertools.cycle(table), 1, None)
-                                      for table in tables))
-    for x, roots_p, roots_q, roots_r in filter(all, rows):
-        if len(roots_p) * len(roots_q) * (m_max // mod + 1) <= m_max:
-            starts, step = [(s * lift_p + u * lift_q) % mod
-                            for s in roots_p for u in roots_q], mod
-        else:  # a row with many roots, as x0 + y0 < n gives: a scan of the
-            # row lists the same candidates in fewer steps
-            starts, step = [y for y in range(m_max + 1)
-                            if y % p in roots_p and y % q in roots_q], m_max + 1
-        for start in starts:
-            for y in range(start, m_max + 1, step):
-                if y % r in roots_r and x + y >= n and not _g_int(x, y, n, num, rnum):
-                    zeros.append((x, y))
+    zeros += [(x, y) for x, y in _candidates(n, num, rnum, range(1, m_max + 1), range(m_max + 1))
+              if x + y >= n and not _g_int(x, y, n, num, rnum)]
     return ZeroSet(n=n, t=t, m_max=m_max, zeros=tuple(sorted(zeros)))
 
 
@@ -375,7 +391,7 @@ def canonical_form(sol: ParametricSolution) -> ParametricSolution:
     pair, of the family or of its reflection.  Not an orbit invariant: for
     even degree and a negative leading coefficient the smallest a(c) is at a
     window end, and the window depends on the member passed in (ROADMAP
-    direction 2)."""
+    direction 4)."""
     a, b = _canonical_pair(sol.a_coeffs, sol.b_coeffs)
     return ParametricSolution(a_coeffs=a, b_coeffs=b, n=sol.n, t=sol.t)
 
@@ -406,37 +422,26 @@ def _canonical_pair(a: tuple, b: tuple) -> tuple[tuple, tuple]:
     return min(pairs + [(_preflect(pa), _preflect(pb)) for pa, pb in pairs])
 
 
-def _row_zeros(x: int, cols: range, n: int, num: int, rnum: int) -> list[int]:
-    """The y in ``cols`` with g(x, y) = 0, exactly: the difference table of
-    n + 1 ``_g_int`` values, summed up n times from its constant n-th row."""
-    row, heads = [_g_int(x, y, n, num, rnum) for y in range(cols[0], cols[0] + n + 1)], []
-    for _ in range(n + 1):
-        heads.append(row[0])
-        row = [v - u for u, v in zip(row, row[1:])]
-    row = [heads.pop()] * len(cols)
-    while heads:
-        row = list(itertools.accumulate(row[:-1], initial=heads.pop()))
-    return [y for y, v in zip(cols, row) if not v]
-
-
 def _search_strip(n: int, num: int, rnum: int, degree: int, lo: int, hi: int) -> list:
     """Coefficient pairs (a, b), both non-constant, whose composite
-    g(a(k), b(k)) is 0 at k = -2 .. 2; ``verify_parametric`` rejects those
-    that are no family.  Coefficients up to the top index D, the highest
-    with (a_D, b_D) != (0, 0), lie in [lo, hi], those above it are 0, and
-    num * a_D = rnum * b_D: the top homogeneous part of g is (T x - R y)^n, so
-    the k^(n D) coefficient of the composite is (T a_D - R b_D)^n.
+    g(a(k), b(k)) is 0 at k = -2 .. 2; ``search_parametric`` drops those
+    that are no family by their composite.  Coefficients up to the top
+    index D, the highest with (a_D, b_D) != (0, 0), lie in [lo, hi], those
+    above it are 0, and num * a_D = rnum * b_D: the top homogeneous part of
+    g is (T x - R y)^n, so the k^(n D) coefficient of the composite is
+    (T a_D - R b_D)^n.
 
     Three zeros fix a pair: a_2 = (a(1) + a(-1)) / 2 - a_0 and a_1 + a_3 =
     (a(1) - a(-1)) / 2, likewise for b, with (a_3, b_3) = (0, 0) or a lead.
-    So g is scanned exactly on the box ``near`` of every a(+-1), and on rows of
-    the box ``far`` of every a(+-2) as the k = +-2 check asks for them."""
+    So the zeros of g are listed on the box ``near`` of every a(+-1) and on
+    the box ``far`` of every a(+-2), by the residue scan ``_candidates`` and
+    an exact ``_g_int`` check of each candidate."""
     near, far = (range(min(ends), max(ends) + 1) for ends in (
         [sum(f(lo * k ** j, hi * k ** j) for j in range(top + 1))
          for k in ks for top in range(1, degree + 1) for f in (min, max)]
         for ks in ((1, -1), (2, -2))))
-    zeros = [(x, y) for x in near for y in _row_zeros(x, near, n, num, rnum)]
-    far_zeros = functools.cache(lambda x: set(_row_zeros(x, far, n, num, rnum)))
+    zeros, far_zeros = ({(x, y) for x, y in _candidates(n, num, rnum, box, box)
+                         if not _g_int(x, y, n, num, rnum)} for box in (near, far))
     tops = [(p, q) for p in range(lo, hi + 1) for q in range(lo, hi + 1)
             if degree == 3 and (p, q) != (0, 0) and num * p == rnum * q] + [(0, 0)]
     # (a(1) + a(-1), b(1) + b(-1)) / 2 -> [(a_1, b_1, a_3, b_3)]
@@ -460,8 +465,8 @@ def _search_strip(n: int, num: int, rnum: int, degree: int, lo: int, hi: int) ->
                 if ((a3 or b3) and not inside or num * pa != rnum * pb
                         or not (a1 or a2 or a3) or not (b1 or b2 or b3)):
                     continue
-                if all(b0 + k * (b1 + k * (b2 + k * b3))
-                       in far_zeros(a0 + k * (a1 + k * (a2 + k * a3))) for k in (2, -2)):
+                if all((a0 + k * (a1 + k * (a2 + k * a3)), b0 + k * (b1 + k * (b2 + k * b3)))
+                       in far_zeros for k in (2, -2)):
                     hits.append(((a0, a1, a2, a3)[:degree + 1], (b0, b1, b2, b3)[:degree + 1]))
     return hits
 

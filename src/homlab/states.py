@@ -118,8 +118,8 @@ class ValidationReport:
     hermiticity_residual: float
     parity: Parity
 
-    def ok(self, eps_norm: float = EPS_NORM) -> bool:
-        return self.deficit < eps_norm and self.hermiticity_residual < _HERMITICITY_TOL
+    def ok(self) -> bool:
+        return self.deficit < EPS_NORM and self.hermiticity_residual < _HERMITICITY_TOL
 
 
 def validate(state: State) -> ValidationReport:
@@ -147,8 +147,7 @@ def fock(n: int, cutoff: int | None = None) -> PureState:
     return PureState(amps, label=f"fock:{n}")
 
 
-def coherent(beta: complex, cutoff: int | None = None,
-             eps_norm: float = EPS_NORM) -> PureState:
+def coherent(beta: complex, cutoff: int | None = None) -> PureState:
     """Coherent state, c_m = exp(-|beta|^2/2) beta^m / sqrt(m!), by the
     recurrence c_m = c_(m-1) beta / sqrt(m) from its first term that is a
     normal float, found in log space (c_0 underflows once |beta|^2 > 1416)."""
@@ -157,7 +156,7 @@ def coherent(beta: complex, cutoff: int | None = None,
         raise ValueError(f"coherent amplitude beta={beta} must be finite")
     mean = abs(beta) ** 2
     if cutoff is None:
-        cutoff = _auto_cutoff_poisson(mean, eps_norm)
+        cutoff = _auto_cutoff_poisson(mean, EPS_NORM)
     amps = np.zeros(cutoff + 1, dtype=complex)
     for m in range(cutoff + 1):
         if m and amps[m - 1]:
@@ -167,13 +166,12 @@ def coherent(beta: complex, cutoff: int | None = None,
     return PureState(amps, label=f"coherent:beta={_fmt_complex(beta)}")
 
 
-def thermal(nbar: float, cutoff: int | None = None,
-            eps_norm: float = EPS_NORM) -> MixedState:
+def thermal(nbar: float, cutoff: int | None = None) -> MixedState:
     """Single-mode thermal state, diagonal weights nbar^m / (1+nbar)^(m+1)."""
     if nbar < 0:
         raise ValueError("nbar must be non-negative")
     if cutoff is None:
-        cutoff = _auto_cutoff_geometric(nbar, eps_norm)
+        cutoff = _auto_cutoff_geometric(nbar, EPS_NORM)
     diag = np.empty(cutoff + 1)
     diag[0] = 1.0 / (1.0 + nbar)
     ratio = nbar / (1.0 + nbar)
@@ -182,8 +180,7 @@ def thermal(nbar: float, cutoff: int | None = None,
     return MixedState(np.diag(diag).astype(complex), label=f"thermal:nbar={nbar:g}")
 
 
-def odd_cat(alpha: complex, cutoff: int | None = None,
-            eps_norm: float = EPS_NORM) -> PureState:
+def odd_cat(alpha: complex, cutoff: int | None = None) -> PureState:
     """Odd cat state (|alpha> - |-alpha>) / sqrt(2 - 2 exp(-2|alpha|^2));
     supported on odd photon numbers only."""
     alpha = complex(alpha)
@@ -193,15 +190,14 @@ def odd_cat(alpha: complex, cutoff: int | None = None,
     if cutoff is None:
         # cat renormalization roughly doubles the coherent tail mass, so the
         # plain Poisson cutoff is not quite enough; shrink eps to compensate
-        cutoff = max(_auto_cutoff_poisson(a2, eps_norm / 4), 1)
+        cutoff = max(_auto_cutoff_poisson(a2, EPS_NORM / 4), 1)
     norm = math.sqrt(2.0 - 2.0 * math.exp(-2.0 * a2))
     amps = 2.0 * coherent(alpha, cutoff).amplitudes / norm
     amps[0::2] = 0.0
     return PureState(amps, label=f"oddcat:alpha={_fmt_complex(alpha)}")
 
 
-def photon_added_smss(r: float, phi: float = 0.0, cutoff: int | None = None,
-                      eps_norm: float = EPS_NORM) -> PureState:
+def photon_added_smss(r: float, phi: float = 0.0, cutoff: int | None = None) -> PureState:
     """Photon-added single-mode squeezed vacuum, a^dag |xi> / cosh(r).
 
     The squeezed-vacuum expansion lives on even photon numbers; applying the
@@ -212,7 +208,7 @@ def photon_added_smss(r: float, phi: float = 0.0, cutoff: int | None = None,
     if r < 0:
         raise ValueError("squeezing parameter r must be non-negative")
     if cutoff is None:
-        cutoff = max(_auto_cutoff_squeezed(r, eps_norm), 1)
+        cutoff = max(_auto_cutoff_squeezed(r, EPS_NORM), 1)
     amps = np.zeros(cutoff + 1, dtype=complex)
     # squeezed-vacuum amplitude on |2k>: e^{ik phi} tanh^k r sqrt((2k)!)/(k! 2^k) / sqrt(cosh r)
     b = 1.0 / math.sqrt(math.cosh(r))

@@ -621,15 +621,15 @@ class TestImports:
 
 
 class TestEntryPoint:
-    """``python -m homlab.cli`` freezes the heap before interpreter teardown,
-    so shutdown's collections skip it; ``main`` itself freezes nothing, and
-    the process ends as it did without the freeze."""
+    """``python -m homlab.cli`` and the installed ``homlab`` script freeze the
+    heap before interpreter teardown, so shutdown's collections skip it;
+    ``main`` itself freezes nothing, and the process ends as it did without
+    the freeze."""
 
     HERALD = ["herald", "--t", "2", "--eta", "0.87", "--r", "1.5"]
     # atexit handlers run after the entry point's ``finally``
-    FROZEN = ("import atexit, gc, runpy, sys; sys.argv[0] = 'homlab'; "
-              "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0)); "
-              "runpy.run_module('homlab.cli', run_name='__main__')")
+    FROZEN = ("import atexit, gc, importlib, runpy, sys; sys.argv[0] = 'homlab'; "
+              "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0)); ")
 
     def test_main_does_not_freeze(self, capsys):
         before = gc.get_freeze_count()
@@ -639,8 +639,21 @@ class TestEntryPoint:
 
     @pytest.mark.parametrize("argv", [["--version"], HERALD, ["zeros", "--n", "x"]])
     def test_entry_point_freezes_on_every_exit(self, argv):
-        proc = _run_python(["-c", self.FROZEN, *argv], check=False)
+        launch = "runpy.run_module('homlab.cli', run_name='__main__')"
+        proc = _run_python(["-c", self.FROZEN + launch, *argv], check=False)
         assert proc.stdout.splitlines()[-1] == "frozen True", proc.stderr
+
+    @pytest.mark.parametrize("argv", [["--version"], HERALD, ["zeros", "--n", "x"]])
+    def test_console_script_freezes_on_every_exit(self, argv):
+        # what the script that pip writes for [project.scripts] runs
+        tomllib = pytest.importorskip("tomllib")
+        with open(os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml"), "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["homlab"]
+        module, func = target.split(":")
+        launch = f"sys.exit(importlib.import_module({module!r}).{func}())"
+        proc = _run_python(["-c", self.FROZEN + launch, *argv], check=False)
+        assert proc.stdout.splitlines()[-1] == "frozen True", proc.stderr
+        assert proc.returncode == _run_python(["-m", "homlab.cli", *argv], check=False).returncode
 
     @pytest.mark.parametrize("argv, code, stdout, stderr", [
         (["--version"], EXIT_OK, f"{homlab.__version__}\n", ""),

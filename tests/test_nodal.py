@@ -16,7 +16,7 @@ from homlab import nodal
 from homlab.bs_core import BeamSplitterSetting
 from homlab.nodal import (BALANCED_N2_FAMILIES, BALANCED_N3_FAMILIES,
                           KNOWN_FAMILIES, ParametricSolution,
-                          T34_N2_FAMILIES, ZeroSet, _g_int, _int_weights,
+                          T34_N2_FAMILIES, ZeroSet, _candidates, _g_int, _int_weights,
                           _root_table, _scan_primes, bfs_zeros, canonical_form,
                           extremal_branch_points, g_poly, search_parametric,
                           verify_parametric)
@@ -317,20 +317,22 @@ class TestExactKernelsAgainstOracles:
     def test_root_tables_are_the_roots_of_g_mod_p(self):
         # _root_table evaluates packed columns; here each cell is one exact g
         rng = random.Random(20261019)
-        cases = [(3, THREE_Q, 7, 7), (5, HALF, 11, 11), (8, Fraction(2, 3), 17, 17),
-                 (2, Fraction(2, 7), 29, 12), (0, HALF, 3, 3), (13, Fraction(5, 9), 31, 31)]
+        cases = [(3, THREE_Q, 7, 7, 0), (5, HALF, 11, 11, 0), (8, Fraction(2, 3), 17, 17, 0),
+                 (2, Fraction(2, 7), 29, 12, 0), (0, HALF, 3, 3, 0), (13, Fraction(5, 9), 31, 31, 0),
+                 (3, HALF, 7, 7, -90), (4, THREE_Q, 11, 11, -3), (5, HALF, 13, 9, 40)]
         for _ in range(6):
             n = rng.randint(1, 12)
             t = Fraction(rng.randint(1, 40), rng.randint(41, 80))
             num, rnum, _ = _int_weights(n, t)
             p = next(p for p in range(n + 1, 10 ** 3)
                      if all(p % d for d in range(2, p)) and num % p and rnum % p)
-            cases.append((n, t, p, rng.randint(1, p)))
-        for n, t, p, size in cases:
+            cases.append((n, t, p, rng.randint(1, p), rng.randint(-200, 200)))
+        for n, t, p, size, lo in cases:
             num, rnum, _ = _int_weights(n, t)
-            table = _root_table(p, size, n, num, rnum)
-            assert table == [tuple(y for y in range(size) if _g_int(x, y, n, num, rnum) % p == 0)
-                             for x in range(size)], (n, t, p, size)
+            table = _root_table(p, size, n, num, rnum, lo)
+            assert table == [tuple(j for j in range(size)
+                                   if _g_int(x, lo + j, n, num, rnum) % p == 0)
+                             for x in range(size)], (n, t, p, size, lo)
 
     @pytest.mark.parametrize("primes", [(5, 7, 11), (7, 5, 13), (13, 11, 5), (7, 11, 401)])
     def test_small_primes_wrap_progressions(self, monkeypatch, primes):
@@ -342,6 +344,37 @@ class TestExactKernelsAgainstOracles:
         expected = tuple((a, b) for a in range(1, 61) for b in range(61)
                          if _g_fraction(a, b, 5, HALF) == 0)
         assert bfs_zeros(5, HALF, 60).zeros == expected
+
+    # x = 0 and y < n are zeros, so a box holding them loses zeros if the
+    # row x = 0 is dropped; boxes with negative corners, of one row or one
+    # column, inside [0, p) with rows past the columns or the reverse, past
+    # [0, p), narrower and wider than p; the forced primes are small against
+    # the boxes, and some lie below 2n or divide rnum, which the scan allows
+    BOXES = [
+        (3, THREE_Q, range(0, 8), range(0, 8)), (4, HALF, range(0, 1), range(-9, 30)),
+        (3, HALF, range(-12, 5), range(-9, 13)), (2, Fraction(2, 7), range(-40, -3), range(-7, 60)),
+        (5, HALF, range(-3, 1), range(-50, 50)), (3, THREE_Q, range(-30, 70), range(4, 5)),
+        (3, HALF, range(-2, -1), range(-2, -1)), (6, Fraction(2, 3), range(0, 5), range(3, 9)),
+        (6, HALF, range(3, 12), range(0, 4)),
+        (3, THREE_Q, range(1, 81), range(81)), (0, HALF, range(-3, 4), range(-3, 4)),
+        (3, HALF, range(5, 5), range(0, 9)), (70, HALF, range(-5, 40), range(-3, 30))]
+
+    @pytest.mark.parametrize("primes", [None, (5, 7, 11), (7, 5, 13), (11, 13, 401)])
+    @pytest.mark.parametrize("n, t, xs, ys", BOXES)
+    def test_candidates_are_the_residue_roots(self, monkeypatch, primes, n, t, xs, ys):
+        # exactly the points of the box where g = 0 mod all three primes,
+        # each once, by a brute-force _g_int scan; the exact zeros among them
+        # are all zeros of the box, by the test file's own Fraction g
+        num, rnum, _ = _int_weights(n, t)
+        if primes is None:
+            primes = _scan_primes(n, num, rnum, len(ys))
+        monkeypatch.setattr(nodal, "_scan_primes", lambda *args: primes)
+        found = list(_candidates(n, num, rnum, xs, ys))
+        assert len(found) == len(set(found))
+        assert set(found) == {(x, y) for x in xs for y in ys
+                              if all(_g_int(x, y, n, num, rnum) % p == 0 for p in primes)}
+        assert {z for z in found if not _g_int(*z, n, num, rnum)} == {
+            (x, y) for x in xs for y in ys if _g_fraction(x, y, n, t) == 0}
 
     def test_scan_primes_conditions(self):
         for n, t, m_max in [(0, HALF, 0), (3, THREE_Q, 10 ** 4), (70, HALF, 300),
