@@ -56,24 +56,51 @@ def _emit(document: dict, path: str | None, fmt: str) -> None:
         _atomic_write(path, chunks)
 
 
+# the text json writes for a str, by its C encoder
+_json_key = json.encoder.encode_basestring_ascii
+
+
 def _to_json(document: dict):
-    """The chunks of ``json.dumps(document, indent=2) + "\\n"``, one per row of
-    a ``"grid"`` of floats, which is written directly: with an indent, json
-    runs its pure-Python encoder, which costs more than the rest of a large
-    grid command.  ``float.__repr__`` is the text json writes for a finite
-    float; ``JointDistribution`` admits no NaN or infinity."""
-    if "grid" not in document:
-        yield json.dumps(document, indent=2) + "\n"
+    """The chunks of ``json.dumps(document, indent=2) + "\\n"``: one per
+    top-level item, and one per row of a ``"grid"`` of floats, which is
+    written directly.  With an indent, json runs its pure-Python encoder,
+    which costs more than the rest of a large grid command; ``_json_text``
+    writes the other values.  ``float.__repr__`` is the text json writes for
+    a finite float; ``JointDistribution`` admits no NaN or infinity."""
+    if not document:
+        yield "{}\n"
         return
     for i, (key, value) in enumerate(document.items()):
-        yield f"{',' if i else '{'}\n  {json.dumps(key)}: "
+        yield f"{',' if i else '{'}\n  {_json_key(key)}: "
         if key == "grid":
             yield from _grid_json(value)
         else:
-            # json escapes newlines inside strings, so every newline here is
-            # layout and re-indenting by one level is exact
-            yield json.dumps(value, indent=2).replace("\n", "\n  ")
+            yield _json_text(value, "\n  ")
     yield "\n}\n"
+
+
+def _json_text(value, indent: str) -> str:
+    """``json.dumps(value, indent=2)`` for a value of a document with string
+    keys, on a line that starts with ``indent`` (a line break and spaces).
+    Dicts, lists and tuples are expanded level by level, a plain int, alone
+    or in a list of them, is written by ``str``, and every other scalar goes
+    through ``json.dumps``, so that bools, NaN, strings and float subclasses
+    read as json writes them (``repr`` of a numpy float is not its json)."""
+    if type(value) is int:
+        return str(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{_json_key(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = (map(str, value) if all(type(v) is int for v in value)
+                 else [_json_text(v, inner) for v in value])
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return json.dumps(value)
 
 
 def _heads(grid):
@@ -312,7 +339,8 @@ def cmd_parametric(args) -> int:
         "solutions": [s.to_json() for s in sols],
     }
     _emit(doc, args.output, "json")
-    print(f"{len(sols)} parametric solution(s) found")
+    if args.output is not None:
+        print(f"{len(sols)} parametric solution(s) found")
     return EXIT_OK
 
 

@@ -18,6 +18,7 @@ of a computed grid is :func:`homlab.joint_dist.cnl_scan`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import namedtuple
@@ -279,18 +280,13 @@ def _pmul(p, q):
     return out
 
 
-def _shift(p, c: int):
-    """Compose p(k + c) by repeated synthetic division by k - c."""
-    out = list(p)
-    for j in range(len(out) - 1):
-        for i in range(len(out) - 2, j - 1, -1):
-            out[i] += c * out[i + 1]
-    return tuple(out)
-
-
-def _preflect(p):
-    """Compose p(-k)."""
-    return _ptrim(tuple(-a if i % 2 else a for i, a in enumerate(p)))
+def _shift(p, c: int, s: int = 1):
+    """Compose p(s k + c) for p of degree <= 3 and s = +-1: the coefficient
+    of k^j is s^j p^(j)(c) / j!, a Taylor coefficient.  The lead keeps its
+    magnitude, so the shift of a trimmed p is trimmed."""
+    p0, p1, p2, p3 = p + (0,) * (4 - len(p))
+    return (p0 + c * (p1 + c * (p2 + c * p3)), s * (p1 + c * (2 * p2 + 3 * c * p3)),
+            p2 + 3 * c * p3, s * p3)[:len(p)]
 
 
 def _peval(p, k: int):
@@ -314,13 +310,10 @@ class ParametricSolution(namedtuple("ParametricSolution", "a_coeffs b_coeffs n t
     __slots__ = ()
 
     def __new__(cls, a_coeffs, b_coeffs, n, t):
-        # trimmed int tuples and a Fraction, as the search passes, are kept
-        a, b = (c if type(c) is tuple and all(type(x) is int for x in c) and _ptrim(c) == c
-                else _ptrim(tuple(map(int, c))) for c in (a_coeffs, b_coeffs))
-        t = t if type(t) is Fraction else Fraction(t)
+        a, b = _ptrim(tuple(map(int, a_coeffs))), _ptrim(tuple(map(int, b_coeffs)))
         if len(a) > 4 or len(b) > 4:
             raise ValueError("polynomial degree must be at most 3")
-        return super().__new__(cls, a, b, n, t)
+        return super().__new__(cls, a, b, n, Fraction(t))
 
     def m_a(self, k: int) -> int:
         return _peval(self.a_coeffs, k)
@@ -398,7 +391,8 @@ def canonical_form(sol: ParametricSolution) -> ParametricSolution:
 
 def _canonical_pair(a: tuple, b: tuple) -> tuple[tuple, tuple]:
     """``canonical_form`` on the trimmed coefficient tuples a and b."""
-    span = 3 * (max((abs(c) for c in a + b), default=0) + 1)
+    span = 3 * (max(map(abs, a + b), default=0) + 1)
+    a0, a1, a2, a3 = a + (0,) * (4 - len(a))
     # an integer minimiser of a(c) inside the window lies within 1 of a local
     # minimum of a; a non-constant a of degree <= 3 has at most one, the root
     # x of a' = u + v c + w c^2 where a'' = sqrt(v^2 - 4 u w), or -u / v if
@@ -407,67 +401,107 @@ def _canonical_pair(a: tuple, b: tuple) -> tuple[tuple, tuple]:
     if len(a) == 1:
         near = range(-span, span + 1)
     else:
-        u, v, w = (tuple(i * c for i, c in enumerate(a))[1:] + (0, 0))[:3]
+        u, v, w = a1, 2 * a2, 3 * a3
         floors = [-u // v] if not w and v > 0 else []
         if w and v * v >= 4 * u * w:
             s = math.isqrt(v * v - 4 * u * w)
             floors = [(r - v) // (2 * w) for r in (s, s + 1)]
         near = [-span, span, *(range(min(floors) - 1, max(floors) + 3) if floors else ())]
-    firsts = {c: _peval(a, c) for c in near if -span <= c <= span}
-    lowest = min(firsts.values())
-    # the shift by c has first coefficient a(c), and so has the reflection
-    # of the shift, p(-k + c): only the shifts tying on the smallest one can
-    # hold the minimum
-    pairs = [(_shift(a, c), _shift(b, c)) for c, first in firsts.items() if first == lowest]
-    return min(pairs + [(_preflect(pa), _preflect(pb)) for pa, pb in pairs])
+    lowest, ties = math.inf, set()
+    for c in near:
+        if -span <= c <= span:
+            first = a0 + c * (a1 + c * (a2 + c * a3))
+            if first < lowest:
+                lowest, ties = first, {c}
+            elif first == lowest:
+                ties.add(c)
+    # the shift by c has first coefficient a(c), and so has its reflection
+    # p(-k + c): only the shifts tying on the smallest one can hold the
+    # minimum.  The reflection negates the odd coefficients, so it is the
+    # smaller of the two when the first nonzero of them is positive
+    pairs = []
+    for c in ties:
+        pa, pb = _shift(a, c), _shift(b, c)
+        for x in pa[1::2] + pb[1::2]:
+            if x:
+                if x > 0:
+                    pa, pb = _shift(a, c, -1), _shift(b, c, -1)
+                break
+        pairs.append((pa, pb))
+    return min(pairs)
 
 
 def _search_strip(n: int, num: int, rnum: int, degree: int, lo: int, hi: int) -> list:
-    """Coefficient pairs (a, b), both non-constant, whose composite
-    g(a(k), b(k)) is 0 at k = -2 .. 2; ``search_parametric`` drops those
-    that are no family by their composite.  Coefficients up to the top
-    index D, the highest with (a_D, b_D) != (0, 0), lie in [lo, hi], those
-    above it are 0, and num * a_D = rnum * b_D: the top homogeneous part of
-    g is (T x - R y)^n, so the k^(n D) coefficient of the composite is
-    (T a_D - R b_D)^n.
+    """Trimmed coefficient pairs (a, b), both non-constant, whose composite
+    G(k) = g(a(k), b(k)) (its integer numerator) is identically 0.
+    Coefficients up to the top index D, the highest with (a_D, b_D) !=
+    (0, 0), lie in [lo, hi], those above it are 0, and num * a_D = rnum *
+    b_D.  Of a pair and its mirror (a(-k), b(-k)), one family class, only
+    one may be listed.
 
     Three zeros fix a pair: a_2 = (a(1) + a(-1)) / 2 - a_0 and a_1 + a_3 =
     (a(1) - a(-1)) / 2, likewise for b, with (a_3, b_3) = (0, 0) or a lead.
     So the zeros of g are listed on the box ``near`` of every a(+-1) and on
     the box ``far`` of every a(+-2), by the residue scan ``_candidates`` and
-    an exact ``_g_int`` check of each candidate."""
+    an exact ``_g_int`` check of each candidate.
+
+    The zeros certify the pair.  g has degree n and top homogeneous part
+    (num x - rnum y)^n, so G has degree <= n D and its k^(n D) coefficient
+    is (num a_D - rnum b_D)^n = 0: G has degree < n D <= n * degree.  The
+    pair is kept when G is 0 at the n * degree points k = -2 .. 2 and, by an
+    exact ``_g_int``, k = 3 .. n * degree - 3; more zeros than its degree
+    make G the zero polynomial.  Conversely a family vanishes at every k.
+
+    k -> -k swaps (a(1), b(1)) with (a(-1), b(-1)) and negates a_1, b_1, a_3
+    and b_3; it maps G to G(-k), so a pair is a family exactly when its
+    mirror is.  The split with (a(1), b(1)) < (a(-1), b(-1)) is dropped when
+    the mirror's coefficients lie in [lo, hi] too (each negated one up to
+    D): the mirror's split has the reverse order and is kept."""
     near, far = (range(min(ends), max(ends) + 1) for ends in (
         [sum(f(lo * k ** j, hi * k ** j) for j in range(top + 1))
          for k in ks for top in range(1, degree + 1) for f in (min, max)]
         for ks in ((1, -1), (2, -2))))
     zeros, far_zeros = ({(x, y) for x, y in _candidates(n, num, rnum, box, box)
                          if not _g_int(x, y, n, num, rnum)} for box in (near, far))
-    tops = [(p, q) for p in range(lo, hi + 1) for q in range(lo, hi + 1)
+    coeffs = range(lo, hi + 1)
+    tops = [(p, q) for p in coeffs for q in coeffs
             if degree == 3 and (p, q) != (0, 0) and num * p == rnum * q] + [(0, 0)]
-    # (a(1) + a(-1), b(1) + b(-1)) / 2 -> [(a_1, b_1, a_3, b_3)]
+    # (a(1) + a(-1), b(1) + b(-1)) / 2 -> [(a_1, b_1, a_3, b_3)], without
+    # the splits whose mirror is listed; a_3 = 0 exactly when b_3 = 0
     halves: dict[tuple[int, int], list] = {}
     for (x1, y1), (x2, y2) in itertools.product(zeros, repeat=2):
         if (x1 + x2) % 2 == 0 == (y1 + y2) % 2:
             da, db = (x1 - x2) // 2, (y1 - y2) // 2
+            mirrored = (x1, y1) < (x2, y2)
             halves.setdefault(((x1 + x2) // 2, (y1 + y2) // 2), []).extend(
                 (da - a3, db - b3, a3, b3) for a3, b3 in tops
-                if lo <= da - a3 <= hi and lo <= db - b3 <= hi)
+                if da - a3 in coeffs and db - b3 in coeffs
+                and not (mirrored and a3 - da in coeffs and b3 - db in coeffs
+                         and (not a3 or -a3 in coeffs and -b3 in coeffs)))
+    # the hits share few of their points k = 3 .. n * degree - 3: g is
+    # evaluated once at each
+    zero = functools.cache(lambda x, y: not _g_int(x, y, n, num, rnum))
+    extra = range(3, n * degree - 2)
     hits = []
-    for a0, b0 in [(x, y) for x, y in zeros if lo <= x <= hi and lo <= y <= hi]:
+    for a0, b0 in [(x, y) for x, y in zeros if x in coeffs and y in coeffs]:
         for (sa, sb), splits in halves.items():
             a2, b2 = sa - a0, sb - b0
-            inside = lo <= a2 <= hi and lo <= b2 <= hi
+            inside = a2 in coeffs and b2 in coeffs
             if not inside and (a2 or b2):
                 continue
+            ea, eb = a0 + 4 * a2, b0 + 4 * b2
             for a1, b1, a3, b3 in splits:
                 # the lead condition at the top index; a lead needs (a_2, b_2) inside
-                pa, pb = (a3, b3) if a3 or b3 else (a2, b2) if a2 or b2 else (a1, b1)
-                if ((a3 or b3) and not inside or num * pa != rnum * pb
+                top, pa, pb = (3, a3, b3) if a3 or b3 else (2, a2, b2) if a2 or b2 else (1, a1, b1)
+                if (top == 3 and not inside or num * pa != rnum * pb
                         or not (a1 or a2 or a3) or not (b1 or b2 or b3)):
                     continue
-                if all((a0 + k * (a1 + k * (a2 + k * a3)), b0 + k * (b1 + k * (b2 + k * b3)))
-                       in far_zeros for k in (2, -2)):
-                    hits.append(((a0, a1, a2, a3)[:degree + 1], (b0, b1, b2, b3)[:degree + 1]))
+                # a(+-2) = ea +- oa
+                oa, ob = 2 * a1 + 8 * a3, 2 * b1 + 8 * b3
+                if ((ea + oa, eb + ob) in far_zeros and (ea - oa, eb - ob) in far_zeros
+                        and all(zero(a0 + k * (a1 + k * (a2 + k * a3)),
+                                     b0 + k * (b1 + k * (b2 + k * b3))) for k in extra)):
+                    hits.append(((a0, a1, a2, a3)[:top + 1], (b0, b1, b2, b3)[:top + 1]))
     return hits
 
 
@@ -475,11 +509,13 @@ def search_parametric(n: int, t, degree: int,
                       coeff_range: tuple[int, int]) -> list[ParametricSolution]:
     """Exhaustive exact search for integer polynomial pairs that annihilate g
     identically: each pair is fixed by its zeros at k = -1, 0, 1, found on a
-    box, and kept if it has zeros at k = +-2 too (see ``_search_strip``).
+    box, and certified by its zeros at n * degree points (see
+    ``_search_strip``), which prove that g(a(k), b(k)) is the zero
+    polynomial.
 
     Constant-in-k polynomials are excluded (they reduce to single integer
     zeros already covered by :func:`bfs_zeros`).  Results are canonicalized,
-    deduplicated, exactly verified, and returned in deterministic order.
+    deduplicated and returned in deterministic order.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -493,14 +529,13 @@ def search_parametric(n: int, t, degree: int,
         # at T = 1, g = num^n (m_a)_n vanishes only for m_a in {0, .., n - 1},
         # a finite set that no non-constant a(k) stays in; T = 0 likewise in m_b
         return []
+    # k -> +-k + c maps a family onto itself: each hit is a family, and
+    # members of one family share a canonical class
     hits = _search_strip(n, num, rnum, degree, lo, hi)
-    # k -> +-k + c maps a family onto itself, so g(a(k), b(k)) vanishes for
-    # every member of a canonical class or for none: verify once per class
-    classes = sorted({_canonical_pair(_ptrim(a), _ptrim(b)) for a, b in hits})
-    found = [ParametricSolution(a_coeffs=a, b_coeffs=b, n=n, t=t) for a, b in classes]
-    # the expansion alone decides; ``verify_parametric`` also evaluates g at
-    # 3n + 1 points, a second certificate that the search does not need
-    return [sol for sol in found if _g_composite(sol, num, rnum) == (0,)]
+    classes = sorted({_canonical_pair(a, b) for a, b in hits})
+    # trimmed int tuples and a Fraction, as ``ParametricSolution`` keeps them
+    t = Fraction(t)
+    return [ParametricSolution._make((a, b, n, t)) for a, b in classes]
 
 
 # ---------------------------------------------------------------------------

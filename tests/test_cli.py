@@ -2,6 +2,7 @@ import functools
 import gc
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -230,9 +231,35 @@ class TestJsonWriter:
         {"meta": {"command": "zeros"}, "zeros": [{"m_a": 1, "m_b": 0}]},
         {"rows": [], "all_valid": True, "label": "grid"},
         {},
+        {"pair": (1, -2, (3, (4,))), "none": (), "rows": ({"a": (0, 1)}, [2])},
+        {"x": [math.nan, math.inf, -math.inf], "nan": math.nan, "grid": [], "inf": -math.inf},
+        {"p": np.float64(0.5), "q": [np.float64(1 / 3), np.float64(-0.0)], "r": 1e300 * 10},
+        {"ints": [1, True, 2, False, -0], "flags": [True], "big": [10 ** 30, -(10 ** 20)]},
+        {"a": {"b": {}, "c": [], "d": [[], {}, [[]], [{}]]}, "e": [{}, {"f": {}}]},
+        {"s": "caf\u00e9 \u2603 \U0001f600 \x00\x1f\x7f\t\n\r\"\\/",
+         "\u00e9\n\"key\"": ["\u2028", "", " "], "grid": [[0.5]], "after": "\x08"},
+        {"mixed": [1, 2.5, "3", None, True, [4], {"five": 5}], "float_int": [1.0, 2]},
     ])
     def test_matches_json_dumps(self, doc):
         assert "".join(_to_json(doc)) == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["parametric", "--n", "3", "--T", "1/2", "--coeff-min", "-2", "--coeff-max", "2"],
+        ["parametric", "--n", "3", "--T", "3/4", "--coeff-min", "-2", "--coeff-max", "2"],
+        ["zeros", "--n", "3", "--T", "3/4", "--max", "200"],
+        ["zeros", "--n", "2", "--T", "1/2", "--max", "0"],
+        ["verify", "--tables", "all"],
+        ["herald", "--t", "2", "--eta", "0.87", "--r", "1.5"],
+        ["dicke", "--j-max", "6"]],
+        ids=["parametric", "parametric-empty", "zeros", "zeros-empty", "verify", "herald",
+             "dicke"])
+    def test_command_documents_match_json_dumps(self, tmp_path, monkeypatch, argv):
+        # the documents as the commands build them, before any JSON round trip
+        docs = []
+        monkeypatch.setattr(cli, "_emit", lambda doc, path, fmt: docs.append(doc))
+        main([*argv, "-o", str(tmp_path / "out.json")])
+        assert len(docs) == 1
+        assert "".join(_to_json(docs[0])) == json.dumps(docs[0], indent=2) + "\n"
 
     def test_cli_grid_file(self, tmp_path):
         out = tmp_path / "g.json"
@@ -536,15 +563,27 @@ class TestStreamedWriter:
             cli._emit({"rows": []}, str(tmp_path / "r.csv"), "csv")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_stdout_matches_file(self, tmp_path, capsys, fmt):
-        argv = ["lossy", "--a", "fock:1", "--b", "coherent:beta=2", "--grid-max", "40",
-                *ETAS, "--format", fmt]
-        out = tmp_path / f"g.{fmt}"
+    # each command with what it prints beside an -o file; without -o its
+    # stdout is the document alone
+    LOSSY = ["lossy", "--a", "fock:1", "--b", "coherent:beta=2", "--grid-max", "40", *ETAS]
+
+    @pytest.mark.parametrize("argv, printed", [
+        ([*LOSSY, "--format", "json"], ""),
+        ([*LOSSY, "--format", "csv"], ""),
+        (["parametric", "--n", "2", "--T", "1/2", "--coeff-min", "-3", "--coeff-max", "3"],
+         "2 parametric solution(s) found\n"),
+        (["zeros", "--n", "3", "--T", "3/4", "--max", "200"],
+         "(1, 0)\n(1, 1)\n(1, 11)\n(2, 0)\n(3, 1)\n(11, 55)\n(70, 162)\n")],
+        ids=["json", "csv", "parametric", "zeros"])
+    def test_stdout_matches_file(self, tmp_path, capsys, argv, printed):
+        out = tmp_path / "out"
         assert main([*argv, "-o", str(out)]) == EXIT_OK
-        assert capsys.readouterr().out == ""
+        assert capsys.readouterr().out == printed
         assert main(argv) == EXIT_OK
-        assert capsys.readouterr().out.encode() == out.read_bytes()
+        text = capsys.readouterr().out
+        assert text.encode() == out.read_bytes()
+        if "csv" not in argv:
+            json.loads(text)
 
 
 class TestImports:

@@ -145,18 +145,24 @@ class TestSearchParametric:
         b = search_parametric(2, HALF, 2, (-3, 3))
         assert a == b
 
-    def test_verifies_each_canonical_class_once(self, monkeypatch):
-        # one exact expansion of g(a(k), b(k)) per class, and each is zero
-        canonical, expanded = [], []
-        for name, log in (("_canonical_pair", canonical), ("_g_composite", expanded)):
-            real = getattr(nodal, name)
-            monkeypatch.setattr(nodal, name, lambda *args, real=real, log=log:
-                                log.append(real(*args)) or log[-1])
-        sols = search_parametric(3, HALF, 2, (-2, 2))
-        keys = sorted(set(canonical))
-        assert len(keys) == len(expanded) < len(canonical)
-        assert [(s.a_coeffs, s.b_coeffs) for s in sols] == keys
-        assert all(residual == (0,) for residual in expanded)
+    def test_certifies_without_expansion(self, monkeypatch):
+        # the strip's zeros at n * degree points certify each hit, so the
+        # search expands no composite and verifies nothing; of a pair and
+        # its mirror in the box only one is canonicalised (2188 hits
+        # without that)
+        def fail(*args):
+            raise AssertionError("the search expanded a composite")
+
+        monkeypatch.setattr(nodal, "_g_composite", fail)
+        monkeypatch.setattr(nodal, "verify_parametric", fail)
+        canonical = []
+        real = nodal._canonical_pair
+        monkeypatch.setattr(nodal, "_canonical_pair",
+                            lambda a, b: canonical.append(real(a, b)) or canonical[-1])
+        sols = search_parametric(3, HALF, 2, (-6, 6))
+        assert len(canonical) == 1172
+        assert [(s.a_coeffs, s.b_coeffs) for s in sols] == sorted(set(canonical))
+        assert len(sols) == 1007
 
     def test_constant_polynomials_excluded(self):
         # (m_a, m_b) = (0, 0) solves g = 0 trivially but is not a family
@@ -292,7 +298,7 @@ class TestExactKernelsAgainstOracles:
 
     @pytest.mark.parametrize("n, t, degree, bound", [
         (2, HALF, 2, 3), (3, HALF, 2, 2), (2, THREE_Q, 2, 3), (3, THREE_Q, 2, 3),
-        (2, HALF, 3, 1), (3, HALF, 3, 1), (2, HALF, 3, 2)])
+        (2, HALF, 3, 1), (3, HALF, 3, 1), (2, HALF, 3, 2), (5, HALF, 2, 2)])
     def test_search_matches_brute_force(self, n, t, degree, bound):
         expected = _brute_force_families(n, t, degree, -bound, bound)
         found = [(s.a_coeffs, s.b_coeffs)
@@ -398,6 +404,19 @@ class TestExactKernelsAgainstOracles:
         zeros = bfs_zeros(n, t, m_max).zeros
         assert len(zeros) == count
         assert hashlib.sha256(repr(zeros).encode()).hexdigest() == digest
+
+    # the count and sha256 of the solutions' JSON text that the search
+    # returned when it kept a class by the expansion of its composite
+    @pytest.mark.parametrize("n, t, degree, lo, hi, count, digest", [
+        (3, HALF, 2, -6, 6, 1007, "7702c1f76d5cf1c58ac95824f0358f65cff829c24df7a6f89af17071a6f69442"),
+        (3, HALF, 3, -4, 4, 3266, "117974601281dea60b2b835eddc80c3778b113332979b46e3ce258a92484dff8"),
+        (5, HALF, 3, -1, 2, 184, "ad78c0ede97f5fb8360d739d4c5e7f6a528801640d155f765b7ed19c22f9856a"),
+        (2, THREE_Q, 2, -40, 40, 4, "4ca3d3e91b6514f9fc18a1212381085eb21e2a42eba1e1d868c6584c3262103e")])
+    def test_search_output_unchanged(self, n, t, degree, lo, hi, count, digest):
+        sols = search_parametric(n, t, degree, (lo, hi))
+        assert len(sols) == count
+        text = json.dumps([s.to_json() for s in sols])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     # ranges without 0 or lopsided about it move the boxes of a(+-1) and
     # a(+-2) off centre; at degree 2 on (1, 6) the line a = b = 1 + 6 k has
