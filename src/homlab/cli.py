@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import tempfile
+from collections import namedtuple
 
 from . import __version__
 
@@ -165,11 +166,11 @@ def _bs_meta(bs) -> dict:
     return {"theta": bs.theta}
 
 
-def _grid_document(command: str, dist, args) -> dict:
+def _grid_document(dist, args) -> dict:
     from . import joint_dist
     return {
         "meta": {
-            "command": command,
+            "command": args.command,
             "state_a": args.a,
             "state_b": args.b,
             "bs": _bs_meta(dist.bs),
@@ -206,7 +207,7 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
             doc = json.load(fh)
     except OSError as exc:
         raise _CliError(EXIT_IO, f"--config: cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also a file that is not UTF-8
         raise _CliError(EXIT_USAGE, f"--config: invalid JSON in {path}: {exc}")
     if not isinstance(doc, dict):
         raise _CliError(EXIT_USAGE, f"--config: {path} must hold a JSON object")
@@ -229,15 +230,8 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
 
 
 class _CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
-
-def _require(args, *names) -> None:
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise _CliError(EXIT_USAGE, f"--{name.replace('_', '-')}: missing required value")
+    """``_CliError(code, message)``: the command ends in ``error: message``
+    and exit code ``code``."""
 
 
 def _transmittance(args):
@@ -274,46 +268,33 @@ def _parse_states(args):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: cmd_<name> runs ``homlab <name>`` on parsed, checked flags; a
+# ValueError it raises ends in the exit code of the name's COMMANDS entry
 # ---------------------------------------------------------------------------
 
 
 def cmd_dist(args) -> int:
+    """The output grid; for ``lossy``, the grid seen by detectors of
+    efficiencies --eta-a and --eta-b, which are checked before it is computed."""
     from . import joint_dist
-    _require(args, "a", "b")
     state_a, state_b, bs = _parse_states(args)
-    try:
-        dist = joint_dist.joint_general((state_a, state_b), bs, grid_max=args.grid_max)
-    except ValueError as exc:
-        raise _CliError(EXIT_DOMAIN, str(exc))
-    _emit(_grid_document("dist", dist, args), args.output, args.format)
+    if args.command == "lossy":
+        from . import detector
+        loss = detector.LossConfig(eta_a=args.eta_a, eta_b=args.eta_b)
+    dist = joint_dist.joint_general((state_a, state_b), bs, grid_max=args.grid_max)
+    if args.command == "lossy":
+        dist = detector.lossy_distribution(dist, loss)
+    _emit(_grid_document(dist, args), args.output, args.format)
     return EXIT_OK
 
 
-def cmd_lossy(args) -> int:
-    from . import detector, joint_dist
-    _require(args, "a", "b", "eta_a", "eta_b")
-    state_a, state_b, bs = _parse_states(args)
-    try:
-        loss = detector.LossConfig(eta_a=float(args.eta_a), eta_b=float(args.eta_b))
-        dist = detector.lossy_distribution(
-            joint_dist.joint_general((state_a, state_b), bs, grid_max=args.grid_max), loss)
-    except ValueError as exc:
-        raise _CliError(EXIT_DOMAIN, str(exc))
-    _emit(_grid_document("lossy", dist, args), args.output, args.format)
-    return EXIT_OK
+cmd_lossy = cmd_dist  # its own name, so that a wrapper can tell the two apart
 
 
 def cmd_zeros(args) -> int:
     from . import nodal
-    _require(args, "n", "T", "max")
-    t = _transmittance(args)
-    try:
-        zs = nodal.bfs_zeros(int(args.n), t, int(args.max))
-    except ValueError as exc:
-        raise _CliError(EXIT_USAGE, f"--n/--T/--max: {exc}")
-    doc = zs.to_json()
-    doc["meta"] = {"command": "zeros", "tool_version": __version__}
+    zs = nodal.bfs_zeros(args.n, _transmittance(args), args.max)
+    doc = {**zs.to_json(), "meta": {"command": "zeros", "tool_version": __version__}}
     _emit(doc, args.output, args.format)
     if args.output is not None:
         for m_a, m_b in zs.zeros:
@@ -323,22 +304,17 @@ def cmd_zeros(args) -> int:
 
 def cmd_parametric(args) -> int:
     from . import nodal
-    _require(args, "n", "T")
     t = _transmittance(args)
-    try:
-        sols = nodal.search_parametric(int(args.n), t, int(args.degree),
-                                       (int(args.coeff_min), int(args.coeff_max)))
-    except ValueError as exc:
-        raise _CliError(EXIT_USAGE, str(exc))
+    sols = nodal.search_parametric(args.n, t, args.degree, (args.coeff_min, args.coeff_max))
     doc = {
         "meta": {"command": "parametric", "tool_version": __version__},
-        "n": int(args.n),
+        "n": args.n,
         "T": {"num": t.numerator, "den": t.denominator},
-        "degree": int(args.degree),
-        "coeff_range": [int(args.coeff_min), int(args.coeff_max)],
+        "degree": args.degree,
+        "coeff_range": [args.coeff_min, args.coeff_max],
         "solutions": [s.to_json() for s in sols],
     }
-    _emit(doc, args.output, "json")
+    _emit(doc, args.output, args.format)
     if args.output is not None:
         print(f"{len(sols)} parametric solution(s) found")
     return EXIT_OK
@@ -346,39 +322,30 @@ def cmd_parametric(args) -> int:
 
 def cmd_herald(args) -> int:
     from . import detector
-    _require(args, "t", "eta", "r")
-    try:
-        source = detector.SqueezedSource(r=float(args.r))
-        t = int(args.t)
-        n_prime = t if args.n_prime is None else int(args.n_prime)
-        posterior = detector.herald_posterior(n_prime, t, float(args.eta), source)
-        detection = detector.spdc_detection_prob(t, float(args.eta), source)
-    except ValueError as exc:
-        raise _CliError(EXIT_DOMAIN, str(exc))
+    source = detector.SqueezedSource(r=args.r)
+    n_prime = args.t if args.n_prime is None else args.n_prime
+    posterior = detector.herald_posterior(n_prime, args.t, args.eta, source)
     doc = {
         "meta": {"command": "herald", "tool_version": __version__},
-        "t": t,
+        "t": args.t,
         "n_prime": n_prime,
-        "eta": float(args.eta),
-        "r": float(args.r),
+        "eta": args.eta,
+        "r": args.r,
         "posterior": posterior,
-        "detection_prob": detection,
-        "squeezing_db": detector.squeezing_db(float(args.r)),
+        "detection_prob": detector.spdc_detection_prob(args.t, args.eta, source),
+        "squeezing_db": detector.squeezing_db(args.r),
     }
     if args.output is not None:
-        _emit(doc, args.output, "json")
-    print(f"posterior P(n'={n_prime} | t={t}) = {posterior:.4f}")
+        _emit(doc, args.output, args.format)
+    print(f"posterior P(n'={n_prime} | t={args.t}) = {posterior:.4f}")
     return EXIT_OK
 
 
 def cmd_dicke(args) -> int:
-    from . import bs_core, dicke
-    _require(args, "j_max")
-    if args.j_max < 0:
-        raise _CliError(EXIT_USAGE, "--j-max: must be non-negative")
-    bs = _splitter(args.bs) if args.bs else bs_core.BALANCED
+    from . import dicke
+    bs = _splitter(args.bs)
     sweep = [{"J": j, "P_central": p}
-             for j, p in enumerate(dicke.central_zero_sweep(int(args.j_max), bs))]
+             for j, p in enumerate(dicke.central_zero_sweep(args.j_max, bs))]
     doc = {
         "meta": {"command": "dicke", "bs": _bs_meta(bs),
                  "tool_version": __version__},
@@ -406,102 +373,104 @@ def cmd_verify(args) -> int:
                   f"m_b={list(sol.b_coeffs)}")
     if args.output is not None:
         _emit({"meta": {"command": "verify", "tool_version": __version__},
-               "rows": rows, "all_valid": all_valid}, args.output, "json")
+               "rows": rows, "all_valid": all_valid}, args.output, args.format)
     return EXIT_OK if all_valid else EXIT_DOMAIN
 
 
 # ---------------------------------------------------------------------------
-# argument parser
+# the command table and the parser built from it
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub, grid: bool = True):
-    sub.add_argument("--config", help="JSON config file; flags override it")
-    sub.add_argument("-o", "--output", help="output file (default: stdout)")
-    if grid:
-        sub.add_argument("--format", choices=("json", "csv"), default="json")
+#: a subcommand's help line, its flags (flag -> add_argument keywords), its
+#: output formats (two make the --format flag), the flags it cannot run
+#: without, and the exit code of a ValueError from its handler ``cmd_<name>``
+_Command = namedtuple("_Command", "help flags formats required value_error")
+
+_INT = {"type": int}
+_GRID_INPUT = {
+    "--a": {"help": "a-mode state descriptor, e.g. fock:1"},
+    "--b": {"help": "b-mode state descriptor, e.g. coherent:beta=3"},
+    "--bs": {"default": "1/2", "help": '"1/2", "3/4" or "theta=1.0472"'},
+    "--grid-max": _INT,
+    "--cutoff-a": _INT,
+    "--cutoff-b": _INT,
+}
+
+COMMANDS = {
+    "dist": _Command("output joint distribution grid", _GRID_INPUT, ("json", "csv"),
+                     ("a", "b"), EXIT_DOMAIN),
+    "lossy": _Command("grid seen by lossy detectors",
+                      {**_GRID_INPUT, "--eta-a": {"type": float}, "--eta-b": {"type": float}},
+                      ("json", "csv"), ("a", "b", "eta_a", "eta_b"), EXIT_DOMAIN),
+    "zeros": _Command("exhaustive integer zero scan",
+                      {"--n": _INT, "--T": {}, "--max": _INT}, ("json", "csv"),
+                      ("n", "T", "max"), EXIT_USAGE),
+    "parametric": _Command("search for polynomial zero families",
+                           {"--n": _INT, "--T": {}, "--degree": {"type": int, "default": 2},
+                            "--coeff-min": {"type": int, "default": -10},
+                            "--coeff-max": {"type": int, "default": 10}},
+                           ("json",), ("n", "T"), EXIT_USAGE),
+    "herald": _Command("heralding posterior for a pair source",
+                       {"--t": {"type": int, "help": "registered photon count"},
+                        "--eta": {"type": float, "help": "heralding detector efficiency"},
+                        "--r": {"type": float, "help": "source squeezing parameter"},
+                        "--n-prime": {"type": int, "help": "latent pair number (default: t)"}},
+                       ("json",), ("t", "eta", "r"), EXIT_DOMAIN),
+    "dicke": _Command("collective-spin central-probability sweep",
+                      {"--j-max": _INT, "--bs": {"default": "1/2"}}, ("json", "csv"),
+                      ("j_max",), EXIT_USAGE),
+    "verify": _Command("re-certify the built-in zero families",
+                       {"--tables": {"help": '"all", the only table set'}}, ("json",),
+                       (), EXIT_DOMAIN),
+}
 
 
-def _add_grid_input(sub):
-    sub.add_argument("--a", help="a-mode state descriptor, e.g. fock:1")
-    sub.add_argument("--b", help="b-mode state descriptor, e.g. coherent:beta=3")
-    sub.add_argument("--bs", default="1/2", help='"1/2", "3/4" or "theta=1.0472"')
-    sub.add_argument("--grid-max", type=int, dest="grid_max")
-    sub.add_argument("--cutoff-a", type=int, dest="cutoff_a")
-    sub.add_argument("--cutoff-b", type=int, dest="cutoff_b")
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of every command, with flags for only the one ``argv`` names:
+    its first token without a leading "-", as no top-level option takes a value."""
     parser = argparse.ArgumentParser(
         prog="homlab",
         description="Beam-splitter joint photon-number distributions and "
                     "exact interference-zero certification.")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("dist", help="output joint distribution grid")
-    _add_grid_input(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_dist)
-
-    p = subs.add_parser("lossy", help="grid seen by lossy detectors")
-    _add_grid_input(p)
-    p.add_argument("--eta-a", type=float, dest="eta_a")
-    p.add_argument("--eta-b", type=float, dest="eta_b")
-    _add_common(p)
-    p.set_defaults(func=cmd_lossy)
-
-    p = subs.add_parser("zeros", help="exhaustive integer zero scan")
-    p.add_argument("--n", type=int)
-    p.add_argument("--T", dest="T")
-    p.add_argument("--max", type=int, dest="max")
-    _add_common(p)
-    p.set_defaults(func=cmd_zeros)
-
-    p = subs.add_parser("parametric", help="search for polynomial zero families")
-    p.add_argument("--n", type=int)
-    p.add_argument("--T", dest="T")
-    p.add_argument("--degree", type=int, default=2)
-    p.add_argument("--coeff-min", type=int, default=-10, dest="coeff_min")
-    p.add_argument("--coeff-max", type=int, default=10, dest="coeff_max")
-    _add_common(p, grid=False)
-    p.set_defaults(func=cmd_parametric)
-
-    p = subs.add_parser("herald", help="heralding posterior for a pair source")
-    p.add_argument("--t", type=int, help="registered photon count")
-    p.add_argument("--eta", type=float, help="heralding detector efficiency")
-    p.add_argument("--r", type=float, help="source squeezing parameter")
-    p.add_argument("--n-prime", type=int, dest="n_prime",
-                   help="latent pair number (default: t)")
-    _add_common(p, grid=False)
-    p.set_defaults(func=cmd_herald)
-
-    p = subs.add_parser("dicke", help="collective-spin central-probability sweep")
-    p.add_argument("--j-max", type=int, dest="j_max")
-    p.add_argument("--bs")
-    _add_common(p)
-    p.set_defaults(func=cmd_dicke)
-
-    p = subs.add_parser("verify", help="re-certify the built-in zero families")
-    p.add_argument("--tables", help='"all", the only table set')
-    _add_common(p, grid=False)
-    p.set_defaults(func=cmd_verify)
-
+    named = next((token for token in argv if not token.startswith("-")), None)
+    for name, command in COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help)
+        if name != named:
+            continue
+        for flag, options in command.flags.items():
+            sub.add_argument(flag, **options)
+        sub.add_argument("--config", help="JSON config file; flags override it")
+        sub.add_argument("-o", "--output", help="output file (default: stdout)")
+        sub.set_defaults(format=command.formats[0])
+        if len(command.formats) > 1:
+            sub.add_argument("--format", choices=command.formats)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
+    command = COMMANDS[args.command]
     try:
         args = _merge_config(args, parser, argv)
-        return args.func(args)
+        for name in command.required:
+            if getattr(args, name) is None:
+                raise _CliError(EXIT_USAGE, f"--{name.replace('_', '-')}: missing required value")
+        # looked up when called, so that a wrapper set on the module attribute
+        # (as bench/tracer.py sets) is what runs
+        return globals()[f"cmd_{args.command}"](args)
+    except ValueError as exc:
+        code, message = command.value_error, exc
     except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        code, message = exc.args
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        code, message = EXIT_IO, exc
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def run() -> None:

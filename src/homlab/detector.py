@@ -44,6 +44,9 @@ class SqueezedSource(namedtuple("SqueezedSource", "r cutoff")):
     def __new__(cls, r: float, cutoff: int = 400):
         if r < 0:
             raise ValueError("squeezing parameter r must be non-negative")
+        if not r <= 355:
+            raise ValueError(f"squeezing parameter r={r:g} must be at most 355, "
+                             "beyond which cosh(r)^2 is not a float")
         if cutoff < 0:
             raise ValueError("cutoff must be non-negative")
         return super().__new__(cls, r, cutoff)
@@ -137,6 +140,8 @@ def herald_posterior(n_prime: int, t: int, eta: float, source: SqueezedSource) -
     pair state with n' photons (Bayes over the pair-weight prior)."""
     if n_prime < t:
         raise ValueError("n_prime must be at least the detected count t")
+    if not (0.0 <= eta <= 1.0):
+        raise ValueError("efficiency must lie in [0, 1]")
     if t > source.cutoff:
         raise ValueError("t exceeds the source cutoff support")
     if eta == 0.0:

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bs_core import BeamSplitterSetting, amplitude_blocks, bs_prob_exact
-from .states import EPS_NORM, MixedState, PureState, fock
+from .states import EPS_NORM, HERMITICITY_TOL, MixedState, PureState, fock
 
-_HERMITICITY_TOL = 1e-10
 #: rounding allowances of a float grid: most negative entry, excess mass
 NEGATIVE_TOL = 1e-14
 MASS_TOL = 1e-12
@@ -208,7 +207,8 @@ def joint_general(rho_ab, bs: BeamSplitterSetting,
 def _density(state) -> np.ndarray:
     if isinstance(state, PureState):
         return state.to_mixed().rho
-    rho = state.rho if isinstance(state, MixedState) else np.asarray(state, dtype=complex)
-    if np.max(np.abs(rho - rho.conj().T)) > _HERMITICITY_TOL:
+    if not isinstance(state, MixedState):
+        state = MixedState(state)
+    if not state.hermiticity_residual() <= HERMITICITY_TOL:
         raise ValueError("density matrix is not Hermitian within tolerance")
-    return rho
+    return state.rho

@@ -15,14 +15,16 @@ import enum
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 #: largest norm / trace deficit tolerated by default
 EPS_NORM = 1e-10
 
-_HERMITICITY_TOL = 1e-12
+#: largest Hermiticity residual max|rho - rho^dag| of a density matrix, for
+#: :func:`validate` and the joint-distribution engine alike
+HERMITICITY_TOL = 1e-10
 
 
 class Parity(enum.Enum):
@@ -119,7 +121,7 @@ class ValidationReport:
     parity: Parity
 
     def ok(self) -> bool:
-        return self.deficit < EPS_NORM and self.hermiticity_residual < _HERMITICITY_TOL
+        return self.deficit < EPS_NORM and self.hermiticity_residual <= HERMITICITY_TOL
 
 
 def validate(state: State) -> ValidationReport:
@@ -152,9 +154,7 @@ def coherent(beta: complex, cutoff: int | None = None) -> PureState:
     recurrence c_m = c_(m-1) beta / sqrt(m) from its first term that is a
     normal float, found in log space (c_0 underflows once |beta|^2 > 1416)."""
     beta = complex(beta)
-    if not cmath.isfinite(beta):
-        raise ValueError(f"coherent amplitude beta={beta} must be finite")
-    mean = abs(beta) ** 2
+    mean = _mean_photons("coherent amplitude beta", beta)
     if cutoff is None:
         cutoff = _auto_cutoff_poisson(mean, EPS_NORM)
     amps = np.zeros(cutoff + 1, dtype=complex)
@@ -184,7 +184,7 @@ def odd_cat(alpha: complex, cutoff: int | None = None) -> PureState:
     """Odd cat state (|alpha> - |-alpha>) / sqrt(2 - 2 exp(-2|alpha|^2));
     supported on odd photon numbers only."""
     alpha = complex(alpha)
-    a2 = abs(alpha) ** 2
+    a2 = _mean_photons("cat amplitude alpha", alpha)
     if a2 == 0.0:
         raise ValueError("odd cat state is degenerate at alpha = 0")
     if cutoff is None:
@@ -207,6 +207,9 @@ def photon_added_smss(r: float, phi: float = 0.0, cutoff: int | None = None) -> 
     """
     if r < 0:
         raise ValueError("squeezing parameter r must be non-negative")
+    if not r <= 710:
+        raise ValueError(f"squeezing parameter r={r:g} must be at most 710, "
+                         "beyond which cosh(r) is not a float")
     if cutoff is None:
         cutoff = max(_auto_cutoff_squeezed(r, EPS_NORM), 1)
     amps = np.zeros(cutoff + 1, dtype=complex)
@@ -321,6 +324,16 @@ def _fmt_complex(z: complex) -> str:
 # cutoff selection: smallest support with tail mass below eps
 # ---------------------------------------------------------------------------
 
+def _mean_photons(name: str, amplitude: complex) -> float:
+    """|amplitude|^2, or a ValueError that names the amplitude when it is not
+    a float (abs() would raise OverflowError past |z| = 2^1024)."""
+    limit = math.sqrt(sys.float_info.max)
+    if math.hypot(amplitude.real, amplitude.imag) <= limit:  # False for NaN
+        return abs(amplitude) ** 2
+    raise ValueError(f"{name}={_fmt_complex(amplitude)} must be finite, "
+                     f"of modulus at most {limit:g}")
+
+
 def _log_poisson(m: int, mean: float) -> float:
     """log(exp(-mean) mean^m / m!), the log of a Poisson weight."""
     if mean == 0.0:
@@ -342,8 +355,12 @@ def _auto_cutoff_geometric(nbar: float, eps: float) -> int:
     if nbar == 0.0:
         return 0
     ratio = nbar / (1.0 + nbar)
-    # tail mass beyond cutoff N is ratio^(N+1)
-    return max(0, math.ceil(math.log(eps) / math.log(ratio)) - 1)
+    # tail mass beyond cutoff N is ratio^(N+1); a ratio that rounds to 1 (nbar
+    # >= 2^53), or a NaN, has no cutoff
+    terms = math.log(eps) / math.log(ratio) if ratio < 1.0 else math.inf
+    if not terms <= 100001:
+        raise ValueError(f"no thermal cutoff up to 100000 for nbar={nbar:g}")
+    return max(0, math.ceil(terms) - 1)
 
 
 def _auto_cutoff_squeezed(r: float, eps: float) -> int:

@@ -154,6 +154,12 @@ class TestConfigFile:
         assert main(["dist", "--config", "/no/such/file.json",
                      "--a", "fock:0", "--b", "fock:0"]) == EXIT_IO
 
+    def test_config_that_is_not_text_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes(b"\xff\xfe{")
+        assert main(["verify", "--config", str(cfg)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: --config: invalid JSON in {cfg}: ")
+
     def test_values_convert_like_flags(self, tmp_path):
         # "6" is the text --grid-max 6 would give, so it becomes the int 6
         cfg = tmp_path / "run.json"
@@ -469,6 +475,14 @@ class TestExitCodes:
         (["zeros", "--n", "3", "--T", "1/0", "--max", "5"], None, EXIT_USAGE),
         (["zeros", "--n", "3", "--T", "half", "--max", "5"], None, EXIT_USAGE),
         (["dicke", "--j-max", "3", "--bs", "1/0"], None, EXIT_USAGE),
+        (["dist", "--a", "coherent:beta=1e200", "--b", "fock:0"], None, EXIT_USAGE),
+        (["dist", "--a", "oddcat:alpha=1e200", "--b", "fock:0"], None, EXIT_USAGE),
+        (["dist", "--a", "pasmss:r=1e6", "--b", "fock:0"], None, EXIT_USAGE),
+        (["dist", "--a", "thermal:nbar=1e308", "--b", "fock:0"], None, EXIT_USAGE),
+        (["lossy", "--a", "fock:1", "--b", "thermal:nbar=1e12", *ETAS], None, EXIT_USAGE),
+        (["herald", "--t", "2", "--eta", "0.87", "--r", "inf"], None, EXIT_DOMAIN),
+        (["herald", "--t", "2", "--eta", "0.87", "--r", "nan"], None, EXIT_DOMAIN),
+        (["herald", "--t", "2", "--eta", "0.87", "--r", "400"], None, EXIT_DOMAIN),
     ])
     def test_exit_code(self, tmp_path, argv, config, code):
         cfg = tmp_path / "run.json"
@@ -496,6 +510,43 @@ class TestExitCodes:
         proc = _run_python(["-m", "homlab.cli", *argv, "--bs", "1/0"], check=False)
         assert proc.returncode == code
         assert proc.stderr == "error: --bs 1/0: the denominator is 0\n"
+
+
+class TestCommandTable:
+    """The parser is built from ``cli.COMMANDS``, with the flags of the named
+    command only; its help texts are those of the parser that built all seven
+    commands (``tests/cli_help.txt``, one ``=== <command>`` block each)."""
+
+    COMMANDS = ["dist", "lossy", "zeros", "parametric", "herald", "dicke", "verify"]
+
+    @staticmethod
+    @functools.cache
+    def _pinned():
+        with open(os.path.join(os.path.dirname(__file__), "cli_help.txt")) as fh:
+            return dict(block.split("\n", 1) for block in fh.read().split("=== ")[1:])
+
+    @pytest.mark.parametrize("command", ["", *COMMANDS])
+    def test_help_text_is_pinned(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"] if command else ["--help"])
+        assert exc.value.code == EXIT_OK
+        assert capsys.readouterr().out == self._pinned()[command]
+
+    def test_only_the_named_command_has_flags(self):
+        parser = cli.build_parser(["zeros", "--n", "3"])
+        subs = next(a for a in parser._actions if a.dest == "command").choices
+        flags = {name: [a.dest for a in sub._actions] for name, sub in subs.items()}
+        assert list(flags) == self.COMMANDS
+        assert flags.pop("zeros") == ["help", "n", "T", "max", "config", "output", "format"]
+        assert all(dests == ["help"] for dests in flags.values()), flags
+
+    def test_bad_eta_fails_before_the_grid(self, monkeypatch, capsys):
+        import homlab.joint_dist
+        monkeypatch.setattr(homlab.joint_dist, "joint_general",
+                            lambda *args, **kwargs: pytest.fail("grid computed"))
+        assert main(["lossy", *GRID, "--eta-a", "1.5", "--eta-b", "0.9"]) == EXIT_DOMAIN
+        assert capsys.readouterr().err == "error: efficiency must lie in [0, 1]\n"
 
 
 class TestOutputFile:

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -145,6 +146,12 @@ class TestSqueezedSource:
         with pytest.raises(ValueError):
             SqueezedSource(r=-1)
 
+    @pytest.mark.parametrize("r", [float("nan"), float("inf"), 356.0, 1e300])
+    def test_r_without_float_weights_rejected(self, r):
+        # cosh(r)^2 overflows past r = 355.3
+        with pytest.raises(ValueError, match=re.escape(f"r={r:g}")):
+            SqueezedSource(r=r)
+
 
 class TestHeralding:
     def test_detection_prob_sums_posterior_to_one(self):
@@ -243,6 +250,27 @@ class TestHeralding:
             herald_posterior(1, 2, 0.5, src)
         with pytest.raises(ValueError):
             herald_posterior(2, 1, 0.0, src)
+
+    @pytest.mark.parametrize("eta", [1.5, -0.1, float("nan")])
+    def test_posterior_checks_efficiency(self, eta):
+        with pytest.raises(ValueError, match="efficiency"):
+            herald_posterior(2, 2, eta, SqueezedSource(r=1.0))
+
+    @pytest.mark.parametrize("r", [20.0, 300.0, 355.0])
+    def test_strong_squeezing_against_mpmath(self, r):
+        # tanh^2 r rounds to 1 and 1 / cosh^2 r falls to 1e-308 at r = 355
+        mpmath = pytest.importorskip("mpmath")
+        t, eta, src = 2, 0.87, SqueezedSource(r=r)
+        with mpmath.workdps(40):
+            x, norm = mpmath.tanh(mpmath.mpf(r)) ** 2, mpmath.cosh(mpmath.mpf(r)) ** 2
+            w = {n: math.comb(n, t) * mpmath.mpf(eta) ** t * (1 - mpmath.mpf(eta)) ** (n - t)
+                 * x ** n / norm for n in range(t, src.cutoff + 1)}
+            evidence = mpmath.fsum(w.values())
+            assert spdc_detection_prob(t, eta, src) == \
+                pytest.approx(float(evidence), rel=1e-12, abs=0.0)
+            for n_prime in (t, t + 3, 40):
+                assert herald_posterior(n_prime, t, eta, src) == \
+                    pytest.approx(float(w[n_prime] / evidence), rel=1e-12, abs=0.0)
 
 
 class TestSqueezingDb:

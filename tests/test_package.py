@@ -2,7 +2,9 @@
 it on first use, so ``import homlab`` stays cheap and the names stay the same
 objects as in their modules."""
 
+import ast
 import importlib
+import os
 import pkgutil
 import re
 import types
@@ -94,3 +96,30 @@ def test_record_defaults_and_normal_form():
     sol = ParametricSolution(a_coeffs=[0, 1, 0], b_coeffs=(0, 1), n=3, t="1/2")
     assert sol == ParametricSolution(a_coeffs=(0, 1), b_coeffs=(0, 1), n=3, t=Fraction(1, 2))
     assert type(sol.t) is Fraction
+
+
+def _unread_imports(source: str) -> list[str]:
+    """The names that the module's import statements bind and that no
+    expression of the module reads; ``__future__`` imports bind nothing."""
+    tree = ast.parse(source)
+    bound = [alias.asname or alias.name.split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in bound if name not in read]
+
+
+def test_unused_import_guard_sees_an_unread_name():
+    assert _unread_imports("from dataclasses import dataclass, field\n@dataclass\nclass A: pass\n") \
+        == ["field"]
+    assert _unread_imports("import os.path as p, sys\nimport json\np, json.dumps\n") == ["sys"]
+
+
+@pytest.mark.parametrize("name", sorted(SUBMODULES | {"__init__"}))
+def test_every_import_is_read(name):
+    path = os.path.join(homlab.__path__[0], f"{name}.py")
+    with open(path) as fh:
+        assert _unread_imports(fh.read()) == []

@@ -1,11 +1,14 @@
 import cmath
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.stats import poisson
 
+from homlab.bs_core import BALANCED
+from homlab.joint_dist import joint_general
 from homlab.states import (EPS_NORM, MixedState, Parity, PureState, coherent,
                            fock, fock_superposition, load_custom, odd_cat,
                            parse_state, photon_added_smss, thermal, validate)
@@ -173,6 +176,19 @@ class TestValidate:
         assert rep.ok()
         assert rep.hermiticity_residual == 0.0
 
+    def test_hermiticity_verdict_matches_the_engine(self):
+        # residual 5e-11: within the one tolerance, for validate and joint_general alike
+        rho = np.diag([0.5, 0.5]).astype(complex)
+        rho[0, 1] = 5e-11
+        state = MixedState(rho)
+        assert state.hermiticity_residual() == 5e-11
+        assert validate(state).ok()
+        assert joint_general((fock(1), state), BALANCED).total_mass == pytest.approx(1.0)
+        rho[0, 1] = 2e-10
+        assert not validate(MixedState(rho)).ok()
+        with pytest.raises(ValueError, match="Hermitian"):
+            joint_general((fock(1), MixedState(rho)), BALANCED)
+
     def test_truncation_deficit_detected(self):
         clipped = coherent(3, cutoff=4)
         rep = validate(clipped)
@@ -196,6 +212,16 @@ class TestParseState:
     def test_unknown(self):
         with pytest.raises(ValueError):
             parse_state("wigner:q=1")
+
+    @pytest.mark.parametrize("descriptor, name", [
+        ("coherent:beta=1e200", "beta=1e+200"), ("coherent:beta=1.5e308+1.5e308j", "beta="),
+        ("oddcat:alpha=1e200", "alpha=1e+200"), ("pasmss:r=1e6", "r=1e+06"),
+        # nbar = 1e308 rounds the geometric ratio to 1; 1e12 needs a cutoff of 2e13
+        ("thermal:nbar=1e308", "nbar=1e+308"), ("thermal:nbar=1e12", "nbar=1e+12"),
+        ("thermal:nbar=inf", "nbar=inf")])
+    def test_parameter_beyond_floats_is_named(self, descriptor, name):
+        with pytest.raises(ValueError, match=re.escape(name)):
+            parse_state(descriptor)
 
     @pytest.mark.parametrize("descriptor", ["fock:1", "coherent:beta=1",
                                             "thermal:nbar=1", "oddcat:alpha=1",
