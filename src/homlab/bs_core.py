@@ -93,7 +93,7 @@ class BeamSplitterSetting(namedtuple("BeamSplitterSetting", "exact_t theta")):
 BALANCED = BeamSplitterSetting.from_transmittance(Fraction(1, 2))
 
 
-def amplitude_blocks(bs: BeamSplitterSetting, s_max: int):
+def amplitude_blocks(bs: BeamSplitterSetting, s_max: int, dims: tuple[int, int] | None = None):
     """Yield the orthogonal blocks U_s of :func:`amplitude_block` (the Wigner
     matrices d^{s/2}(theta)) for s = 0 .. s_max, keeping only the last one.
 
@@ -103,28 +103,39 @@ def amplitude_blocks(bs: BeamSplitterSetting, s_max: int):
     Every weight is at most 1, so rounding errors do not grow.  At T = 1/2
     the mirror symmetry U_s[s-p, n] = (-1)^(s-n) U_s[p, n] holds bit for bit,
     so the central zeros come out as exact 0.0.
+
+    With input dims ``(dim_a, dim_b)``, block s holds only the band of
+    columns n = max(0, s - dim_b + 1) .. min(dim_a - 1, s) of the inputs
+    |n, s-n> (s_max <= dim_a + dim_b - 2).  Column n reads only columns n-1
+    and n of U_{s-1}, so each band keeps the bits of the full block's columns.
     """
     import numpy as np
+    dim_a, dim_b = dims or (s_max + 1, s_max + 1)
     c, sn = bs.cos_half, bs.sin_half
-    u = np.ones((1, 1))
+    lo, u = 0, np.ones((1, 1))
     for s in range(s_max + 1):
         if s:
+            top = lo + u.shape[1]  # U_{s-1} holds the columns lo .. top-1
             root = np.sqrt(np.arange(s + 1.0))
-            up = np.zeros((s + 1, s))    # up[p] = sqrt(p) U_{s-1}[p-1]
+            up = np.zeros((s + 1, top - lo))    # up[p] = sqrt(p) U_{s-1}[p-1]
             up[1:] = root[1:, None] * u
-            down = np.zeros((s + 1, s))  # down[p] = sqrt(s-p) U_{s-1}[p]
+            down = np.zeros((s + 1, top - lo))  # down[p] = sqrt(s-p) U_{s-1}[p]
             down[:-1] = root[:0:-1, None] * u
-            u = np.zeros((s + 1, s + 1))
-            u[:, 1:] = (c * up + sn * down) * root[1:]       # a^dag images
-            u[:, :-1] += (c * down - sn * up) * root[:0:-1]  # b^dag images
-            u /= s
+            u = np.zeros((s + 1, top - lo + 1))  # columns lo .. top of U_s
+            u[:, 1:] = (c * up + sn * down) * root[lo + 1:top + 1]       # a^dag images
+            u[:, :-1] += (c * down - sn * up) * root[s - lo:s - top:-1]  # b^dag images
+            # column lo > 0 lacks its a^dag image and column top < s its b^dag
+            # image; neither is in the band of U_s
+            new = max(0, s - dim_b + 1)
+            u = u[:, new - lo:min(dim_a, s + 1) - lo] / s
+            lo = new
         yield u
 
 
 def amplitude_block(bs: BeamSplitterSetting, s: int) -> np.ndarray:
     """The s-photon block of the splitter, U_s[p, n] = <p, s-p| B |n, s-n>:
     entry [p, n] is the amplitude f^(n, s-n)_p of |p, s-p> in the
-    transformed input |n, s-n>.  Every single amplitude is read from here."""
+    transformed input |n, s-n>."""
     if s < 0:
         raise ValueError("photon number must be non-negative")
     for u in amplitude_blocks(bs, s):
@@ -140,7 +151,9 @@ def measured_amplitude(n: int, m_a: int, m_b: int, bs: BeamSplitterSetting) -> f
         raise ValueError("photon numbers must be non-negative")
     if m_a + m_b < n:
         return 0.0
-    return float(amplitude_block(bs, m_a + m_b)[m_a, n])
+    for u in amplitude_blocks(bs, m_a + m_b, (n + 1, m_a + m_b - n + 1)):
+        pass
+    return float(u[m_a, 0])
 
 
 def bs_prob_exact(n: int, m_a: int, m_b: int, t) -> Fraction:

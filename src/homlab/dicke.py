@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .bs_core import BALANCED, BeamSplitterSetting, amplitude_block, bs_prob_exact
+from .bs_core import BALANCED, BeamSplitterSetting, bs_prob_exact, measured_amplitude
 
 
 class AngularState(namedtuple("AngularState", "twice_j twice_m")):
@@ -66,9 +66,8 @@ def wigner_d(j, m_out, m_in, bs: BeamSplitterSetting) -> float:
     """Wigner small-d element d^J_{M', M}(theta) = <J, M'| exp(-i theta Jy) |J, M>
     at the mixing angle of ``bs``: the entry U_2J[J + M', J + M] of the
     beam-splitter block."""
-    src = AngularState.make(j, m_in)
-    p = AngularState.make(j, m_out).to_fock_pair()[0]
-    return float(amplitude_block(bs, src.twice_j)[p, src.to_fock_pair()[0]])
+    n = AngularState.make(j, m_in).to_fock_pair()[0]
+    return measured_amplitude(n, *AngularState.make(j, m_out).to_fock_pair(), bs)
 
 
 def central_probability_exact(j, m_in, t) -> Fraction:

@@ -2,8 +2,8 @@
 
 One engine serves every input.  The splitter conserves the total photon
 number s, so the grid is filled one anti-diagonal m_a + m_b = s at a time
-from the amplitude block U_s (:func:`~homlab.bs_core.amplitude_blocks`) and
-the input's s-photon part:
+from the columns of the block U_s that the input reaches (its band, from
+:func:`~homlab.bs_core.amplitude_blocks`) and the input's s-photon part:
 
 * pure input psi:          P(., s - .) = |U_s psi_s|^2
 * density or table rho:    P(., s - .) = diag(U_s rho_s U_s^T), evaluated as
@@ -192,9 +192,10 @@ def joint_general(rho_ab, bs: BeamSplitterSetting,
     if grid_max < fewest:
         raise ValueError(f"grid_max={grid_max} cannot hold total {fewest} photons")
     grid = np.zeros((grid_max + 1, grid_max + 1))
-    for s, u in enumerate(amplitude_blocks(bs, min(dim_a + dim_b - 2, 2 * grid_max))):
-        lo, hi = max(0, s - dim_b + 1), min(dim_a - 1, s)
-        probs = block_probs(u[:, lo:hi + 1], np.arange(lo, hi + 1), s)
+    s_max = min(dim_a + dim_b - 2, 2 * grid_max)
+    for s, u in enumerate(amplitude_blocks(bs, s_max, (dim_a, dim_b))):
+        lo = max(0, s - dim_b + 1)
+        probs = block_probs(u, np.arange(lo, lo + u.shape[1]), s)
         m_a = np.arange(max(0, s - grid_max), min(s, grid_max) + 1)
         grid[m_a, s - m_a] = probs[m_a]
     trace = float(weights.sum())

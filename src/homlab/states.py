@@ -140,9 +140,11 @@ def validate(state: State) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 def fock(n: int, cutoff: int | None = None) -> PureState:
+    if n < 0:
+        raise ValueError(f"fock number n={n} must be non-negative")
     if cutoff is None:
         cutoff = n
-    if n < 0 or n > cutoff:
+    if n > cutoff:
         raise ValueError(f"fock number n={n} must lie in [0, cutoff={cutoff}]")
     amps = np.zeros(cutoff + 1, dtype=complex)
     amps[n] = 1.0

@@ -214,6 +214,76 @@ class TestAmplitudeBlocks:
                         assert abs(blocks[s][p, n] - want) <= 1e-13, (s, p, n)
 
 
+def _full_blocks_reference(bs, s_max):
+    """The full-block recurrence U_s, s = 0 .. s_max, frozen as it stood
+    before the band: every column of every block."""
+    c, sn = bs.cos_half, bs.sin_half
+    u = np.ones((1, 1))
+    for s in range(s_max + 1):
+        if s:
+            root = np.sqrt(np.arange(s + 1.0))
+            up = np.zeros((s + 1, s))
+            up[1:] = root[1:, None] * u
+            down = np.zeros((s + 1, s))
+            down[:-1] = root[:0:-1, None] * u
+            u = np.zeros((s + 1, s + 1))
+            u[:, 1:] = (c * up + sn * down) * root[1:]
+            u[:, :-1] += (c * down - sn * up) * root[:0:-1]
+            u /= s
+        yield u
+
+
+def _same_bits(x, y):
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+T27 = BeamSplitterSetting.from_transmittance(Fraction(2, 7))
+THETA = BeamSplitterSetting.from_angle(1.1)
+
+
+class TestBandBlocks:
+    """Band blocks against the frozen full-block recurrence, bit for bit
+    (uint64 views, so signed zeros count), and against mpmath."""
+
+    @pytest.mark.parametrize("bs, shapes", [
+        (BALANCED, [(2, 473), (4, 300), (300, 4), (201, 201), (41, 41), (1, 50), (50, 1),
+                    (10, 11)]),
+        (THETA, [(3, 200)]),
+        (T27, [(61, 61)])])
+    def test_band_is_the_full_blocks_columns(self, bs, shapes):
+        # one reference pass per setting serves every shape
+        bands = {dims: amplitude_blocks(bs, sum(dims) - 2, dims) for dims in shapes}
+        for s, full in enumerate(_full_blocks_reference(bs, max(map(sum, shapes)) - 2)):
+            for (dim_a, dim_b), blocks in bands.items():
+                if s <= dim_a + dim_b - 2:
+                    lo, hi = max(0, s - dim_b + 1), min(dim_a - 1, s)
+                    assert _same_bits(next(blocks), full[:, lo:hi + 1]), (dim_a, dim_b, s)
+        assert all(next(blocks, None) is None for blocks in bands.values())
+
+    @pytest.mark.parametrize("bs", [BALANCED, THETA, T27])
+    def test_full_blocks_unchanged(self, bs):
+        pairs = zip(_full_blocks_reference(bs, 150), amplitude_blocks(bs, 150))
+        assert all(_same_bits(band, full) for full, band in pairs)
+
+    @pytest.mark.parametrize("bs", [BALANCED, THETA, BeamSplitterSetting.from_transmittance(0)])
+    def test_measured_amplitude_is_the_block_entry(self, bs):
+        for s, full in enumerate(_full_blocks_reference(bs, 12)):
+            for n in range(s + 1):
+                for m_a in range(s + 1):
+                    assert _same_bits(measured_amplitude(n, m_a, s - m_a, bs), full[m_a, n])
+
+    def test_lopsided_band_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            for s, u in enumerate(amplitude_blocks(THETA, 120, (3, 200))):
+                assert u.shape == (s + 1, min(s, 2) + 1)
+                for p in range(0, s + 1, 1 + s // 20):
+                    for n in range(u.shape[1]):
+                        want = float(_wigner_d_mp(s, p, n, 1.1))
+                        assert abs(u[p, n] - want) <= 1e-13, (s, p, n)
+
+
 class TestParitySymmetry:
     def test_exact_swap_relation(self):
         # swapping the photon labels and T <-> R flips the sign by (-1)^n

@@ -1,5 +1,6 @@
 import functools
 import gc
+import hashlib
 import itertools
 import json
 import math
@@ -134,6 +135,63 @@ class TestDistCommand:
     def test_missing_custom_file_exits_4(self):
         assert main(["dist", "--a", "custom:file=/nonexistent.json",
                      "--b", "fock:0", "--bs", "1/2"]) == EXIT_IO
+
+
+#: the ``dist`` and ``lossy`` jobs of the benchmark's ``grids`` and
+#: ``lossy-io`` workloads at seed 1, their seeded phases, angles and
+#: efficiencies written out, with the sha256 of each ``-o`` file
+PINNED_GRIDS = {
+    "fs_pure": (["dist", "--a", "fock:1",
+                 "--b", "coherent:beta=-0.67774177113931389+2.922441802953986j", "--bs", "1/2"],
+                "5e948c9181febdb455210bcc751ffaa0bfc7fe04426df4b25683aec96a9dbf1e"),
+    "fs_mixed": (["dist", "--a", "fock:3", "--b", "thermal:nbar=4.0", "--bs", "1/2"],
+                 "f864b0efcaaf5a868c4e2666dc48916ec84f9490689d3916abb02a1627f45616"),
+    "pure_pure-T1/2": (["dist", "--a", "coherent:beta=-1.3954275941874994-2.6557074065830535j",
+                        "--b", "coherent:beta=-0.12895276703741362-2.997227249287814j",
+                        "--bs", "1/2"],
+                       "9cd37b4548855bcce630f0ce840c2cdbe643bf78e36ed74afb859a8aae1b2e79"),
+    "pure_pure-theta": (["dist", "--a", "coherent:beta=-1.3954275941874994-2.6557074065830535j",
+                         "--b", "coherent:beta=-0.12895276703741362-2.997227249287814j",
+                         "--bs", "theta=1.0913238655534787"],
+                        "3a3b737e9ffa40b1659c3e0a31a4a0db46f0cb5c1d3b26fbf645f4d90041603e"),
+    "pure_mixed": (["dist", "--a", "oddcat:alpha=1.8701356086698417+0.70893780064620682j",
+                    "--b", "thermal:nbar=1.0", "--bs", "1/2"],
+                   "884f276a2faaa8560ff4dd6e4284bb566b30c7f091c6785eaafe7d5606ee09b4"),
+    "general": (["dist", "--a", "thermal:nbar=1.0", "--b", "thermal:nbar=1.0", "--bs", "1/2"],
+                "8b964eb2972bad774b027bfb5df5d1318542fbd0bb0ccce8bbae501a97c5c397"),
+    "pure_pure-T3/4": (["dist", "--a", "pasmss:r=0.5",
+                        "--b", "coherent:beta=0.71421990865528018-1.8681247073149168j",
+                        "--bs", "3/4"],
+                       "fa8f4c97f71587d4635c7ef5eec471c714960a4ef57b99739b93dc4eff4846f4"),
+    "fs_fs": (["dist", "--a", "fock:10", "--b", "fock:10", "--bs", "1/2"],
+              "1fe4989f8fd7a3066c4becddb37a40cbec61866eeb9622a1eb4cdafceb7850af"),
+    "lossy-fock-coherent-500": (
+        ["lossy", "--a", "fock:1", "--b", "coherent:beta=-2.0791310227770952+2.1626867988975822j",
+         "--bs", "1/2", "--grid-max", "500",
+         "--eta-a", "0.8634728013840465", "--eta-b", "0.809275295085482"],
+        "503cdf4589b6b61451673201a22eed0f9e20ab50166644444da41959db2c13e1"),
+    "lossy-fock-thermal-400-csv": (
+        ["lossy", "--a", "fock:1", "--b", "thermal:nbar=1.0", "--bs", "1/2", "--grid-max", "400",
+         "--eta-a", "0.9495491338728442", "--eta-b", "0.7134431984535361", "--format", "csv"],
+        "830b03cf2365a72726a120db392910e8c0c5bfe2121dc12d8f8b6364cf1d9397"),
+    "lossy-coherent-theta-300": (
+        ["lossy", "--a", "coherent:beta=1.4300339872746184-1.3982141449861878j",
+         "--b", "coherent:beta=0.51327509184104569+0.85822414327235408j",
+         "--bs", "theta=1.0870717421235392", "--grid-max", "300",
+         "--eta-a", "0.7532733178523499", "--eta-b", "0.8892423910954655"],
+        "c0feaa663a31735c0dede837990a6bdb2297fecd0dd79c0b46ba163b99bf400e"),
+}
+
+
+class TestPinnedGrids:
+    """Every bit of the benchmark's grid files: an engine or writer change
+    that moves one bit of one cell fails here."""
+
+    @pytest.mark.parametrize("argv, digest", PINNED_GRIDS.values(), ids=PINNED_GRIDS)
+    def test_file_bytes(self, tmp_path, argv, digest):
+        out = tmp_path / "grid"
+        assert main([*argv, "-o", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestConfigFile:
@@ -483,6 +541,7 @@ class TestExitCodes:
         (["herald", "--t", "2", "--eta", "0.87", "--r", "inf"], None, EXIT_DOMAIN),
         (["herald", "--t", "2", "--eta", "0.87", "--r", "nan"], None, EXIT_DOMAIN),
         (["herald", "--t", "2", "--eta", "0.87", "--r", "400"], None, EXIT_DOMAIN),
+        (["dist", "--a", "fock:-1", "--b", "fock:1"], None, EXIT_USAGE),
     ])
     def test_exit_code(self, tmp_path, argv, config, code):
         cfg = tmp_path / "run.json"

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from homlab.bs_core import BALANCED, BeamSplitterSetting, bs_prob_exact
+from homlab.bs_core import BALANCED, BeamSplitterSetting, bs_prob_exact, measured_amplitude
 from homlab.joint_dist import (JointDistribution, cnl_scan, joint_fs_fs,
                                joint_fs_fs_exact, joint_fs_mixed,
                                joint_fs_pure, joint_general, joint_pure_mixed,
@@ -246,6 +247,33 @@ class TestPlumbing:
         bad = MixedState(np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex))
         with pytest.raises(ValueError):
             joint_pure_mixed(fock(1, cutoff=2), bad, BALANCED)
+
+
+def _traced_peak(call):
+    """The result of ``call()`` and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingMemory:
+    """The engine and single amplitudes hold only the input's band of each
+    block U_s, not the full (s + 1)^2 block."""
+
+    def test_fock_coherent_grid(self):
+        # fock:1 x coherent:20 reaches s = 535: its grid is 2.3 MB, as is each
+        # of the half dozen arrays of a full block at the top
+        pair = (fock(1), coherent(20))
+        dist, peak = _traced_peak(lambda: joint_general(pair, BALANCED))
+        assert peak - dist.grid.nbytes < 1e6
+
+    def test_single_amplitude(self):
+        amp, peak = _traced_peak(lambda: measured_amplitude(1, 300, 300, BALANCED))
+        assert amp == 0.0
+        assert peak < 1e6
 
 
 class TestCnlScan:

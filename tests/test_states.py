@@ -23,9 +23,10 @@ class TestFock:
         assert s.parity_of() is Parity.ODD
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        # a negative n is refused before the cutoff, which defaults to n
+        with pytest.raises(ValueError, match=r"^fock number n=-1 must be non-negative$"):
             fock(-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"must lie in \[0, cutoff=3\]"):
             fock(5, cutoff=3)
 
 
