@@ -16,7 +16,7 @@ _MODULE_OF = {name: module for module, names in [
     ("nodal", "BALANCED_N2_FAMILIES BALANCED_N3_FAMILIES KNOWN_FAMILIES ParametricSolution "
               "T34_N2_FAMILIES VerifyResult ZeroSet bfs_zeros canonical_form cos_factor_residual "
               "extremal_branch_points g_poly search_parametric verify_parametric"),
-    ("states", "EPS_NORM MixedState Parity PureState ValidationReport coherent fock "
+    ("states", "DiagonalState EPS_NORM MixedState Parity PureState ValidationReport coherent fock "
                "fock_superposition load_custom odd_cat parse_state photon_added_smss thermal "
                "validate"),
 ] for name in names.split()}

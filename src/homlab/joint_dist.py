@@ -7,8 +7,9 @@ from the columns of the block U_s that the input reaches (its band, from
 
 * pure input psi:          P(., s - .) = |U_s psi_s|^2
 * density or table rho:    P(., s - .) = diag(U_s rho_s U_s^T), evaluated as
-  U_s^2 diag(rho_s) for a pair whose a- or b-mode density is diagonal (a Fock
-  or thermal mode makes it so), since every rho_s is then diagonal
+  U_s^2 diag(rho_s), from the modes' weights, for a pair with a diagonal mode
+  (thermal, Fock, or a dense rho scanned and found so), as every rho_s is then
+  diagonal
 
 Pure and diagonal inputs are thus sums of squares with non-negative weights,
 so their grids have no negative entry.  The ``joint_*`` functions are this
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bs_core import BeamSplitterSetting, amplitude_blocks, bs_prob_exact
-from .states import EPS_NORM, HERMITICITY_TOL, MixedState, PureState, fock
+from .states import EPS_NORM, HERMITICITY_TOL, MixedState, PureState, State, fock
 
 #: rounding allowances of a float grid: most negative entry, excess mass
 NEGATIVE_TOL = 1e-14
@@ -118,7 +119,7 @@ def joint_fs_pure(n: int, phi_b: PureState, bs: BeamSplitterSetting,
     return joint_general((fock(n), phi_b), bs, grid_max)
 
 
-def joint_fs_mixed(n: int, rho_b: MixedState, bs: BeamSplitterSetting,
+def joint_fs_mixed(n: int, rho_b: State, bs: BeamSplitterSetting,
                    grid_max: int | None = None) -> JointDistribution:
     """Fock |n> in a, mixed state in b."""
     return joint_general((fock(n), rho_b), bs, grid_max)
@@ -130,7 +131,7 @@ def joint_pure_pure(psi_a: PureState, phi_b: PureState, bs: BeamSplitterSetting,
     return joint_general((psi_a, phi_b), bs, grid_max)
 
 
-def joint_pure_mixed(psi_a: PureState, rho_b: MixedState, bs: BeamSplitterSetting,
+def joint_pure_mixed(psi_a: PureState, rho_b: State, bs: BeamSplitterSetting,
                      grid_max: int | None = None) -> JointDistribution:
     """Pure state in a, mixed state in b."""
     return joint_general((psi_a, rho_b), bs, grid_max)
@@ -140,45 +141,48 @@ def joint_general(rho_ab, bs: BeamSplitterSetting,
                   grid_max: int | None = None) -> JointDistribution:
     """Joint distribution of any bipartite input (see the module docstring).
 
-    ``rho_ab`` is either a pair ``(state_a, state_b)`` of pure/mixed states
-    or density matrices (product input, evaluated without materializing the
-    four-index table) or a four-index ndarray ``rho[n, m, n', m']``.
-    ``grid_max`` defaults to the largest photon number the input reaches; a
-    grid that cannot hold the input's lowest total photon number raises
-    ValueError, as does a density matrix that is not Hermitian.
+    ``rho_ab`` is either a pair ``(state_a, state_b)`` of states (a product
+    input, evaluated without materializing the four-index table) or a
+    four-index ndarray ``rho[n, m, n', m']``; wrap a bare density matrix as
+    ``MixedState(rho)``.  ``grid_max`` defaults to the largest photon number
+    the input reaches; a grid that cannot hold the input's lowest total photon
+    number raises ValueError, as does a density matrix that is not Hermitian.
     """
     if isinstance(rho_ab, tuple):
         state_a, state_b = rho_ab
-        label = f"{getattr(state_a, 'label', 'array')} x {getattr(state_b, 'label', 'array')}"
+        for state in rho_ab:
+            if not state.hermiticity_residual() <= HERMITICITY_TOL:
+                raise ValueError("density matrix is not Hermitian within tolerance")
+        label = f"{state_a.label} x {state_b.label}"
+        weights = np.outer(state_a.weights, state_b.weights)
+        deficits = [(f" of mode {mode} ({state.label})", 1.0 - state.trace)
+                    for mode, state in zip("ab", rho_ab)]
         if isinstance(state_a, PureState) and isinstance(state_b, PureState):
             amps = np.outer(state_a.amplitudes, state_b.amplitudes)
-            weights = np.abs(amps) ** 2
 
             def block_probs(u, n, s):
                 amp = np.einsum("pn,n->p", u, amps[n, s - n])
                 return amp.real ** 2 + amp.imag ** 2
-        else:
-            rho_a, rho_b = _density(state_a), _density(state_b)
-            weights = np.outer(np.diag(rho_a).real, np.diag(rho_b).real)
-            # every rho_s = rho_a[n, n'] rho_b[s-n, s-n'] is diagonal if one
-            # mode's density is; its diagonal is read, as np.diag(rho_s) was,
-            # as a strided view of complex products: einsum then sums in the
-            # same order, so the grid keeps every bit
-            if any(np.array_equal(rho, np.diag(np.diag(rho))) for rho in (rho_a, rho_b)):
-                diag = np.outer(np.diag(rho_a), np.diag(rho_b))
+        elif _is_diagonal(state_a) or _is_diagonal(state_b):
+            # diag(rho_s) is read as a strided view of complex products, so
+            # einsum sums it in the order that keeps every bit of the grid
+            diag = weights.astype(complex)
 
-                def block_probs(u, n, s):
-                    return np.einsum("pn,n->p", u * u, diag[n, s - n].real)
-            else:
-                def block_probs(u, n, s):
-                    rho_s = rho_a[np.ix_(n, n)] * rho_b[np.ix_(s - n, s - n)]
-                    return np.einsum("pn,nk,pk->p", u, rho_s, u).real
+            def block_probs(u, n, s):
+                return np.einsum("pn,n->p", u * u, diag[n, s - n].real)
+        else:
+            rho_a, rho_b = state_a.rho, state_b.rho
+
+            def block_probs(u, n, s):
+                rho_s = rho_a[np.ix_(n, n)] * rho_b[np.ix_(s - n, s - n)]
+                return np.einsum("pn,nk,pk->p", u, rho_s, u).real
     else:
         table = np.asarray(rho_ab, dtype=complex)
         if table.ndim != 4:
             raise ValueError("coefficient table must be four-index rho[n, m, n', m']")
         weights = np.einsum("nmnm->nm", table).real
         label = "table"
+        deficits = [("", 1.0 - float(weights.sum()))]
 
         def block_probs(u, n, s):
             rho_s = table[n[:, None], (s - n)[:, None], n, s - n]
@@ -198,18 +202,13 @@ def joint_general(rho_ab, bs: BeamSplitterSetting,
         probs = block_probs(u, np.arange(lo, lo + u.shape[1]), s)
         m_a = np.arange(max(0, s - grid_max), min(s, grid_max) + 1)
         grid[m_a, s - m_a] = probs[m_a]
-    trace = float(weights.sum())
-    warnings = ()
-    if 1.0 - trace > EPS_NORM:
-        warnings = (f"input trace deficit {1.0 - trace:.3e} exceeds {EPS_NORM:g}",)
+    warnings = tuple(f"input trace deficit {deficit:.3e}{where} exceeds {EPS_NORM:g}"
+                     for where, deficit in deficits if deficit > EPS_NORM)
     return JointDistribution(grid, bs, input_label=label, warnings=warnings)
 
 
-def _density(state) -> np.ndarray:
-    if isinstance(state, PureState):
-        return state.to_mixed().rho
-    if not isinstance(state, MixedState):
-        state = MixedState(state)
-    if not state.hermiticity_residual() <= HERMITICITY_TOL:
-        raise ValueError("density matrix is not Hermitian within tolerance")
-    return state.rho
+def _is_diagonal(state: State) -> bool:
+    """Whether the state's density is diagonal; only a dense rho is scanned."""
+    if isinstance(state, MixedState):
+        return np.count_nonzero(state.rho) == np.count_nonzero(np.diagonal(state.rho))
+    return not isinstance(state, PureState) or np.count_nonzero(state.amplitudes) <= 1

@@ -2,8 +2,9 @@
 squeezed vacuum, plus custom states loaded from JSON and a text descriptor
 parser used by the CLI.
 
-Pure states are Fock-basis amplitude vectors, mixed states are Fock-basis
-density matrices.  Constructors never renormalize after truncation: the
+Pure states are Fock-basis amplitude vectors, mixed states Fock-basis density
+matrices or, when diagonal (thermal), only their photon-number ``weights``,
+which every state has.  Constructors never renormalize after truncation: the
 truncated tail is *lost* mass, so every norm / trace lies in [1 - deficit, 1]
 and the deficit is reported by :func:`validate`.
 """
@@ -33,19 +34,35 @@ class Parity(enum.Enum):
     MIXED = "mixed"
 
 
-def _parity(weights: np.ndarray) -> Parity:
-    """Parity class of the photon-number weights w_0, w_1, ..."""
-    odd_mass = float(np.sum(weights[1::2]))
-    even_mass = float(np.sum(weights[0::2]))
-    if even_mass == 0.0 and odd_mass > 0.0:
-        return Parity.ODD
-    if odd_mass == 0.0:
-        return Parity.EVEN
-    return Parity.MIXED
+class _Weighted:
+    """What every state reads from its photon-number weights w_m = <m|rho|m>;
+    its dense ``rho`` is built only when asked, unless it is a MixedState."""
+
+    @property
+    def cutoff(self) -> int:
+        return self.weights.size - 1
+
+    @property
+    def trace(self) -> float:
+        return float(np.sum(self.weights))
+
+    @property
+    def mean_photon_number(self) -> float:
+        return float(np.dot(np.arange(self.cutoff + 1), self.weights))
+
+    def parity_of(self) -> Parity:
+        weights = self.weights
+        odd_mass, even_mass = float(np.sum(weights[1::2])), float(np.sum(weights[0::2]))
+        if even_mass == 0.0 and odd_mass > 0.0:
+            return Parity.ODD
+        return Parity.EVEN if odd_mass == 0.0 else Parity.MIXED
+
+    def hermiticity_residual(self) -> float:
+        return 0.0
 
 
 @dataclass(frozen=True)
-class PureState:
+class PureState(_Weighted):
     """Fock-basis amplitude vector c_0 .. c_cutoff."""
 
     amplitudes: np.ndarray
@@ -58,28 +75,19 @@ class PureState:
             raise ValueError("amplitudes must be a non-empty vector")
 
     @property
-    def cutoff(self) -> int:
-        return self.amplitudes.size - 1
+    def weights(self) -> np.ndarray:
+        # c_m c_m^*, bit for bit the diagonal of rho
+        return (self.amplitudes * self.amplitudes.conj()).real
 
     @property
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
+    def rho(self) -> np.ndarray:
+        return np.outer(self.amplitudes, self.amplitudes.conj())
 
-    @property
-    def mean_photon_number(self) -> float:
-        weights = np.abs(self.amplitudes) ** 2
-        return float(np.dot(np.arange(weights.size), weights))
-
-    def parity_of(self) -> Parity:
-        return _parity(np.abs(self.amplitudes) ** 2)
-
-    def to_mixed(self) -> "MixedState":
-        rho = np.outer(self.amplitudes, np.conj(self.amplitudes))
-        return MixedState(rho=rho, label=self.label)
+    norm_squared = _Weighted.trace
 
 
 @dataclass(frozen=True)
-class MixedState:
+class MixedState(_Weighted):
     """Fock-basis density matrix rho[m, m'], indices 0 .. cutoff."""
 
     rho: np.ndarray
@@ -92,26 +100,31 @@ class MixedState:
             raise ValueError("rho must be a square matrix")
 
     @property
-    def cutoff(self) -> int:
-        return self.rho.shape[0] - 1
-
-    @property
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.rho)))
-
-    @property
-    def mean_photon_number(self) -> float:
-        diag = np.real(np.diag(self.rho))
-        return float(np.dot(np.arange(diag.size), diag))
+    def weights(self) -> np.ndarray:
+        return np.diagonal(self.rho).real
 
     def hermiticity_residual(self) -> float:
         return float(np.max(np.abs(self.rho - self.rho.conj().T)))
 
-    def parity_of(self) -> Parity:
-        return _parity(np.real(np.diag(self.rho)))
+
+@dataclass(frozen=True)
+class DiagonalState(_Weighted):
+    """Density matrix diagonal in the Fock basis, as its weights w_0 .. w_cutoff."""
+
+    weights: np.ndarray
+    label: str = "diagonal"
+
+    def __post_init__(self):
+        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
+        if self.weights.ndim != 1 or self.weights.size == 0:
+            raise ValueError("weights must be a non-empty vector")
+
+    @property
+    def rho(self) -> np.ndarray:
+        return np.diag(self.weights).astype(complex)
 
 
-State = PureState | MixedState
+State = PureState | MixedState | DiagonalState
 
 
 @dataclass(frozen=True)
@@ -126,10 +139,6 @@ class ValidationReport:
 
 def validate(state: State) -> ValidationReport:
     """Norm/trace deficit, Hermiticity residual, parity classification."""
-    if isinstance(state, PureState):
-        return ValidationReport(deficit=1.0 - state.norm_squared,
-                                hermiticity_residual=0.0,
-                                parity=state.parity_of())
     return ValidationReport(deficit=1.0 - state.trace,
                             hermiticity_residual=state.hermiticity_residual(),
                             parity=state.parity_of())
@@ -168,18 +177,18 @@ def coherent(beta: complex, cutoff: int | None = None) -> PureState:
     return PureState(amps, label=f"coherent:beta={_fmt_complex(beta)}")
 
 
-def thermal(nbar: float, cutoff: int | None = None) -> MixedState:
+def thermal(nbar: float, cutoff: int | None = None) -> DiagonalState:
     """Single-mode thermal state, diagonal weights nbar^m / (1+nbar)^(m+1)."""
     if nbar < 0:
         raise ValueError("nbar must be non-negative")
     if cutoff is None:
         cutoff = _auto_cutoff_geometric(nbar, EPS_NORM)
-    diag = np.empty(cutoff + 1)
-    diag[0] = 1.0 / (1.0 + nbar)
+    weights = np.empty(cutoff + 1)
+    weights[0] = 1.0 / (1.0 + nbar)
     ratio = nbar / (1.0 + nbar)
     for m in range(1, cutoff + 1):
-        diag[m] = diag[m - 1] * ratio
-    return MixedState(np.diag(diag).astype(complex), label=f"thermal:nbar={nbar:g}")
+        weights[m] = weights[m - 1] * ratio
+    return DiagonalState(weights, label=f"thermal:nbar={nbar:g}")
 
 
 def odd_cat(alpha: complex, cutoff: int | None = None) -> PureState:

@@ -109,6 +109,12 @@ class TestDistCommand:
         main(["dist", "--a", "fock:1", "--b", "fock:1", "-o", str(out)])
         assert json.loads(out.read_text())["diagnostics"]["warnings"] == []
 
+    def test_automatic_cutoffs_do_not_warn(self, tmp_path):
+        # each thermal:1 mode loses less than 1e-10, the pair about twice that
+        out = tmp_path / "grid.json"
+        main(["dist", "--a", "thermal:nbar=1", "--b", "thermal:nbar=1", "-o", str(out)])
+        assert json.loads(out.read_text())["diagnostics"]["warnings"] == []
+
     def test_bad_state_exits_2(self, capsys):
         assert main(["dist", "--a", "nonsense:1", "--b", "fock:0",
                      "--bs", "1/2"]) == EXIT_USAGE
@@ -158,11 +164,11 @@ PINNED_GRIDS = {
                     "--b", "thermal:nbar=1.0", "--bs", "1/2"],
                    "884f276a2faaa8560ff4dd6e4284bb566b30c7f091c6785eaafe7d5606ee09b4"),
     "general": (["dist", "--a", "thermal:nbar=1.0", "--b", "thermal:nbar=1.0", "--bs", "1/2"],
-                "8b964eb2972bad774b027bfb5df5d1318542fbd0bb0ccce8bbae501a97c5c397"),
+                "e0512d83085530601f6aae93dfc4b8deb46e5425e39324d3088d60fdb213eb0b"),
     "pure_pure-T3/4": (["dist", "--a", "pasmss:r=0.5",
                         "--b", "coherent:beta=0.71421990865528018-1.8681247073149168j",
                         "--bs", "3/4"],
-                       "fa8f4c97f71587d4635c7ef5eec471c714960a4ef57b99739b93dc4eff4846f4"),
+                       "b8f289d3ec3001ea3230681ae621740abb97ac3d861060d7329ecc150a4da7fd"),
     "fs_fs": (["dist", "--a", "fock:10", "--b", "fock:10", "--bs", "1/2"],
               "1fe4989f8fd7a3066c4becddb37a40cbec61866eeb9622a1eb4cdafceb7850af"),
     "lossy-fock-coherent-500": (
@@ -179,7 +185,7 @@ PINNED_GRIDS = {
          "--b", "coherent:beta=0.51327509184104569+0.85822414327235408j",
          "--bs", "theta=1.0870717421235392", "--grid-max", "300",
          "--eta-a", "0.7532733178523499", "--eta-b", "0.8892423910954655"],
-        "c0feaa663a31735c0dede837990a6bdb2297fecd0dd79c0b46ba163b99bf400e"),
+        "4a129c4e634514b38c1ad7a5fb50d9da5d1cede7a8c9516c512fe1e46cef4254"),
 }
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -5,13 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from homlab import joint_dist
 from homlab.bs_core import BALANCED, BeamSplitterSetting, bs_prob_exact, measured_amplitude
 from homlab.joint_dist import (JointDistribution, cnl_scan, joint_fs_fs,
                                joint_fs_fs_exact, joint_fs_mixed,
                                joint_fs_pure, joint_general, joint_pure_mixed,
                                joint_pure_pure)
-from homlab.states import (MixedState, PureState, coherent, fock, odd_cat,
-                           thermal)
+from homlab.states import (DiagonalState, MixedState, PureState, coherent, fock,
+                           load_custom, odd_cat, thermal)
 
 SETTINGS = [BALANCED,
             BeamSplitterSetting.from_transmittance(Fraction(3, 4)),
@@ -184,6 +186,28 @@ class TestMixturesAgainstPurePath:
             assert np.max(np.abs(got.grid - want)) < 1e-12
 
 
+class TestFockThermalOracle:
+    """A thermal partner's grid is the thermal weights times the Fock/Fock
+    probabilities: P(m_a, m_b) = w(m_a + m_b - n) P_(n, m_a + m_b - n)(m_a, m_b),
+    checked against exact rationals that share no code with the engine."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("t", [Fraction(1, 2), Fraction(2, 7)])
+    @pytest.mark.parametrize("nbar", [Fraction(1, 2), Fraction(3, 2)])
+    def test_every_cell(self, n, t, nbar):
+        b = thermal(float(nbar))
+        d = joint_general((fock(n), b), BeamSplitterSetting.from_transmittance(t))
+
+        def weight(m):  # truncated at the thermal cutoff, as the input is
+            return nbar ** m / (1 + nbar) ** (m + 1) if 0 <= m <= b.cutoff else 0
+
+        for m_a in range(d.grid_max + 1):
+            for m_b in range(d.grid_max + 1):
+                m = m_a + m_b - n
+                want = weight(m) * bs_prob_exact(n, m_a, m_b, t) if m >= 0 else 0
+                assert abs(d.grid[m_a, m_b] - want) <= 1e-12, (m_a, m_b)
+
+
 class TestConservation:
     def test_mass_conservation(self):
         for bs in SETTINGS:
@@ -221,7 +245,18 @@ class TestPlumbing:
     def test_trace_deficit_warning(self):
         lossy_state = coherent(3, cutoff=4)  # heavy truncation
         d = joint_general((fock(0), lossy_state), BALANCED)
-        assert d.warnings
+        assert len(d.warnings) == 1 and "of mode b (coherent:beta=3)" in d.warnings[0]
+
+    def test_dense_diagonal_density_takes_the_diagonal_path(self, tmp_path):
+        # a custom file's rho stays dense; its zero off-diagonal is found
+        weights = thermal(1, cutoff=8).weights
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps({"type": "mixed", "rho": [
+            [[w if i == j else 0.0, 0.0] for j in range(9)] for i, w in enumerate(weights)]}))
+        dense = load_custom(str(path))
+        assert isinstance(dense, MixedState) and joint_dist._is_diagonal(dense)
+        got = joint_general((fock(1), dense), BALANCED)
+        assert np.array_equal(got.grid, joint_general((fock(1), DiagonalState(weights)), BALANCED).grid)
 
     def test_marginals_sum_to_mass(self):
         d = joint_fs_pure(1, coherent(1), BALANCED)
@@ -247,6 +282,9 @@ class TestPlumbing:
         bad = MixedState(np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex))
         with pytest.raises(ValueError):
             joint_pure_mixed(fock(1, cutoff=2), bad, BALANCED)
+        # a diagonal partner does not spare the dense mode its check
+        with pytest.raises(ValueError, match="Hermitian"):
+            joint_general((bad, thermal(1)), BALANCED)
 
 
 def _traced_peak(call):
@@ -268,6 +306,11 @@ class TestWorkingMemory:
         # of the half dozen arrays of a full block at the top
         pair = (fock(1), coherent(20))
         dist, peak = _traced_peak(lambda: joint_general(pair, BALANCED))
+        assert peak - dist.grid.nbytes < 1e6
+
+    def test_fock_thermal_grid(self):
+        # thermal:60 is 1395 weights: its 16 MB grid, and no 1395^2 density
+        dist, peak = _traced_peak(lambda: joint_general((fock(1), thermal(60)), BALANCED))
         assert peak - dist.grid.nbytes < 1e6
 
     def test_single_amplitude(self):

@@ -9,7 +9,7 @@ from scipy.stats import poisson
 
 from homlab.bs_core import BALANCED
 from homlab.joint_dist import joint_general
-from homlab.states import (EPS_NORM, MixedState, Parity, PureState, coherent,
+from homlab.states import (EPS_NORM, DiagonalState, MixedState, Parity, PureState, coherent,
                            fock, fock_superposition, load_custom, odd_cat,
                            parse_state, photon_added_smss, thermal, validate)
 
@@ -92,6 +92,14 @@ class TestThermal:
         assert 1.0 - s.trace < EPS_NORM
         assert s.mean_photon_number == pytest.approx(9.0, abs=1e-6)
         assert s.parity_of() is Parity.MIXED
+
+    def test_is_its_weights(self):
+        s = thermal(1)
+        assert isinstance(s, DiagonalState)
+        assert s.weights.dtype == float and s.weights.shape == (s.cutoff + 1,)
+        assert np.array_equal(s.rho, np.diag(s.weights))
+        assert validate(s).ok()
+        assert validate(s).deficit == pytest.approx(validate(MixedState(s.rho)).deficit, abs=1e-15)
 
     def test_zero_temperature(self):
         s = thermal(0)
