@@ -105,20 +105,11 @@ def _json_text(value, indent: str) -> str:
 
 
 def _heads(grid):
-    """Each row of ``grid`` up to its last entry that is not +0.0, as Python
-    floats; the writers emit the rest from one precomputed zero tail.  -0.0
-    prints as ``-0.0`` / ``-0``, so it belongs to the head.  +0.0 is the one
-    float whose bits are all zero, so one comparison and one argmax find the
-    ends of a block of rows of 64 Ki cells at most."""
+    """Each row of ``grid`` before its +0.0 padding (``row_ends``), as Python floats."""
     import numpy as np
-    width = max(map(len, grid), default=0)
-    step = max(1, (1 << 16) // max(width, 1))
-    for start in range(0, len(grid), step):
-        block = np.asarray(grid[start:start + step], dtype=float)
-        kept = np.ones((len(block), width + 1), dtype=bool)  # column 0: a row of +0.0 ends at 0
-        np.not_equal(block.view(np.int64), 0, out=kept[:, 1:])
-        ends = width - kept[:, ::-1].argmax(axis=1)
-        yield from (values[:end].tolist() for values, end in zip(block, ends))
+    from .joint_dist import row_ends
+    grid = np.asarray(grid, dtype=float)
+    yield from (row[:end].tolist() for row, end in zip(grid, row_ends(grid)))
 
 
 def _grid_json(grid):

@@ -74,15 +74,16 @@ def lossy_distribution(dist: JointDistribution, loss: LossConfig) -> JointDistri
     """Joint distribution seen by lossy detectors; total mass is preserved.
 
     Loss only lowers counts (A[m, M] = 0 for m > M), so it keeps the input's
-    support: the smallest square [0, k)^2 outside which every entry is +0.0.
-    Only that block is multiplied, by the loss matrices of size k, which are
-    the top-left blocks of those of the full grid bit for bit, since each
-    Pascal column depends only on the one before it.  Nothing writes the
-    padding, so a large output grid's pages outside the block stay unmapped."""
+    support, the smallest square [0, k)^2 outside which every entry is +0.0
+    (:func:`~homlab.joint_dist.row_ends`).  Only that block is multiplied, by
+    the loss matrices of size k, which are the top-left blocks of those of the
+    full grid bit for bit, since each Pascal column depends only on the one
+    before it.  Nothing writes the padding, so a large output grid's pages
+    outside the block stay unmapped."""
     import numpy as np
-    from .joint_dist import JointDistribution
-    rows, cols = np.nonzero((dist.grid != 0.0) | np.signbit(dist.grid))
-    k = int(max(rows.max(), cols.max())) + 1 if rows.size else 0
+    from .joint_dist import JointDistribution, row_ends
+    ends = row_ends(dist.grid)
+    k = max(len(np.trim_zeros(ends, "b")), int(ends.max()))
     a = bernoulli_matrix(loss.eta_a, k)
     b = bernoulli_matrix(loss.eta_b, k)
     grid = np.zeros(dist.grid.shape)

@@ -72,9 +72,21 @@ class JointDistribution:
         return self.grid.sum(axis=0)
 
     def mean_total_photons(self) -> float:
-        idx = np.arange(self.grid.shape[0])
-        total = idx[:, None] + idx[None, :]
-        return float(np.sum(total * self.grid))
+        return float(np.arange(self.grid.shape[0]) @ (self.marginal_a() + self.marginal_b()))
+
+
+def row_ends(grid: np.ndarray) -> np.ndarray:
+    """Where each row's +0.0 padding starts: one past its last entry that is
+    not +0.0 (-0.0 is support).  +0.0 is the one float whose bits are all zero,
+    so one comparison and one argmax find the ends of 64 Ki cells at a time."""
+    rows, width = grid.shape
+    ends = np.empty(rows, dtype=np.intp)
+    step = max(1, (1 << 16) // max(width, 1))
+    for start in range(0, rows, step):
+        kept = np.ones((min(step, rows - start), width + 1), dtype=bool)  # a row of +0.0 ends at 0
+        np.not_equal(grid[start:start + step].view(np.int64), 0, out=kept[:, 1:])
+        ends[start:start + step] = width - kept[:, ::-1].argmax(axis=1)
+    return ends
 
 
 @dataclass(frozen=True)
@@ -142,7 +154,7 @@ def joint_general(rho_ab, bs: BeamSplitterSetting,
     """Joint distribution of any bipartite input (see the module docstring).
 
     ``rho_ab`` is either a pair ``(state_a, state_b)`` of states (a product
-    input, evaluated without materializing the four-index table) or a
+    input, read mode by mode: no four-index or d_a x d_b table is built) or a
     four-index ndarray ``rho[n, m, n', m']``; wrap a bare density matrix as
     ``MixedState(rho)``.  ``grid_max`` defaults to the largest photon number
     the input reaches; a grid that cannot hold the input's lowest total photon
@@ -150,26 +162,24 @@ def joint_general(rho_ab, bs: BeamSplitterSetting,
     """
     if isinstance(rho_ab, tuple):
         state_a, state_b = rho_ab
-        for state in rho_ab:
-            if not state.hermiticity_residual() <= HERMITICITY_TOL:
-                raise ValueError("density matrix is not Hermitian within tolerance")
+        if not all(state.hermiticity_residual() <= HERMITICITY_TOL for state in rho_ab):
+            raise ValueError("density matrix is not Hermitian within tolerance")
         label = f"{state_a.label} x {state_b.label}"
-        weights = np.outer(state_a.weights, state_b.weights)
+        w_a, w_b = state_a.weights, state_b.weights
+        dim_a, dim_b = w_a.size, w_b.size
+        # the lowest total: each mode's first nonzero weight, summed (0 if one has none)
+        fewest = int((np.flatnonzero(w_a)[:1] + np.flatnonzero(w_b)[:1]).sum())
         deficits = [(f" of mode {mode} ({state.label})", 1.0 - state.trace)
                     for mode, state in zip("ab", rho_ab)]
         if isinstance(state_a, PureState) and isinstance(state_b, PureState):
-            amps = np.outer(state_a.amplitudes, state_b.amplitudes)
-
             def block_probs(u, n, s):
-                amp = np.einsum("pn,n->p", u, amps[n, s - n])
+                amp = np.einsum("pn,n->p", u, state_a.amplitudes[n] * state_b.amplitudes[s - n])
                 return amp.real ** 2 + amp.imag ** 2
         elif _is_diagonal(state_a) or _is_diagonal(state_b):
             # diag(rho_s) is read as a strided view of complex products, so
             # einsum sums it in the order that keeps every bit of the grid
-            diag = weights.astype(complex)
-
             def block_probs(u, n, s):
-                return np.einsum("pn,n->p", u * u, diag[n, s - n].real)
+                return np.einsum("pn,n->p", u * u, (w_a[n] * w_b[s - n]).astype(complex).real)
         else:
             rho_a, rho_b = state_a.rho, state_b.rho
 
@@ -181,6 +191,8 @@ def joint_general(rho_ab, bs: BeamSplitterSetting,
         if table.ndim != 4:
             raise ValueError("coefficient table must be four-index rho[n, m, n', m']")
         weights = np.einsum("nmnm->nm", table).real
+        dim_a, dim_b = weights.shape
+        fewest = min(np.add(*np.nonzero(weights)).tolist(), default=0)
         label = "table"
         deficits = [("", 1.0 - float(weights.sum()))]
 
@@ -188,11 +200,7 @@ def joint_general(rho_ab, bs: BeamSplitterSetting,
             rho_s = table[n[:, None], (s - n)[:, None], n, s - n]
             return np.einsum("pn,nk,pk->p", u, rho_s, u).real
 
-    dim_a, dim_b = weights.shape
-    if grid_max is None:
-        grid_max = dim_a + dim_b - 2
-    support = np.argwhere(weights != 0)
-    fewest = int(support.sum(axis=1).min()) if support.size else 0
+    grid_max = dim_a + dim_b - 2 if grid_max is None else grid_max
     if grid_max < fewest:
         raise ValueError(f"grid_max={grid_max} cannot hold total {fewest} photons")
     grid = np.zeros((grid_max + 1, grid_max + 1))

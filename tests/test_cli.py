@@ -186,6 +186,14 @@ PINNED_GRIDS = {
          "--bs", "theta=1.0870717421235392", "--grid-max", "300",
          "--eta-a", "0.7532733178523499", "--eta-b", "0.8892423910954655"],
         "4a129c4e634514b38c1ad7a5fb50d9da5d1cede7a8c9516c512fe1e46cef4254"),
+    # bright pairs on small grids: thermal:nbar=100 is 2315 weights
+    "dist-thermal-thermal-10": (
+        ["dist", "--a", "thermal:nbar=100", "--b", "thermal:nbar=100", "--grid-max", "10"],
+        "22d1557b258d394b83c0409edb26c4d8eb84b0d7080b39bcae12229829655fa1"),
+    "lossy-thermal-coherent-30": (
+        ["lossy", "--a", "thermal:nbar=100", "--b", "coherent:beta=15", "--bs", "2/7",
+         "--grid-max", "30", "--eta-a", "0.9", "--eta-b", "0.8"],
+        "1addd6606bba83a666d3fb69b8e9581a1414dad54332c348f377d2724716d38b"),
 }
 
 

@@ -1,16 +1,18 @@
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from homlab import detector
 from homlab.bs_core import BALANCED
 from homlab.detector import (LossConfig, SqueezedSource, bernoulli_matrix,
                              herald_posterior, lossy_distribution,
                              spdc_detection_prob, squeezing_db, tmss_prob)
-from homlab.joint_dist import JointDistribution, joint_fs_fs, joint_fs_pure
-from homlab.states import coherent
+from homlab.joint_dist import JointDistribution, joint_fs_fs, joint_fs_pure, joint_general
+from homlab.states import coherent, fock, thermal
 
 
 class TestBernoulliMatrix:
@@ -60,6 +62,16 @@ class TestBernoulliMatrix:
             assert np.max(np.abs(a.sum(axis=0) - 1.0)) <= 1e-12
 
 
+def _traced_peak(call):
+    """The result of ``call()`` and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestLossyDistribution:
     def test_identity_at_full_efficiency(self):
         d = joint_fs_pure(1, coherent(1), BALANCED)
@@ -99,6 +111,29 @@ class TestLossyDistribution:
         want = bernoulli_matrix(ea, 25) @ d.grid @ bernoulli_matrix(eb, 25).T
         got = lossy_distribution(d, LossConfig(ea, eb)).grid
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cell, k", [((0, 29), 30), ((29, 0), 30), ((3, 4), 5), (None, 0)],
+                             ids=["last-column", "last-row", "inside", "all-zero"])
+    def test_loss_matrices_span_the_support(self, monkeypatch, cell, k):
+        # the only entry that is not +0.0 is a -0.0, which is support
+        grid = np.zeros((30, 30))
+        if cell is not None:
+            grid[cell] = -0.0
+        sizes = []
+        bernoulli = detector.bernoulli_matrix
+        monkeypatch.setattr(detector, "bernoulli_matrix",
+                            lambda eta, size: sizes.append(size) or bernoulli(eta, size))
+        d = JointDistribution(grid, BALANCED, input_label="signed zero")
+        out = lossy_distribution(d, LossConfig(0.9, 0.6)).grid
+        assert sizes == [k, k] == [self._support(grid)] * 2
+        assert out.tobytes() == np.zeros((30, 30)).tobytes()
+
+    def test_memory_holds_no_grid_sized_index_arrays(self):
+        # the output, two loss matrices and the product a @ grid: four grids
+        # beside the input, and no mask or index array of the grid's cells
+        d = joint_general((fock(1), thermal(60)), BALANCED)
+        _, peak = _traced_peak(lambda: lossy_distribution(d, LossConfig(0.9, 0.8)))
+        assert peak < 5 * d.grid.nbytes
 
     def test_perfect_detectors_return_the_input_bit_for_bit(self):
         d = joint_fs_pure(1, coherent(1.5), BALANCED, grid_max=80)

@@ -11,7 +11,7 @@ from homlab.bs_core import BALANCED, BeamSplitterSetting, bs_prob_exact, measure
 from homlab.joint_dist import (JointDistribution, cnl_scan, joint_fs_fs,
                                joint_fs_fs_exact, joint_fs_mixed,
                                joint_fs_pure, joint_general, joint_pure_mixed,
-                               joint_pure_pure)
+                               joint_pure_pure, row_ends)
 from homlab.states import (DiagonalState, MixedState, PureState, coherent, fock,
                            load_custom, odd_cat, thermal)
 
@@ -63,6 +63,22 @@ class TestFockFock:
     def test_grid_max_too_small(self):
         with pytest.raises(ValueError):
             joint_fs_fs(2, 3, BALANCED, grid_max=4)
+
+    def test_lowest_total_is_each_modes_first_weight_summed(self):
+        # fock:2 x fock:3 reaches only s = 5; a mode with no weight reaches none
+        with pytest.raises(ValueError, match="cannot hold total 5 photons"):
+            joint_general((fock(2), fock(3)), BALANCED, grid_max=4)
+        empty = PureState(np.zeros(4), label="zero")
+        d = joint_general((empty, fock(3)), BALANCED, grid_max=2)
+        assert d.grid.tobytes() == np.zeros((3, 3)).tobytes()
+
+    def test_underflowing_products_leave_an_empty_grid(self):
+        # each coherent:20 weighs 1.9e-174 at 0 photons, so their product is
+        # 0.0, yet each mode's own first weight is nonzero: the lowest total
+        # is 0, and every cell of the grid underflows to +0.0
+        d = joint_general((coherent(20), coherent(20)), BALANCED, grid_max=10)
+        assert d.grid.tobytes() == np.zeros((11, 11)).tobytes()
+        assert d.total_mass == 0.0
 
     def test_vacuum(self):
         d = joint_fs_fs(0, 0, BALANCED)
@@ -226,6 +242,15 @@ class TestConservation:
             want = psi.mean_photon_number + phi.mean_photon_number
             assert d.mean_total_photons() == pytest.approx(want, abs=1e-9)
 
+    @pytest.mark.parametrize("pair", [(fock(1), thermal(4)), (odd_cat(1.2), coherent(1.1))],
+                             ids=["fock-thermal", "cat-coherent"])
+    def test_mean_total_photons_is_the_cell_sum(self, pair):
+        # summed over the marginals, not cell by cell: equal to 1e-12 relative
+        d = joint_general(pair, SETTINGS[1])
+        idx = np.arange(d.grid_max + 1)
+        want = float(np.sum((idx[:, None] + idx[None, :]) * d.grid))
+        assert d.mean_total_photons() == pytest.approx(want, rel=1e-12)
+
 
 class TestDiagonalStructure:
     def test_odd_fock_zero_diagonal(self):
@@ -313,9 +338,55 @@ class TestWorkingMemory:
         dist, peak = _traced_peak(lambda: joint_general((fock(1), thermal(60)), BALANCED))
         assert peak - dist.grid.nbytes < 1e6
 
+    def test_bright_pair_on_a_small_grid(self):
+        # thermal:60 is 1395 weights: no 1395^2 table of their products
+        dist, peak = _traced_peak(
+            lambda: joint_general((thermal(60), thermal(60)), BALANCED, grid_max=10))
+        assert dist.grid.shape == (11, 11)
+        assert peak < 1e6
+
+    def test_thermal_thermal_grid(self):
+        # thermal:20 is 472 weights and its grid 943^2: every block is a full
+        # band of up to 472 columns, but no 472^2 table or index array beside it
+        dist, peak = _traced_peak(lambda: joint_general((thermal(20), thermal(20)), BALANCED))
+        assert peak - dist.grid.nbytes < 15e6
+
+    def test_mean_total_photons(self):
+        dist = joint_general((fock(1), thermal(60)), BALANCED)
+        mean, peak = _traced_peak(dist.mean_total_photons)
+        assert mean == pytest.approx(61.0, abs=1e-6)
+        assert peak < 1e6
+
     def test_single_amplitude(self):
         amp, peak = _traced_peak(lambda: measured_amplitude(1, 300, 300, BALANCED))
         assert amp == 0.0
+        assert peak < 1e6
+
+
+def _row_ends_oracle(grid):
+    """One past the last entry of each row that is not +0.0, cell by cell."""
+    return [max((j + 1 for j, v in enumerate(row) if v != 0.0 or math.copysign(1.0, v) < 0),
+                default=0) for row in grid.tolist()]
+
+
+class TestRowEnds:
+    """Where each row's +0.0 padding starts, for the loss model and the writers."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 5), (300, 300), (3, 70000)])
+    def test_matches_cell_by_cell_oracle(self, shape):
+        # (300, 300) spans two blocks of rows; a row of (3, 70000) is wider
+        # than a block, so each block is one row
+        rng = np.random.default_rng(sum(shape))
+        grid = np.where(rng.random(shape) < 0.97, 0.0, rng.random(shape))
+        grid[rng.random(shape) < 0.002] = -0.0
+        grid[0, -1] = -0.0  # a signed zero in the last column is support
+        grid[-1] = 0.0  # a row of +0.0 ends at 0
+        assert row_ends(grid).tolist() == _row_ends_oracle(grid)
+
+    def test_memory_is_one_block(self):
+        grid = joint_general((fock(1), thermal(60)), BALANCED).grid
+        _, peak = _traced_peak(lambda: row_ends(grid))
+        assert grid.shape == (1395, 1395)
         assert peak < 1e6
 
 
