@@ -3,9 +3,10 @@
 Loss is modelled by averaging the joint distribution over independent
 Bernoulli thinning in each mode: a detector with efficiency eta registers
 m photons out of M >= m latent ones with probability
-C(M, m) eta^m (1 - eta)^(M - m).  Both the loss matrices and the heralding
-sums are built by recurrences of non-negative products, with no binomial
-coefficient, so neither overflows at large photon numbers.
+C(M, m) eta^m (1 - eta)^(M - m).  The loss matrices are built by a
+recurrence of non-negative products, with no binomial coefficient, so they do
+not overflow at large photon numbers.  The heralding sums over all latent
+photon numbers are negative-binomial series, evaluated in closed form.
 """
 
 from __future__ import annotations
@@ -18,9 +19,6 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # heralding needs only math: numpy is imported by the loss model
     import numpy as np
     from .joint_dist import JointDistribution
-
-#: relative heralding terms are scaled down by 2^-512 once one passes this
-_RESCALE_ABOVE = 2.0 ** 900
 
 
 class LossConfig(namedtuple("LossConfig", "eta_a eta_b")):
@@ -35,21 +33,19 @@ class LossConfig(namedtuple("LossConfig", "eta_a eta_b")):
         return super().__new__(cls, eta_a, eta_b)
 
 
-class SqueezedSource(namedtuple("SqueezedSource", "r cutoff")):
+class SqueezedSource(namedtuple("SqueezedSource", "r")):
     """Two-mode squeezed vacuum pair source with photon-pair weights
-    tanh^(2n)(r) / cosh^2(r)."""
+    tanh^(2n)(r) / cosh^2(r) on every n >= 0, with no cutoff."""
 
     __slots__ = ()
 
-    def __new__(cls, r: float, cutoff: int = 400):
+    def __new__(cls, r: float):
         if r < 0:
             raise ValueError("squeezing parameter r must be non-negative")
         if not r <= 355:
             raise ValueError(f"squeezing parameter r={r:g} must be at most 355, "
                              "beyond which cosh(r)^2 is not a float")
-        if cutoff < 0:
-            raise ValueError("cutoff must be non-negative")
-        return super().__new__(cls, r, cutoff)
+        return super().__new__(cls, r)
 
 
 def bernoulli_matrix(eta: float, size: int) -> np.ndarray:
@@ -85,9 +81,9 @@ def lossy_distribution(dist: JointDistribution, loss: LossConfig) -> JointDistri
     ends = row_ends(dist.grid)
     k = max(len(np.trim_zeros(ends, "b")), int(ends.max()))
     a = bernoulli_matrix(loss.eta_a, k)
-    b = bernoulli_matrix(loss.eta_b, k)
+    b = a if loss.eta_b == loss.eta_a else bernoulli_matrix(loss.eta_b, k)
     grid = np.zeros(dist.grid.shape)
-    grid[:k, :k] = a @ dist.grid[:k, :k] @ b.T
+    np.matmul(a @ dist.grid[:k, :k], b.T, out=grid[:k, :k])
     label = f"{dist.input_label} | loss eta=({loss.eta_a:g},{loss.eta_b:g})"
     return JointDistribution(grid=grid, bs=dist.bs, input_label=label, warnings=dist.warnings)
 
@@ -100,58 +96,44 @@ def tmss_prob(n: int, source: SqueezedSource) -> float:
 
 
 def spdc_detection_prob(t: int, eta: float, source: SqueezedSource) -> float:
-    """Total probability of registering t photons in the heralding arm:
-    sum over latent n' >= t of the Bernoulli factor times the pair weight."""
+    """Total probability of registering t photons in the heralding arm, the
+    Bernoulli factor times the pair weight summed over every latent n' >= t:
+    sech^2 r (eta x)^t / (1 - q)^(t+1) with x = tanh^2 r and q = (1-eta) x."""
     if t < 0:
         raise ValueError("t must be non-negative")
     if not (0.0 <= eta <= 1.0):
         raise ValueError("efficiency must lie in [0, 1]")
-    return math.fsum(_herald_terms(t, eta, source, source.cutoff))
-
-
-def _herald_terms(t: int, eta: float, source: SqueezedSource, n_max: int,
-                  relative: bool = False) -> list[float]:
-    """w_n = C(n, t) eta^t (1-eta)^(n-t) p_n for n = t..n_max, by the ratio
-    w_(n+1) / w_n = (n+1) / (n+1-t) (1-eta) tanh^2 r from
-    w_t = (eta tanh^2 r)^t / cosh^2 r.
-
-    With ``relative`` the terms are w_n / w_t times one common power of two,
-    which is all a ratio of them needs: w_t underflows for improbable counts,
-    and w_n / w_t can pass the float range.  The run starts from the mantissa
-    of w_t (from 1 when w_t is not a normal float), and every term is scaled
-    by 2^-512 whenever one passes 2^900.  A power of two scales exactly, so
-    those terms are the absolute ones, scaled, wherever both are normal."""
-    x = math.tanh(source.r) ** 2
-    step = (1.0 - eta) * x
-    w = (eta * x) ** t / math.cosh(source.r) ** 2
-    if relative:
-        w = math.frexp(w)[0] if w >= sys.float_info.min else 1.0
-    terms = []
-    for n in range(t, n_max + 1):
-        terms.append(w)
-        w *= (n + 1) * step / (n + 1 - t)
-        if w > _RESCALE_ABOVE:
-            terms = [math.ldexp(v, -512) for v in terms]
-            w = math.ldexp(w, -512)
-    return terms
+    x, sech2 = math.tanh(source.r) ** 2, 1.0 / math.cosh(source.r) ** 2
+    q_bar = eta * x + sech2  # 1 - q, as 1 - tanh^2 r rounds to 0 past r ~ 19
+    # both factors are at most 1, so neither overflows
+    return sech2 / q_bar * (eta * x / q_bar) ** t
 
 
 def herald_posterior(n_prime: int, t: int, eta: float, source: SqueezedSource) -> float:
     """Posterior probability that t registered photons came from the latent
-    pair state with n' photons (Bayes over the pair-weight prior)."""
+    pair state with n' photons (Bayes over the pair-weight prior):
+    C(n', t) q^(n'-t) (1 - q)^(t+1), in log space where a factor leaves the
+    float range."""
+    if t < 0:
+        raise ValueError("t must be non-negative")
     if n_prime < t:
         raise ValueError("n_prime must be at least the detected count t")
     if not (0.0 <= eta <= 1.0):
         raise ValueError("efficiency must lie in [0, 1]")
-    if t > source.cutoff:
-        raise ValueError("t exceeds the source cutoff support")
     if eta == 0.0:
         # degenerate: nothing can be registered, the posterior is the prior
         if t != 0:
             raise ValueError("with eta = 0 only t = 0 is observable")
         return tmss_prob(n_prime, source)
-    terms = _herald_terms(t, eta, source, max(n_prime, source.cutoff), relative=True)
-    return terms[n_prime - t] / math.fsum(terms[:source.cutoff + 1 - t])
+    x, sech2 = math.tanh(source.r) ** 2, 1.0 / math.cosh(source.r) ** 2
+    q, q_bar = (1.0 - eta) * x, eta * x + sech2
+    if q == 0.0:
+        # every latent photon is registered (eta = 1), or there is none (r = 0)
+        return float(n_prime == t)
+    comb, lost, kept = math.comb(n_prime, t), q ** (n_prime - t), q_bar ** (t + 1)
+    if comb <= sys.float_info.max and min(lost, kept) >= sys.float_info.min:
+        return comb * lost * kept
+    return math.exp(math.log(comb) + (n_prime - t) * math.log(q) + (t + 1) * math.log(q_bar))
 
 
 def squeezing_db(r: float) -> float:

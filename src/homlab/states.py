@@ -196,13 +196,19 @@ def odd_cat(alpha: complex, cutoff: int | None = None) -> PureState:
     supported on odd photon numbers only."""
     alpha = complex(alpha)
     a2 = _mean_photons("cat amplitude alpha", alpha)
-    if a2 == 0.0:
-        raise ValueError("odd cat state is degenerate at alpha = 0")
+    if a2 < sys.float_info.min:
+        # a subnormal |alpha|^2 has too few bits to normalise the cat
+        raise ValueError(f"odd cat state is degenerate at |alpha|^2 = {a2:g}, "
+                         f"below {sys.float_info.min:g}")
     if cutoff is None:
-        # cat renormalization roughly doubles the coherent tail mass, so the
-        # plain Poisson cutoff is not quite enough; shrink eps to compensate
+        # renormalising scales the coherent tail by 2 / (1 - exp(-2|alpha|^2)),
+        # 1e4 at alpha = 0.01, and the Poisson cutoff at eps/4 covers a factor
+        # of 4 only, down to |alpha|^2 = ln(2)/2: raise it until the cat's own
+        # deficit is within EPS_NORM
         cutoff = max(_auto_cutoff_poisson(a2, EPS_NORM / 4), 1)
-    norm = math.sqrt(2.0 - 2.0 * math.exp(-2.0 * a2))
+        while 1.0 - odd_cat(alpha, cutoff).trace > EPS_NORM:
+            cutoff += 1
+    norm = math.sqrt(-2.0 * math.expm1(-2.0 * a2))
     amps = 2.0 * coherent(alpha, cutoff).amplitudes / norm
     amps[0::2] = 0.0
     return PureState(amps, label=f"oddcat:alpha={_fmt_complex(alpha)}")
@@ -233,7 +239,7 @@ def photon_added_smss(r: float, phi: float = 0.0, cutoff: int | None = None) -> 
         k += 1
         # b_{k} = b_{k-1} * e^{i phi} tanh(r) * sqrt((2k-1)/(2k)) * ... recurrence:
         b = b * cmath.exp(1j * phi) * th * math.sqrt((2 * k) * (2 * k - 1)) / (2 * k)
-    return PureState(amps, label=f"pasmss:r={r:g}")
+    return PureState(amps, label=f"pasmss:r={r:g}" + (f",phi={phi:g}" if phi else ""))
 
 
 def fock_superposition(terms: dict[int, complex], cutoff: int | None = None,

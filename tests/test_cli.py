@@ -110,10 +110,13 @@ class TestDistCommand:
         assert json.loads(out.read_text())["diagnostics"]["warnings"] == []
 
     def test_automatic_cutoffs_do_not_warn(self, tmp_path):
-        # each thermal:1 mode loses less than 1e-10, the pair about twice that
+        # each thermal:1 mode loses less than 1e-10, the pair about twice that;
+        # a faint odd cat's renormalisation scales its tail by 1 / |alpha|^2
         out = tmp_path / "grid.json"
-        main(["dist", "--a", "thermal:nbar=1", "--b", "thermal:nbar=1", "-o", str(out)])
-        assert json.loads(out.read_text())["diagnostics"]["warnings"] == []
+        for a, b in (("thermal:nbar=1", "thermal:nbar=1"), ("oddcat:alpha=0.01", "fock:0"),
+                     ("oddcat:alpha=0.3", "fock:0")):
+            main(["dist", "--a", a, "--b", b, "-o", str(out)])
+            assert json.loads(out.read_text())["diagnostics"]["warnings"] == [], a
 
     def test_bad_state_exits_2(self, capsys):
         assert main(["dist", "--a", "nonsense:1", "--b", "fock:0",
@@ -468,9 +471,28 @@ class TestHeraldCommand:
         assert doc["squeezing_db"] == pytest.approx(-13.0, abs=0.1)
 
     def test_underflowing_first_term_exits_0(self, capsys):
-        # w_t = (eta tanh^2 r)^t / cosh^2 r underflows to 0 at this count
+        # w_t = (eta tanh^2 r)^t / cosh^2 r underflows to 0 at this count, and
+        # the posterior (1 - 0.5 tanh^2 0.5)^401 is 2.2e-20
         assert main(["herald", "--t", "400", "--eta", "0.5", "--r", "0.5"]) == EXIT_OK
-        assert "= 1.0000" in capsys.readouterr().out
+        assert "= 0.0000" in capsys.readouterr().out
+
+    def test_slowly_converging_source_matches_closed_form(self, tmp_path):
+        # [DERIVED] P(t=0) = sech^2 r / (1 - q) and P(n'=0 | t=0) = 1 - q, with
+        # q = (1-eta) tanh^2 r = 0.9898: a series cut at n = 400 misses q^401,
+        # 1.7 % of the evidence
+        out = tmp_path / "h.json"
+        assert main(["herald", "--t", "0", "--eta", "0.01", "--r", "5", "-o", str(out)]) == EXIT_OK
+        doc = json.loads(out.read_text())
+        sech2 = 1.0 / math.cosh(5.0) ** 2
+        q_bar = 0.01 * math.tanh(5.0) ** 2 + sech2
+        assert doc["detection_prob"] == pytest.approx(sech2 / q_bar, rel=1e-12, abs=0.0)
+        assert doc["posterior"] == pytest.approx(q_bar, rel=1e-12, abs=0.0)
+
+    def test_count_beyond_any_fixed_source_cutoff_exits_0(self, capsys):
+        # 0.802^501 = 1e-48: at r = 3 the 500 registered photons almost surely
+        # came from more pairs
+        assert main(["herald", "--t", "500", "--eta", "0.8", "--r", "3"]) == EXIT_OK
+        assert "P(n'=500 | t=500) = 0.0000" in capsys.readouterr().out
 
 
 class TestDickeCommand:

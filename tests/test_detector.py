@@ -129,11 +129,14 @@ class TestLossyDistribution:
         assert out.tobytes() == np.zeros((30, 30)).tobytes()
 
     def test_memory_holds_no_grid_sized_index_arrays(self):
-        # the output, two loss matrices and the product a @ grid: four grids
-        # beside the input, and no mask or index array of the grid's cells
+        # the output, two loss matrices and the product a @ grid, with the
+        # second product written straight into the output: four grids beside
+        # the input, three when equal efficiencies share one loss matrix, and
+        # no mask or index array of the grid's cells
         d = joint_general((fock(1), thermal(60)), BALANCED)
-        _, peak = _traced_peak(lambda: lossy_distribution(d, LossConfig(0.9, 0.8)))
-        assert peak < 5 * d.grid.nbytes
+        for etas, grids in (((0.9, 0.8), 4), ((0.9, 0.9), 3)):
+            _, peak = _traced_peak(lambda: lossy_distribution(d, LossConfig(*etas)))
+            assert peak < grids * d.grid.nbytes, etas
 
     def test_perfect_detectors_return_the_input_bit_for_bit(self):
         d = joint_fs_pure(1, coherent(1.5), BALANCED, grid_max=80)
@@ -168,7 +171,7 @@ class TestLossyDistribution:
 class TestSqueezedSource:
     def test_pair_weights_normalized(self):
         src = SqueezedSource(r=1.5)
-        total = sum(tmss_prob(n, src) for n in range(src.cutoff + 1))
+        total = sum(tmss_prob(n, src) for n in range(401))
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_geometric_form(self):
@@ -192,8 +195,7 @@ class TestHeralding:
     def test_detection_prob_sums_posterior_to_one(self):
         src = SqueezedSource(r=1.2)
         t, eta = 2, 0.8
-        total = sum(herald_posterior(n, t, eta, src)
-                    for n in range(t, src.cutoff + 1))
+        total = sum(herald_posterior(n, t, eta, src) for n in range(t, 401))
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_closed_form_posterior(self):
@@ -217,7 +219,7 @@ class TestHeralding:
 
     def test_detection_prob_total(self):
         src = SqueezedSource(r=1.0)
-        total = sum(spdc_detection_prob(t, 0.6, src) for t in range(src.cutoff + 1))
+        total = sum(spdc_detection_prob(t, 0.6, src) for t in range(401))
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_closed_form_evidence(self):
@@ -229,55 +231,67 @@ class TestHeralding:
             for eta in (0.6, 0.87):
                 for t in (0, 1, 5, 30):
                     want = (1 - x) * (eta * x) ** t / (1 - (1 - eta) * x) ** (t + 1)
-                    got = spdc_detection_prob(t, eta, SqueezedSource(r=r, cutoff=400))
+                    got = spdc_detection_prob(t, eta, SqueezedSource(r=r))
                     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
-    def test_large_counts_against_mpmath(self):
-        # C(1500, 500) overflows a float
-        mpmath = pytest.importorskip("mpmath")
-        t, eta, src = 500, 0.8, SqueezedSource(r=3.0, cutoff=1500)
-        with mpmath.workdps(40):
-            r = mpmath.mpf(src.r)
-            x, norm = mpmath.tanh(r) ** 2, mpmath.cosh(r) ** 2
-            e, q = mpmath.mpf(eta), 1 - mpmath.mpf(eta)
-            w = {n: math.comb(n, t) * e ** t * q ** (n - t) * x ** n / norm
-                 for n in range(t, src.cutoff + 1)}
-            evidence = mpmath.fsum(w.values())
-            got = spdc_detection_prob(t, eta, src)
-            assert got == pytest.approx(float(evidence), rel=1e-12, abs=0.0)
-            for n_prime in (t, t + 100, 1500):
-                want = float(w[n_prime] / evidence)
-                assert herald_posterior(n_prime, t, eta, src) == \
-                    pytest.approx(want, rel=1e-12, abs=0.0)
-
     @staticmethod
-    def _mpmath_posteriors(t, eta, src, n_primes):
-        """w_n' / sum_n w_n from the binomial terms, w_t factored out, at 40 digits."""
+    def _mpmath_reference(t, eta, r, n_primes):
+        """[ORACLE] the evidence sum_(n >= t) w_n of the binomial terms
+        w_n = C(n, t) eta^t (1-eta)^(n-t) tanh^(2n) r / cosh^2 r, the posteriors
+        w_n' / evidence and the largest w_n / w_t, at 50 digits.  The term ratio
+        falls with n, so once it is below 1 it bounds the rest of the series by
+        a geometric one; the sum stops when that bound is below 1e-45 of it,
+        which leaves the reference untruncated to its precision."""
         mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(40):
-            x = mpmath.tanh(mpmath.mpf(src.r)) ** 2
-            q = 1 - mpmath.mpf(eta)
-            w = {n: math.comb(n, t) * (q * x) ** (n - t)
-                 for n in range(t, src.cutoff + 1)}
-            evidence = mpmath.fsum(w.values())
-            return {n: float(w[n] / evidence) for n in n_primes}, max(w.values())
+        with mpmath.workdps(50):
+            x = mpmath.tanh(mpmath.mpf(r)) ** 2
+            lost = (1 - mpmath.mpf(eta)) * x
+            first = (mpmath.mpf(eta) * x) ** t / mpmath.cosh(mpmath.mpf(r)) ** 2
+
+            def w(n):
+                return math.comb(n, t) * lost ** (n - t) * first
+
+            terms = {t: first}
+            total, n = first, t
+            while True:
+                ratio = lost * (n + 1) / (n + 1 - t)  # w_(n+1) / w_n
+                if ratio < 1 and terms[n] * ratio / (1 - ratio) < 1e-45 * total:
+                    break
+                n += 1
+                terms[n] = w(n)
+                total += terms[n]
+            posteriors = {m: float(w(m) / total) for m in n_primes}
+            return float(total), posteriors, max(terms.values()) / first
+
+    def _check_against_mpmath(self, t, eta, r, n_primes):
+        src = SqueezedSource(r=r)
+        evidence, posteriors, largest = self._mpmath_reference(t, eta, r, n_primes)
+        assert spdc_detection_prob(t, eta, src) == pytest.approx(evidence, rel=1e-12, abs=0.0)
+        for n_prime, value in posteriors.items():
+            assert herald_posterior(n_prime, t, eta, src) == \
+                pytest.approx(value, rel=1e-12, abs=0.0)
+        return largest
+
+    def test_large_counts_against_mpmath(self):
+        # C(1500, 500) overflows a float, and the posterior there is 1e-341
+        self._check_against_mpmath(500, 0.8, 3.0, (500, 600, 1500))
 
     def test_underflowing_first_term_against_mpmath(self):
         # w_t = (eta tanh^2 r)^t / cosh^2 r is about 1e-561, below any float
-        t, eta, src = 400, 0.5, SqueezedSource(r=0.5, cutoff=1500)
-        assert (eta * math.tanh(src.r) ** 2) ** t == 0.0
-        want, _ = self._mpmath_posteriors(t, eta, src, (t, t + 1, t + 40, t + 100))
-        for n_prime, value in want.items():
-            assert herald_posterior(n_prime, t, eta, src) == \
-                pytest.approx(value, rel=1e-12, abs=0.0)
+        t, eta, r = 400, 0.5, 0.5
+        assert (eta * math.tanh(r) ** 2) ** t == 0.0
+        self._check_against_mpmath(t, eta, r, (t, t + 1, t + 40, t + 100))
 
     def test_relative_terms_beyond_float_range_against_mpmath(self):
-        t, eta, src = 300, 0.05, SqueezedSource(r=3.0, cutoff=6000)
-        want, largest = self._mpmath_posteriors(t, eta, src, (4000, 4700, 6000))
+        # the terms peak near n = 5000 and a sum cut at n = 6000 loses 9.1e-4
+        # of the evidence
+        largest = self._check_against_mpmath(300, 0.05, 3.0, (4000, 4700, 6000))
         assert largest > 1e308
-        for n_prime, value in want.items():
-            assert herald_posterior(n_prime, t, eta, src) == \
-                pytest.approx(value, rel=1e-12, abs=0.0)
+
+    def test_slowly_converging_series_against_mpmath(self):
+        # q = 0.99 tanh^2 5 = 0.9898: the terms past n = 400 carry q^401 = 1.7 %
+        # of the evidence
+        self._check_against_mpmath(0, 0.01, 5.0, (0, 1, 100, 2000))
 
     def test_validation(self):
         src = SqueezedSource(r=1.0)
@@ -285,6 +299,8 @@ class TestHeralding:
             herald_posterior(1, 2, 0.5, src)
         with pytest.raises(ValueError):
             herald_posterior(2, 1, 0.0, src)
+        with pytest.raises(ValueError, match="t must be non-negative"):
+            herald_posterior(-1, -1, 0.5, src)
 
     @pytest.mark.parametrize("eta", [1.5, -0.1, float("nan")])
     def test_posterior_checks_efficiency(self, eta):
@@ -294,18 +310,7 @@ class TestHeralding:
     @pytest.mark.parametrize("r", [20.0, 300.0, 355.0])
     def test_strong_squeezing_against_mpmath(self, r):
         # tanh^2 r rounds to 1 and 1 / cosh^2 r falls to 1e-308 at r = 355
-        mpmath = pytest.importorskip("mpmath")
-        t, eta, src = 2, 0.87, SqueezedSource(r=r)
-        with mpmath.workdps(40):
-            x, norm = mpmath.tanh(mpmath.mpf(r)) ** 2, mpmath.cosh(mpmath.mpf(r)) ** 2
-            w = {n: math.comb(n, t) * mpmath.mpf(eta) ** t * (1 - mpmath.mpf(eta)) ** (n - t)
-                 * x ** n / norm for n in range(t, src.cutoff + 1)}
-            evidence = mpmath.fsum(w.values())
-            assert spdc_detection_prob(t, eta, src) == \
-                pytest.approx(float(evidence), rel=1e-12, abs=0.0)
-            for n_prime in (t, t + 3, 40):
-                assert herald_posterior(n_prime, t, eta, src) == \
-                    pytest.approx(float(w[n_prime] / evidence), rel=1e-12, abs=0.0)
+        self._check_against_mpmath(2, 0.87, r, (2, 5, 40))
 
 
 class TestSqueezingDb:

@@ -56,8 +56,8 @@ RECORDS = [
      {"exact_t": Fraction(3, 2)}, "transmittance must lie in [0, 1]"),
     ("detector", "LossConfig", {"eta_a": 0.9, "eta_b": 0.8},
      {"eta_b": 1.2}, "efficiency must lie in [0, 1]"),
-    ("detector", "SqueezedSource", {"r": 1.5, "cutoff": 400},
-     {"cutoff": -1}, "cutoff must be non-negative"),
+    ("detector", "SqueezedSource", {"r": 1.5},
+     {"r": -1}, "squeezing parameter r must be non-negative"),
     ("dicke", "AngularState", {"twice_j": 3, "twice_m": -1},
      {"twice_m": 5}, "|M| must not exceed J"),
     ("nodal", "ParametricSolution",
@@ -87,9 +87,7 @@ def test_records_are_immutable_values(module, name, fields, bad, message):
 
 def test_record_defaults_and_normal_form():
     from homlab.bs_core import BeamSplitterSetting
-    from homlab.detector import SqueezedSource
     from homlab.nodal import ParametricSolution
-    assert SqueezedSource(r=1.0) == SqueezedSource(1.0, 400)
     assert BeamSplitterSetting(theta=1.0).exact_t is None
     with pytest.raises(ValueError, match="specify exactly one of exact_t or theta"):
         BeamSplitterSetting()

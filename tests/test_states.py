@@ -124,6 +124,22 @@ class TestOddCat:
     def test_degenerate_alpha(self):
         with pytest.raises(ValueError):
             odd_cat(0)
+        # |alpha|^2 = 1e-320 is subnormal: the cat's norm would be off by 1e-5
+        with pytest.raises(ValueError, match="degenerate at"):
+            odd_cat(1e-160)
+
+    @pytest.mark.parametrize("alpha, cutoff", [(0.001, 1), (0.01, 3), (0.3, 7), (1, 13), (2, 23),
+                                               (3, 35), (5, 64)])
+    def test_automatic_cutoff_keeps_the_cat_within_eps(self, alpha, cutoff):
+        # [DERIVED] the cat's weights are |alpha|^(2m) / (m! sinh |alpha|^2) on odd
+        # m; below |alpha| = 0.6 renormalising scales the coherent tail by more than 4
+        s = odd_cat(alpha)
+        assert s.cutoff == cutoff
+        assert 0.0 <= 1.0 - s.trace <= EPS_NORM
+        a2 = abs(alpha) ** 2
+        odd = np.arange(1, cutoff + 1, 2)
+        want = np.exp(odd * math.log(a2) - np.array([math.lgamma(m + 1) for m in odd]))
+        np.testing.assert_allclose(s.weights[odd], want / math.sinh(a2), rtol=1e-12)
 
     @pytest.mark.parametrize("modulus", [27, 38.5, 40])
     def test_bright_cat(self, modulus):
@@ -152,6 +168,13 @@ class TestPhotonAddedSqueezed:
             want = (math.tanh(r) ** k * math.sqrt(math.factorial(2 * k + 1))
                     / (2 ** k * math.factorial(k)) / math.cosh(r) ** 1.5)
             assert s.amplitudes[2 * k + 1].real == pytest.approx(want, rel=1e-12)
+
+    def test_label_names_a_nonzero_phase(self):
+        assert photon_added_smss(0.5).label == "pasmss:r=0.5"
+        assert photon_added_smss(0.5, phi=0.0).label == "pasmss:r=0.5"
+        s = photon_added_smss(0.5, phi=0.25)
+        assert s.label == "pasmss:r=0.5,phi=0.25"
+        assert parse_state(s.label).amplitudes.tobytes() == s.amplitudes.tobytes()
 
     def test_r_zero_is_single_photon(self):
         s = photon_added_smss(0.0)
