@@ -6,16 +6,22 @@ Pure states are Fock-basis amplitude vectors, mixed states Fock-basis density
 matrices or, when diagonal (thermal), only their photon-number ``weights``,
 which every state has.  Constructors never renormalize after truncation: the
 truncated tail is *lost* mass, so every norm / trace lies in [1 - deficit, 1]
-and the deficit is reported by :func:`validate`.
+and the deficit is reported by :func:`validate`.  Every automatic cutoff
+follows one rule: the smallest N <= 100000 with 1 - (w_0 + ... + w_N) <=
+EPS_NORM, over the weights that each constructor states as a sequence, so an
+odd state's cutoff is odd.
 """
 
 from __future__ import annotations
 
 import cmath
 import enum
+import itertools
 import json
 import math
+import operator
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,29 +172,27 @@ def coherent(beta: complex, cutoff: int | None = None) -> PureState:
     normal float, found in log space (c_0 underflows once |beta|^2 > 1416)."""
     beta = complex(beta)
     mean = _mean_photons("coherent amplitude beta", beta)
+    label = f"coherent:beta={_fmt_complex(beta)}"
     if cutoff is None:
-        cutoff = _auto_cutoff_poisson(mean, EPS_NORM)
+        cutoff = _truncated(label, _poisson(mean)).size - 1
     amps = np.zeros(cutoff + 1, dtype=complex)
     for m in range(cutoff + 1):
         if m and amps[m - 1]:
             amps[m] = amps[m - 1] * beta / math.sqrt(m)
         elif (c := math.exp(_log_poisson(m, mean) / 2)) >= sys.float_info.min:
             amps[m] = cmath.rect(c, m * cmath.phase(beta))
-    return PureState(amps, label=f"coherent:beta={_fmt_complex(beta)}")
+    return PureState(amps, label=label)
 
 
 def thermal(nbar: float, cutoff: int | None = None) -> DiagonalState:
-    """Single-mode thermal state, diagonal weights nbar^m / (1+nbar)^(m+1)."""
-    if nbar < 0:
-        raise ValueError("nbar must be non-negative")
-    if cutoff is None:
-        cutoff = _auto_cutoff_geometric(nbar, EPS_NORM)
-    weights = np.empty(cutoff + 1)
-    weights[0] = 1.0 / (1.0 + nbar)
-    ratio = nbar / (1.0 + nbar)
-    for m in range(1, cutoff + 1):
-        weights[m] = weights[m - 1] * ratio
-    return DiagonalState(weights, label=f"thermal:nbar={nbar:g}")
+    """Single-mode thermal state, diagonal weights nbar^m / (1+nbar)^(m+1),
+    each the one before times nbar / (1+nbar)."""
+    if not 0 <= nbar < math.inf:
+        raise ValueError(f"thermal nbar={nbar:g} must be finite and non-negative")
+    label = f"thermal:nbar={nbar:g}"
+    weights = itertools.accumulate(itertools.repeat(nbar / (1.0 + nbar)), operator.mul,
+                                   initial=1.0 / (1.0 + nbar))
+    return DiagonalState(_truncated(label, weights, cutoff), label=label)
 
 
 def odd_cat(alpha: complex, cutoff: int | None = None) -> PureState:
@@ -200,18 +204,14 @@ def odd_cat(alpha: complex, cutoff: int | None = None) -> PureState:
         # a subnormal |alpha|^2 has too few bits to normalise the cat
         raise ValueError(f"odd cat state is degenerate at |alpha|^2 = {a2:g}, "
                          f"below {sys.float_info.min:g}")
-    if cutoff is None:
-        # renormalising scales the coherent tail by 2 / (1 - exp(-2|alpha|^2)),
-        # 1e4 at alpha = 0.01, and the Poisson cutoff at eps/4 covers a factor
-        # of 4 only, down to |alpha|^2 = ln(2)/2: raise it until the cat's own
-        # deficit is within EPS_NORM
-        cutoff = max(_auto_cutoff_poisson(a2, EPS_NORM / 4), 1)
-        while 1.0 - odd_cat(alpha, cutoff).trace > EPS_NORM:
-            cutoff += 1
+    label = f"oddcat:alpha={_fmt_complex(alpha)}"
     norm = math.sqrt(-2.0 * math.expm1(-2.0 * a2))
+    if cutoff is None:
+        cutoff = _truncated(label, (m % 2 * 4.0 * w / norm ** 2
+                                    for m, w in enumerate(_poisson(a2)))).size - 1
     amps = 2.0 * coherent(alpha, cutoff).amplitudes / norm
     amps[0::2] = 0.0
-    return PureState(amps, label=f"oddcat:alpha={_fmt_complex(alpha)}")
+    return PureState(amps, label=label)
 
 
 def photon_added_smss(r: float, phi: float = 0.0, cutoff: int | None = None) -> PureState:
@@ -220,26 +220,20 @@ def photon_added_smss(r: float, phi: float = 0.0, cutoff: int | None = None) -> 
     The squeezed-vacuum expansion lives on even photon numbers; applying the
     creation operator shifts it to odd support.  <a a^dag> = cosh^2 r for the
     squeezed vacuum, so dividing by cosh r normalizes exactly (before
-    truncation).
+    truncation).  c_(2k+1) is e^(ik phi) times the root of its weight.
     """
     if r < 0:
         raise ValueError("squeezing parameter r must be non-negative")
     if not r <= 710:
         raise ValueError(f"squeezing parameter r={r:g} must be at most 710, "
                          "beyond which cosh(r) is not a float")
-    if cutoff is None:
-        cutoff = max(_auto_cutoff_squeezed(r, EPS_NORM), 1)
-    amps = np.zeros(cutoff + 1, dtype=complex)
-    # squeezed-vacuum amplitude on |2k>: e^{ik phi} tanh^k r sqrt((2k)!)/(k! 2^k) / sqrt(cosh r)
-    b = 1.0 / math.sqrt(math.cosh(r))
-    th = math.tanh(r)
-    k = 0
-    while 2 * k + 1 <= cutoff:
-        amps[2 * k + 1] = b * math.sqrt(2 * k + 1) / math.cosh(r)
-        k += 1
-        # b_{k} = b_{k-1} * e^{i phi} tanh(r) * sqrt((2k-1)/(2k)) * ... recurrence:
-        b = b * cmath.exp(1j * phi) * th * math.sqrt((2 * k) * (2 * k - 1)) / (2 * k)
-    return PureState(amps, label=f"pasmss:r={r:g}" + (f",phi={phi:g}" if phi else ""))
+    if not math.isfinite(phi):
+        raise ValueError(f"squeezing phase phi={phi:g} must be finite")
+    label = f"pasmss:r={r:g}" + (f",phi={phi:g}" if phi else "")
+    weights = _truncated(label, _pasmss_weights(r), cutoff)
+    # phi reduced to [-pi, pi] (itself when it lies there), so k phi stays a float
+    phases = np.exp(1j * math.remainder(phi, 2 * math.pi) * (np.arange(weights.size) // 2))
+    return PureState(np.sqrt(weights) * phases, label=label)
 
 
 def fock_superposition(terms: dict[int, complex], cutoff: int | None = None,
@@ -338,7 +332,7 @@ def _fmt_complex(z: complex) -> str:
 
 
 # ---------------------------------------------------------------------------
-# cutoff selection: smallest support with tail mass below eps
+# cutoff selection: smallest support with tail mass within EPS_NORM
 # ---------------------------------------------------------------------------
 
 def _mean_photons(name: str, amplitude: complex) -> float:
@@ -358,38 +352,40 @@ def _log_poisson(m: int, mean: float) -> float:
     return m * math.log(mean) - mean - math.lgamma(m + 1)
 
 
-def _auto_cutoff_poisson(mean: float, eps: float) -> int:
-    total, m = math.exp(_log_poisson(0, mean)), 0
-    while not 1.0 - total <= eps:  # a NaN weight never converges
-        m += 1
-        total += math.exp(_log_poisson(m, mean))
-        if m > 100000:
-            raise ValueError(f"no Poisson cutoff up to 100000 for mean {mean:g}")
-    return m
+def _poisson(mean: float) -> Iterator[float]:
+    """The Poisson weights w_0, w_1, ... from log space."""
+    return (math.exp(_log_poisson(m, mean)) for m in itertools.count())
 
 
-def _auto_cutoff_geometric(nbar: float, eps: float) -> int:
-    if nbar == 0.0:
-        return 0
-    ratio = nbar / (1.0 + nbar)
-    # tail mass beyond cutoff N is ratio^(N+1); a ratio that rounds to 1 (nbar
-    # >= 2^53), or a NaN, has no cutoff
-    terms = math.log(eps) / math.log(ratio) if ratio < 1.0 else math.inf
-    if not terms <= 100001:
-        raise ValueError(f"no thermal cutoff up to 100000 for nbar={nbar:g}")
-    return max(0, math.ceil(terms) - 1)
+def _pasmss_weights(r: float) -> Iterator[float]:
+    """The photon-added squeezed vacuum's weights w_0, w_1, ...: 0 on even m,
+    (2k+1)! / (4^k k!^2) tanh^(2k) r / cosh^3 r on 2k+1.  tanh^(2k) r is
+    exp(k log(1 - sech^2 r)): the rounding of tanh^2 r, raised to the k-th
+    power, would move the cutoff from r = 3.5 on (by 6 at r = 4.3)."""
+    sech2 = math.cosh(r) ** -2
+    log_tanh2 = math.log1p(-sech2) if sech2 < 1.0 else -math.inf
+    c = math.cosh(r) ** -3
+    for k in itertools.count():
+        yield 0.0
+        yield c * math.exp(k * log_tanh2) if k else c
+        c *= (2 * k + 3) / (2 * k + 2)
 
 
-def _auto_cutoff_squeezed(r: float, eps: float) -> int:
-    if r == 0.0:
-        return 1
-    # grow until the photon-added squeezed state's truncated norm deficit < eps
-    probe = 8
-    while True:
-        state = photon_added_smss(r, cutoff=probe)
-        if 1.0 - state.norm_squared < eps:
-            break
-        probe *= 2
-        if probe > 100000:
-            raise ValueError(f"no squeezed-state cutoff up to 100000 for r={r:g}")
-    return probe
+def _truncated(label: str, weights: Iterable[float], cutoff: int | None = None) -> np.ndarray:
+    """w_0 .. w_N of a state's endless weights: N is ``cutoff``, or by the one
+    automatic rule the smallest N <= 100000 with 1 - (w_0 + ... + w_N) <=
+    EPS_NORM, else a ValueError that names the state and so its parameters.
+    The sum carries its rounding error (Knuth's TwoSum), so N agrees with
+    :func:`validate`."""
+    if cutoff is not None:
+        return np.fromiter(weights, float, cutoff + 1)
+    kept, total, error = [], 0.0, 0.0
+    for w in itertools.islice(weights, 100001):
+        kept.append(w)
+        new = total + w
+        part = new - total
+        error += (total - (new - part)) + (w - part)
+        total = new
+        if 1.0 - (total + error) <= EPS_NORM:  # False once a weight is NaN
+            return np.array(kept)
+    raise ValueError(f"no cutoff up to 100000 holds all but {EPS_NORM:g} of {label}")

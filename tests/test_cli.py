@@ -113,9 +113,13 @@ class TestDistCommand:
         # each thermal:1 mode loses less than 1e-10, the pair about twice that;
         # a faint odd cat's renormalisation scales its tail by 1 / |alpha|^2
         out = tmp_path / "grid.json"
-        for a, b in (("thermal:nbar=1", "thermal:nbar=1"), ("oddcat:alpha=0.01", "fock:0"),
-                     ("oddcat:alpha=0.3", "fock:0")):
-            main(["dist", "--a", a, "--b", b, "-o", str(out)])
+        small = ["--grid-max", "4"]
+        for a, b, extra in (("thermal:nbar=1", "thermal:nbar=1", []),
+                            ("oddcat:alpha=0.01", "fock:0", []), ("oddcat:alpha=0.3", "fock:0", []),
+                            ("pasmss:r=0.1", "fock:0", small), ("pasmss:r=1", "fock:0", small),
+                            ("pasmss:r=3", "fock:0", small), ("oddcat:alpha=3", "fock:0", small),
+                            ("oddcat:alpha=5", "fock:0", small)):
+            main(["dist", "--a", a, "--b", b, *extra, "-o", str(out)])
             assert json.loads(out.read_text())["diagnostics"]["warnings"] == [], a
 
     def test_bad_state_exits_2(self, capsys):
@@ -171,7 +175,7 @@ PINNED_GRIDS = {
     "pure_pure-T3/4": (["dist", "--a", "pasmss:r=0.5",
                         "--b", "coherent:beta=0.71421990865528018-1.8681247073149168j",
                         "--bs", "3/4"],
-                       "b8f289d3ec3001ea3230681ae621740abb97ac3d861060d7329ecc150a4da7fd"),
+                       "8535e88c54d45a0818ee2c6209828630512b1750671d1b9760198faf38b3143f"),
     "fs_fs": (["dist", "--a", "fock:10", "--b", "fock:10", "--bs", "1/2"],
               "1fe4989f8fd7a3066c4becddb37a40cbec61866eeb9622a1eb4cdafceb7850af"),
     "lossy-fock-coherent-500": (
@@ -578,6 +582,7 @@ class TestExitCodes:
         (["herald", "--t", "2", "--eta", "0.87", "--r", "nan"], None, EXIT_DOMAIN),
         (["herald", "--t", "2", "--eta", "0.87", "--r", "400"], None, EXIT_DOMAIN),
         (["dist", "--a", "fock:-1", "--b", "fock:1"], None, EXIT_USAGE),
+        (["dist", "--a", "thermal:nbar=nan", "--b", "fock:0", "--cutoff-a", "5"], None, EXIT_USAGE),
     ])
     def test_exit_code(self, tmp_path, argv, config, code):
         cfg = tmp_path / "run.json"

@@ -3,6 +3,7 @@ import json
 import math
 import re
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.stats import poisson
@@ -129,10 +130,11 @@ class TestOddCat:
             odd_cat(1e-160)
 
     @pytest.mark.parametrize("alpha, cutoff", [(0.001, 1), (0.01, 3), (0.3, 7), (1, 13), (2, 23),
-                                               (3, 35), (5, 64)])
+                                               (3, 33), (5, 63)])
     def test_automatic_cutoff_keeps_the_cat_within_eps(self, alpha, cutoff):
         # [DERIVED] the cat's weights are |alpha|^(2m) / (m! sinh |alpha|^2) on odd
-        # m; below |alpha| = 0.6 renormalising scales the coherent tail by more than 4
+        # m, so its minimal cutoff is odd; below |alpha| = 0.6 renormalising
+        # scales the coherent tail by more than 4
         s = odd_cat(alpha)
         assert s.cutoff == cutoff
         assert 0.0 <= 1.0 - s.trace <= EPS_NORM
@@ -176,9 +178,103 @@ class TestPhotonAddedSqueezed:
         assert s.label == "pasmss:r=0.5,phi=0.25"
         assert parse_state(s.label).amplitudes.tobytes() == s.amplitudes.tobytes()
 
+    def test_huge_phase_is_a_phase(self):
+        # k phi passes the float range at phi = 1e308
+        s = photon_added_smss(0.5, phi=1e308)
+        assert validate(s).deficit <= EPS_NORM
+        np.testing.assert_allclose(np.abs(s.amplitudes), np.abs(photon_added_smss(0.5).amplitudes),
+                                   rtol=1e-15, atol=0)
+
     def test_r_zero_is_single_photon(self):
         s = photon_added_smss(0.0)
         assert abs(s.amplitudes[1]) == pytest.approx(1.0)
+
+
+def _poisson_deficit(beta, n):
+    return poisson.sf(n, abs(beta) ** 2)
+
+
+def _thermal_deficit(nbar, n):
+    # [DERIVED] the geometric tail beyond n is ratio^(n+1), ratio = nbar / (1+nbar)
+    with mp.workdps(30):
+        return float((mp.mpf(nbar) / (1 + mp.mpf(nbar))) ** (n + 1))
+
+
+def _cat_deficit(alpha, n):
+    # [DERIVED] the odd cat's weights are 2 Poisson(m; |alpha|^2) / (1 - exp(-2|alpha|^2)) on odd m
+    a2 = abs(alpha) ** 2
+    m = np.arange(n + 1, int(a2 + 40 * math.sqrt(a2) + 100))
+    return 2 * float(np.sum(poisson.pmf(m[m % 2 == 1], a2))) / -math.expm1(-2 * a2)
+
+
+def _pasmss_deficit(r, n):
+    """[DERIVED] The mass beyond photon number n of a^dag|xi> / cosh r.  Its
+    weight on 2k+1 is (2k+1) sech^2 r p_k, where p_k = C(2k, k) (t/4)^k sech r,
+    t = tanh^2 r, is the squeezed vacuum's negative binomial NB(1/2, t), whose
+    tail P(X > K) is I_t(K + 1, 1/2); and k p_k = t / (2 sech^2 r) q_(k-1) with
+    q = NB(3/2, t).  So the mass beyond k = K is
+    t I_t(K, 3/2) + sech^2 r I_t(K + 1, 1/2), I the regularised incomplete beta."""
+    if n == 0:
+        return 1.0
+    k = (n - 1) // 2
+    with mp.workdps(30):
+        t = mp.tanh(mp.mpf(r)) ** 2
+        beyond_k = mp.betainc(k, 1.5, 0, t, regularized=True) if k else 1
+        return float(t * beyond_k + (1 - t) * mp.betainc(k + 1, 0.5, 0, t, regularized=True))
+
+
+#: each automatic kind: its constructor, an exact oracle of the deficit
+#: 1 - (w_0 + ... + w_N), and how far the float weights the cutoff rule sums
+#: may put N on the wrong side of EPS_NORM: the log-space Poisson weights carry
+#: the rounding of exponents up to 1e4 (16 of 2501 moduli |beta| <= 40 give a
+#: cutoff one off, at most 6.4e-13 from EPS_NORM), the thermal weights the
+#: rounded ratio raised to the m-th power (at most nbar 2^-53), and the
+#: photon-added weights only the rounding of their sum at 1.0
+AUTOMATIC = {"coherent": (coherent, _poisson_deficit, 1e-12),
+             "thermal": (thermal, _thermal_deficit, 5e-14),
+             "oddcat": (odd_cat, _cat_deficit, 1e-12),
+             "pasmss": (photon_added_smss, _pasmss_deficit, 1e-15)}
+
+
+class TestAutomaticCutoffs:
+    """One rule: the smallest N with 1 - (w_0 + ... + w_N) <= EPS_NORM."""
+
+    @pytest.mark.parametrize("kind, param", [
+        *[("coherent", b) for b in (0, 0.5, 2, 5, 10, 15, 20, 25, 30, 35, 40)],
+        pytest.param("coherent", 25.16, marks=pytest.mark.xfail(
+            strict=True, reason="the log-space Poisson weights put the built state's "
+                                "deficit at 1.004e-10")),
+        # 381.2: the summed weights of the rounded ratio move the closed form's cutoff by one
+        *[("thermal", n) for n in (0, 0.01, 0.5, 1, 4, 20, 60, 100, 250, 381.2, 400)],
+        *[("oddcat", a) for a in (0.001, 0.01, 0.1, 0.3, 0.6, 1, 2, 3, 5, 10, 20, 40)],
+        # 3.44: the exact deficit at N - 2 is within 5e-16 of EPS_NORM
+        *[("pasmss", r) for r in (0, 0.05, 0.1, 0.5, 1, 1.5, 2, 2.5, 3, 3.44, 4.4)]])
+    def test_cutoff_is_minimal(self, kind, param):
+        build, deficit, tol = AUTOMATIC[kind]
+        state = build(param)
+        n = state.cutoff
+        assert deficit(param, n) <= EPS_NORM + tol
+        assert n == 0 or deficit(param, n - 1) > EPS_NORM - tol
+        assert validate(state).deficit <= EPS_NORM
+        if kind in ("oddcat", "pasmss"):
+            assert n % 2 == 1 and state.parity_of() is Parity.ODD
+
+    def test_pasmss_oracle_sums_the_weights(self):
+        # (2k+1)! / (4^k k!^2) tanh^(2k) r / cosh^3 r, summed term by term
+        with mp.workdps(30):
+            r = mp.mpf(0.5)
+            weights = [mp.factorial(2 * k + 1) / (4 ** k * mp.factorial(k) ** 2)
+                       * mp.tanh(r) ** (2 * k) / mp.cosh(r) ** 3 for k in range(20)]
+            for n in range(1, 40):
+                want = 1 - mp.fsum(weights[:(n + 1) // 2])
+                assert _pasmss_deficit(0.5, n) == pytest.approx(float(want), rel=1e-12)
+
+    def test_pasmss_within_the_bound_builds(self):
+        # the power-of-two probe refused r = 4.3 and 4.4 at 131072 photons
+        assert parse_state("pasmss:r=4.4").cutoff == 82169
+        assert _pasmss_deficit(4.5, 100000) > EPS_NORM
+        with pytest.raises(ValueError, match=re.escape("pasmss:r=4.5")):
+            parse_state("pasmss:r=4.5")
 
 
 class TestSuperposition:
@@ -228,6 +324,20 @@ class TestValidate:
         assert rep.deficit > 1e-3
 
 
+#: descriptors refused with a message that names the parameter, and the
+#: cutoff they are parsed with
+BEYOND_FLOATS = [
+    ("coherent:beta=1e200", "beta=1e+200", None), ("coherent:beta=1.5e308+1.5e308j", "beta=", None),
+    ("oddcat:alpha=1e200", "alpha=1e+200", None), ("pasmss:r=1e6", "r=1e+06", None),
+    # nbar = 1e308 rounds the geometric ratio to 1; 1e12 needs a cutoff of 2e13
+    ("thermal:nbar=1e308", "nbar=1e+308", None), ("thermal:nbar=1e12", "nbar=1e+12", None),
+    ("thermal:nbar=inf", "nbar=inf", None),
+    # a NaN would build NaN weights, whether or not the cutoff is given
+    ("thermal:nbar=nan", "nbar=nan", None), ("thermal:nbar=nan", "nbar=nan", 5),
+    ("pasmss:r=0.5,phi=nan", "phi=nan", None), ("pasmss:r=0.5,phi=nan", "phi=nan", 5),
+]
+
+
 class TestParseState:
     def test_descriptors(self):
         assert parse_state("fock:3").label == "fock:3"
@@ -245,15 +355,12 @@ class TestParseState:
         with pytest.raises(ValueError):
             parse_state("wigner:q=1")
 
-    @pytest.mark.parametrize("descriptor, name", [
-        ("coherent:beta=1e200", "beta=1e+200"), ("coherent:beta=1.5e308+1.5e308j", "beta="),
-        ("oddcat:alpha=1e200", "alpha=1e+200"), ("pasmss:r=1e6", "r=1e+06"),
-        # nbar = 1e308 rounds the geometric ratio to 1; 1e12 needs a cutoff of 2e13
-        ("thermal:nbar=1e308", "nbar=1e+308"), ("thermal:nbar=1e12", "nbar=1e+12"),
-        ("thermal:nbar=inf", "nbar=inf")])
-    def test_parameter_beyond_floats_is_named(self, descriptor, name):
+    @pytest.mark.parametrize("descriptor, name, cutoff", BEYOND_FLOATS,
+                             ids=[f"{d}-{n}" + (f"-cutoff={c}" if c is not None else "")
+                                  for d, n, c in BEYOND_FLOATS])
+    def test_parameter_beyond_floats_is_named(self, descriptor, name, cutoff):
         with pytest.raises(ValueError, match=re.escape(name)):
-            parse_state(descriptor)
+            parse_state(descriptor, cutoff=cutoff)
 
     @pytest.mark.parametrize("descriptor", ["fock:1", "coherent:beta=1",
                                             "thermal:nbar=1", "oddcat:alpha=1",
