@@ -1,12 +1,13 @@
 """Output joint photon-number distributions P(m_a, m_b) for a beam splitter.
 
-One engine serves every input.  The splitter conserves the total photon
-number s, so the grid is filled one anti-diagonal m_a + m_b = s at a time
-from the columns of the block U_s that the input reaches (its band, from
-:func:`~homlab.bs_core.amplitude_blocks`) and the input's s-photon part:
+One engine serves every product input (state_a, state_b).  The splitter
+conserves the total photon number s, so the grid is filled one anti-diagonal
+m_a + m_b = s at a time from the columns of the block U_s that the input
+reaches (its band, from :func:`~homlab.bs_core.amplitude_blocks`) and the
+input's s-photon part:
 
 * pure input psi:          P(., s - .) = |U_s psi_s|^2
-* density or table rho:    P(., s - .) = diag(U_s rho_s U_s^T), evaluated as
+* density rho:             P(., s - .) = diag(U_s rho_s U_s^T), evaluated as
   U_s^2 diag(rho_s), from the modes' weights, for a pair with a diagonal mode
   (thermal, Fock, or a dense rho scanned and found so), as every rho_s is then
   diagonal
@@ -28,6 +29,10 @@ from .states import EPS_NORM, HERMITICITY_TOL, MixedState, PureState, State, foc
 #: rounding allowances of a float grid: most negative entry, excess mass
 NEGATIVE_TOL = 1e-14
 MASS_TOL = 1e-12
+
+#: most cells a grid may have: 1 GiB of float64, as the loss model holds up to
+#: four grids at once
+GRID_CELLS = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -151,58 +156,45 @@ def joint_pure_mixed(psi_a: PureState, rho_b: State, bs: BeamSplitterSetting,
 
 def joint_general(rho_ab, bs: BeamSplitterSetting,
                   grid_max: int | None = None) -> JointDistribution:
-    """Joint distribution of any bipartite input (see the module docstring).
-
-    ``rho_ab`` is either a pair ``(state_a, state_b)`` of states (a product
-    input, read mode by mode: no four-index or d_a x d_b table is built) or a
-    four-index ndarray ``rho[n, m, n', m']``; wrap a bare density matrix as
+    """Joint distribution of a product input ``(state_a, state_b)``, read mode
+    by mode (see the module docstring); wrap a bare density matrix as
     ``MixedState(rho)``.  ``grid_max`` defaults to the largest photon number
-    the input reaches; a grid that cannot hold the input's lowest total photon
-    number raises ValueError, as does a density matrix that is not Hermitian.
+    the input reaches.  ValueError is raised, before any grid exists, for a
+    density matrix that is not Hermitian and for a grid that cannot hold the
+    input's lowest total photon number or has more than ``GRID_CELLS`` cells.
     """
-    if isinstance(rho_ab, tuple):
-        state_a, state_b = rho_ab
-        if not all(state.hermiticity_residual() <= HERMITICITY_TOL for state in rho_ab):
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        label = f"{state_a.label} x {state_b.label}"
-        w_a, w_b = state_a.weights, state_b.weights
-        dim_a, dim_b = w_a.size, w_b.size
-        # the lowest total: each mode's first nonzero weight, summed (0 if one has none)
-        fewest = int((np.flatnonzero(w_a)[:1] + np.flatnonzero(w_b)[:1]).sum())
-        deficits = [(f" of mode {mode} ({state.label})", 1.0 - state.trace)
-                    for mode, state in zip("ab", rho_ab)]
-        if isinstance(state_a, PureState) and isinstance(state_b, PureState):
-            def block_probs(u, n, s):
-                amp = np.einsum("pn,n->p", u, state_a.amplitudes[n] * state_b.amplitudes[s - n])
-                return amp.real ** 2 + amp.imag ** 2
-        elif _is_diagonal(state_a) or _is_diagonal(state_b):
-            # diag(rho_s) is read as a strided view of complex products, so
-            # einsum sums it in the order that keeps every bit of the grid
-            def block_probs(u, n, s):
-                return np.einsum("pn,n->p", u * u, (w_a[n] * w_b[s - n]).astype(complex).real)
-        else:
-            rho_a, rho_b = state_a.rho, state_b.rho
-
-            def block_probs(u, n, s):
-                rho_s = rho_a[np.ix_(n, n)] * rho_b[np.ix_(s - n, s - n)]
-                return np.einsum("pn,nk,pk->p", u, rho_s, u).real
+    if not (isinstance(rho_ab, tuple) and len(rho_ab) == 2
+            and all(isinstance(state, State) for state in rho_ab)):
+        raise ValueError("pass the input as a pair (state_a, state_b) of states")
+    state_a, state_b = rho_ab
+    if not all(state.hermiticity_residual() <= HERMITICITY_TOL for state in rho_ab):
+        raise ValueError("density matrix is not Hermitian within tolerance")
+    w_a, w_b = state_a.weights, state_b.weights
+    dim_a, dim_b = w_a.size, w_b.size
+    if isinstance(state_a, PureState) and isinstance(state_b, PureState):
+        def block_probs(u, n, s):
+            amp = np.einsum("pn,n->p", u, state_a.amplitudes[n] * state_b.amplitudes[s - n])
+            return amp.real ** 2 + amp.imag ** 2
+    elif _is_diagonal(state_a) or _is_diagonal(state_b):
+        # diag(rho_s) is read as a strided view of complex products, so
+        # einsum sums it in the order that keeps every bit of the grid
+        def block_probs(u, n, s):
+            return np.einsum("pn,n->p", u * u, (w_a[n] * w_b[s - n]).astype(complex).real)
     else:
-        table = np.asarray(rho_ab, dtype=complex)
-        if table.ndim != 4:
-            raise ValueError("coefficient table must be four-index rho[n, m, n', m']")
-        weights = np.einsum("nmnm->nm", table).real
-        dim_a, dim_b = weights.shape
-        fewest = min(np.add(*np.nonzero(weights)).tolist(), default=0)
-        label = "table"
-        deficits = [("", 1.0 - float(weights.sum()))]
+        rho_a, rho_b = state_a.rho, state_b.rho
 
         def block_probs(u, n, s):
-            rho_s = table[n[:, None], (s - n)[:, None], n, s - n]
+            rho_s = rho_a[np.ix_(n, n)] * rho_b[np.ix_(s - n, s - n)]
             return np.einsum("pn,nk,pk->p", u, rho_s, u).real
 
     grid_max = dim_a + dim_b - 2 if grid_max is None else grid_max
+    # the lowest total: each mode's first nonzero weight, summed (0 if one has none)
+    fewest = int((np.flatnonzero(w_a)[:1] + np.flatnonzero(w_b)[:1]).sum())
     if grid_max < fewest:
         raise ValueError(f"grid_max={grid_max} cannot hold total {fewest} photons")
+    if (grid_max + 1) ** 2 > GRID_CELLS:
+        raise ValueError(f"grid_max={grid_max} needs {(grid_max + 1) ** 2} cells, "
+                         f"more than the budget of {GRID_CELLS}")
     grid = np.zeros((grid_max + 1, grid_max + 1))
     s_max = min(dim_a + dim_b - 2, 2 * grid_max)
     for s, u in enumerate(amplitude_blocks(bs, s_max, (dim_a, dim_b))):
@@ -210,9 +202,11 @@ def joint_general(rho_ab, bs: BeamSplitterSetting,
         probs = block_probs(u, np.arange(lo, lo + u.shape[1]), s)
         m_a = np.arange(max(0, s - grid_max), min(s, grid_max) + 1)
         grid[m_a, s - m_a] = probs[m_a]
-    warnings = tuple(f"input trace deficit {deficit:.3e}{where} exceeds {EPS_NORM:g}"
-                     for where, deficit in deficits if deficit > EPS_NORM)
-    return JointDistribution(grid, bs, input_label=label, warnings=warnings)
+    warnings = tuple(f"input trace deficit {deficit:.3e} of mode {mode} ({state.label}) "
+                     f"exceeds {EPS_NORM:g}" for mode, state in zip("ab", rho_ab)
+                     if (deficit := 1.0 - state.trace) > EPS_NORM)
+    return JointDistribution(grid, bs, input_label=f"{state_a.label} x {state_b.label}",
+                             warnings=warnings)
 
 
 def _is_diagonal(state: State) -> bool:

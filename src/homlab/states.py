@@ -8,8 +8,8 @@ which every state has.  Constructors never renormalize after truncation: the
 truncated tail is *lost* mass, so every norm / trace lies in [1 - deficit, 1]
 and the deficit is reported by :func:`validate`.  Every automatic cutoff
 follows one rule: the smallest N <= 100000 with 1 - (w_0 + ... + w_N) <=
-EPS_NORM, over the weights that each constructor states as a sequence, so an
-odd state's cutoff is odd.
+EPS_NORM, over the weights of the sequence each constructor states (a coherent
+state's or cat's amplitudes as built), so an odd state's cutoff is odd.
 """
 
 from __future__ import annotations
@@ -167,21 +167,12 @@ def fock(n: int, cutoff: int | None = None) -> PureState:
 
 
 def coherent(beta: complex, cutoff: int | None = None) -> PureState:
-    """Coherent state, c_m = exp(-|beta|^2/2) beta^m / sqrt(m!), by the
-    recurrence c_m = c_(m-1) beta / sqrt(m) from its first term that is a
-    normal float, found in log space (c_0 underflows once |beta|^2 > 1416)."""
+    """Coherent state, c_m = exp(-|beta|^2/2) beta^m / sqrt(m!)."""
     beta = complex(beta)
     mean = _mean_photons("coherent amplitude beta", beta)
     label = f"coherent:beta={_fmt_complex(beta)}"
-    if cutoff is None:
-        cutoff = _truncated(label, _poisson(mean)).size - 1
-    amps = np.zeros(cutoff + 1, dtype=complex)
-    for m in range(cutoff + 1):
-        if m and amps[m - 1]:
-            amps[m] = amps[m - 1] * beta / math.sqrt(m)
-        elif (c := math.exp(_log_poisson(m, mean) / 2)) >= sys.float_info.min:
-            amps[m] = cmath.rect(c, m * cmath.phase(beta))
-    return PureState(amps, label=label)
+    return PureState(_truncated(label, _coherent_amplitudes(beta, mean), cutoff, pure=True),
+                     label=label)
 
 
 def thermal(nbar: float, cutoff: int | None = None) -> DiagonalState:
@@ -206,12 +197,9 @@ def odd_cat(alpha: complex, cutoff: int | None = None) -> PureState:
                          f"below {sys.float_info.min:g}")
     label = f"oddcat:alpha={_fmt_complex(alpha)}"
     norm = math.sqrt(-2.0 * math.expm1(-2.0 * a2))
-    if cutoff is None:
-        cutoff = _truncated(label, (m % 2 * 4.0 * w / norm ** 2
-                                    for m, w in enumerate(_poisson(a2)))).size - 1
-    amps = 2.0 * coherent(alpha, cutoff).amplitudes / norm
-    amps[0::2] = 0.0
-    return PureState(amps, label=label)
+    amps = (2.0 * c / norm if m % 2 else 0.0
+            for m, c in enumerate(_coherent_amplitudes(alpha, a2)))
+    return PureState(_truncated(label, amps, cutoff, pure=True), label=label)
 
 
 def photon_added_smss(r: float, phi: float = 0.0, cutoff: int | None = None) -> PureState:
@@ -352,9 +340,18 @@ def _log_poisson(m: int, mean: float) -> float:
     return m * math.log(mean) - mean - math.lgamma(m + 1)
 
 
-def _poisson(mean: float) -> Iterator[float]:
-    """The Poisson weights w_0, w_1, ... from log space."""
-    return (math.exp(_log_poisson(m, mean)) for m in itertools.count())
+def _coherent_amplitudes(beta: complex, mean: float) -> Iterator[np.complex128]:
+    """A coherent state's amplitudes c_0, c_1, ... by the recurrence
+    c_m = c_(m-1) beta / sqrt(m), in numpy complex128 arithmetic, from each
+    term that is a normal float, found in log space (c_0 underflows once
+    |beta|^2 > 1416)."""
+    c = np.complex128(0.0)
+    for m in itertools.count():
+        if c:
+            c = c * beta / math.sqrt(m)
+        elif (modulus := math.exp(_log_poisson(m, mean) / 2)) >= sys.float_info.min:
+            c = np.complex128(cmath.rect(modulus, m * cmath.phase(beta)))
+        yield c
 
 
 def _pasmss_weights(r: float) -> Iterator[float]:
@@ -371,21 +368,26 @@ def _pasmss_weights(r: float) -> Iterator[float]:
         c *= (2 * k + 3) / (2 * k + 2)
 
 
-def _truncated(label: str, weights: Iterable[float], cutoff: int | None = None) -> np.ndarray:
-    """w_0 .. w_N of a state's endless weights: N is ``cutoff``, or by the one
-    automatic rule the smallest N <= 100000 with 1 - (w_0 + ... + w_N) <=
-    EPS_NORM, else a ValueError that names the state and so its parameters.
-    The sum carries its rounding error (Knuth's TwoSum), so N agrees with
-    :func:`validate`."""
+def _truncated(label: str, terms: Iterable, cutoff: int | None = None,
+               pure: bool = False) -> np.ndarray:
+    """t_0 .. t_N of a state's endless weights or, if ``pure``, amplitudes: N
+    is ``cutoff``, or by the one automatic rule the smallest N <= 100000 with
+    1 - (w_0 + ... + w_N) <= EPS_NORM, else a ValueError that names the state.
+    Amplitudes are weighed by :attr:`PureState.weights` in blocks of doubling
+    size, bit for bit the built state's weights, and the sum carries its
+    rounding error (Knuth's TwoSum), so N agrees with :func:`validate`."""
     if cutoff is not None:
-        return np.fromiter(weights, float, cutoff + 1)
+        return np.array(list(itertools.islice(terms, cutoff + 1)))
+    terms = itertools.islice(terms, 100001)
     kept, total, error = [], 0.0, 0.0
-    for w in itertools.islice(weights, 100001):
-        kept.append(w)
-        new = total + w
-        part = new - total
-        error += (total - (new - part)) + (w - part)
-        total = new
-        if 1.0 - (total + error) <= EPS_NORM:  # False once a weight is NaN
-            return np.array(kept)
+    while block := list(itertools.islice(terms, len(kept) + 32)):
+        kept += block
+        weights = PureState(np.array(block)).weights.tolist() if pure else block
+        for n, w in enumerate(weights, len(kept) - len(block)):
+            new = total + w
+            part = new - total
+            error += (total - (new - part)) + (w - part)
+            total = new
+            if 1.0 - (total + error) <= EPS_NORM:  # False once a weight is NaN
+                return np.array(kept[:n + 1])
     raise ValueError(f"no cutoff up to 100000 holds all but {EPS_NORM:g} of {label}")

@@ -583,6 +583,8 @@ class TestExitCodes:
         (["herald", "--t", "2", "--eta", "0.87", "--r", "400"], None, EXIT_DOMAIN),
         (["dist", "--a", "fock:-1", "--b", "fock:1"], None, EXIT_USAGE),
         (["dist", "--a", "thermal:nbar=nan", "--b", "fock:0", "--cutoff-a", "5"], None, EXIT_USAGE),
+        # an 82170^2 grid, over the budget: refused before it is allocated
+        (["dist", "--a", "pasmss:r=4.4", "--b", "fock:0"], None, EXIT_DOMAIN),
     ])
     def test_exit_code(self, tmp_path, argv, config, code):
         cfg = tmp_path / "run.json"

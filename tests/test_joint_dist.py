@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from homlab.joint_dist import (JointDistribution, cnl_scan, joint_fs_fs,
                                joint_fs_pure, joint_general, joint_pure_mixed,
                                joint_pure_pure, row_ends)
 from homlab.states import (DiagonalState, MixedState, PureState, coherent, fock,
-                           load_custom, odd_cat, thermal)
+                           load_custom, odd_cat, parse_state, thermal)
 
 SETTINGS = [BALANCED,
             BeamSplitterSetting.from_transmittance(Fraction(3, 4)),
@@ -156,18 +157,6 @@ class TestAgainstGeneralOracle:
                 ref = joint_general((psi, rho), bs, grid_max=got.grid_max)
             assert np.max(np.abs(got.grid - ref.grid)) < 1e-10, trial
 
-    def test_four_index_table_route(self):
-        # product state fed in as an explicit four-index coefficient table
-        psi = _random_pure(np.random.default_rng(7), 2)
-        phi = _random_pure(np.random.default_rng(8), 2)
-        rho_a = np.outer(psi.amplitudes, psi.amplitudes.conj())
-        rho_b = np.outer(phi.amplitudes, phi.amplitudes.conj())
-        table = np.einsum("np,mq->nmpq", rho_a, rho_b)
-        for bs in SETTINGS:
-            ref = joint_pure_pure(psi, phi, bs)
-            got = joint_general(table, bs, grid_max=ref.grid_max)
-            assert np.max(np.abs(got.grid - ref.grid)) < 1e-10
-
 
 def _mixture(vectors, weights):
     rho = sum(w * np.outer(v, v.conj()) for v, w in zip(vectors, weights))
@@ -303,6 +292,14 @@ class TestPlumbing:
         with pytest.raises(ValueError, match="total mass"):
             joint_general((doubled, fock(1)), BALANCED)
 
+    @pytest.mark.parametrize("rho_ab", [
+        np.einsum("np,mq->nmpq", fock(1).rho, fock(1).rho),  # a four-index table
+        np.eye(2), [fock(1), fock(1)], (fock(1), fock(1), fock(0)), (fock(1), np.eye(2))],
+        ids=["table", "matrix", "list", "triple", "bare-rho"])
+    def test_only_a_pair_of_states(self, rho_ab):
+        with pytest.raises(ValueError, match=re.escape("pair (state_a, state_b) of states")):
+            joint_general(rho_ab, BALANCED)
+
     def test_hermiticity_guard(self):
         bad = MixedState(np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex))
         with pytest.raises(ValueError):
@@ -310,6 +307,36 @@ class TestPlumbing:
         # a diagonal partner does not spare the dense mode its check
         with pytest.raises(ValueError, match="Hermitian"):
             joint_general((bad, thermal(1)), BALANCED)
+
+
+class _Allocated(Exception):
+    pass
+
+
+def _no_grid(shape, *args, **kwargs):
+    raise _Allocated(shape)
+
+
+class TestGridBudget:
+    """A grid of more than GRID_CELLS cells is refused before it exists;
+    ``np.zeros`` is replaced so that no test allocates one."""
+
+    @pytest.mark.parametrize("descriptor", ["pasmss:r=4.4", "coherent:beta=299"])
+    def test_over_budget_input_is_refused(self, monkeypatch, descriptor):
+        states = (parse_state(descriptor), fock(0))
+        monkeypatch.setattr(np, "zeros", _no_grid)
+        with pytest.raises(ValueError, match=f"^grid_max={states[0].cutoff} needs "):
+            joint_general(states, BALANCED)
+
+    def test_budget_edge(self, monkeypatch):
+        # 11585^2 cells fit in 2^27, 11586^2 do not
+        assert 11585 ** 2 <= joint_dist.GRID_CELLS < 11586 ** 2
+        vacua = (fock(0), fock(0))
+        monkeypatch.setattr(np, "zeros", _no_grid)
+        with pytest.raises(_Allocated):
+            joint_general(vacua, BALANCED, grid_max=11584)
+        with pytest.raises(ValueError, match="^grid_max=11585 needs"):
+            joint_general(vacua, BALANCED, grid_max=11585)
 
 
 def _traced_peak(call):

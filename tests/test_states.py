@@ -225,11 +225,12 @@ def _pasmss_deficit(r, n):
 
 #: each automatic kind: its constructor, an exact oracle of the deficit
 #: 1 - (w_0 + ... + w_N), and how far the float weights the cutoff rule sums
-#: may put N on the wrong side of EPS_NORM: the log-space Poisson weights carry
-#: the rounding of exponents up to 1e4 (16 of 2501 moduli |beta| <= 40 give a
-#: cutoff one off, at most 6.4e-13 from EPS_NORM), the thermal weights the
-#: rounded ratio raised to the m-th power (at most nbar 2^-53), and the
-#: photon-added weights only the rounding of their sum at 1.0
+#: may put N on the wrong side of EPS_NORM: the coherent and cat weights carry
+#: the rounding of the amplitude recurrence, about 2^-53 a step (2 coherent
+#: states and 2 cats of 2500 moduli |.| <= 40 give a cutoff one off, at most
+#: 1.5e-13 from EPS_NORM), the thermal weights the rounded ratio raised to the
+#: m-th power (at most nbar 2^-53), and the photon-added weights only the
+#: rounding of their sum at 1.0
 AUTOMATIC = {"coherent": (coherent, _poisson_deficit, 1e-12),
              "thermal": (thermal, _thermal_deficit, 5e-14),
              "oddcat": (odd_cat, _cat_deficit, 1e-12),
@@ -240,13 +241,12 @@ class TestAutomaticCutoffs:
     """One rule: the smallest N with 1 - (w_0 + ... + w_N) <= EPS_NORM."""
 
     @pytest.mark.parametrize("kind, param", [
-        *[("coherent", b) for b in (0, 0.5, 2, 5, 10, 15, 20, 25, 30, 35, 40)],
-        pytest.param("coherent", 25.16, marks=pytest.mark.xfail(
-            strict=True, reason="the log-space Poisson weights put the built state's "
-                                "deficit at 1.004e-10")),
+        # 25.16 and the cat's 19.04: log-space Poisson weights left the built
+        # state's deficit at 1.004e-10 and 1.000e-10
+        *[("coherent", b) for b in (0, 0.5, 2, 5, 10, 15, 20, 25, 25.16, 30, 35, 40)],
         # 381.2: the summed weights of the rounded ratio move the closed form's cutoff by one
         *[("thermal", n) for n in (0, 0.01, 0.5, 1, 4, 20, 60, 100, 250, 381.2, 400)],
-        *[("oddcat", a) for a in (0.001, 0.01, 0.1, 0.3, 0.6, 1, 2, 3, 5, 10, 20, 40)],
+        *[("oddcat", a) for a in (0.001, 0.01, 0.1, 0.3, 0.6, 1, 2, 3, 5, 10, 19.04, 20, 40)],
         # 3.44: the exact deficit at N - 2 is within 5e-16 of EPS_NORM
         *[("pasmss", r) for r in (0, 0.05, 0.1, 0.5, 1, 1.5, 2, 2.5, 3, 3.44, 4.4)]])
     def test_cutoff_is_minimal(self, kind, param):
