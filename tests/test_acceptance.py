@@ -51,10 +51,12 @@ def test_criterion_2_central_nodal_line():
 
 
 def test_criterion_3_even_n_no_cnl():
-    d = h.joint_fs_pure(2, h.coherent(3), h.BALANCED)
-    peak = float(np.max(d.diagonal()))
-    assert peak > 1e-4
-    print(f"\nPASS: criterion 3 — even n=2 diagonal reaches {peak:.3e} > 1e-4")
+    # the paper's even-n claim with both partners of criterion 2
+    peaks = [float(np.max(h.joint_general((h.fock(2), partner), h.BALANCED).diagonal()))
+             for partner in (h.coherent(3), h.thermal(9))]
+    assert min(peaks) > 1e-4
+    print(f"\nPASS: criterion 3 — even n=2 diagonal reaches {peaks[0]:.3e} with "
+          f"coherent:beta=3 and {peaks[1]:.3e} with thermal:nbar=9, both > 1e-4")
 
 
 def test_criterion_4_table_certification():

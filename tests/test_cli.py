@@ -585,6 +585,11 @@ class TestExitCodes:
         (["dist", "--a", "thermal:nbar=nan", "--b", "fock:0", "--cutoff-a", "5"], None, EXIT_USAGE),
         # an 82170^2 grid, over the budget: refused before it is allocated
         (["dist", "--a", "pasmss:r=4.4", "--b", "fock:0"], None, EXIT_DOMAIN),
+        # a photon number or cutoff above MAX_CUTOFF, refused before any array exists
+        (["dist", "--a", "fock:100001", "--b", "fock:0", "--grid-max", "3"], None, EXIT_USAGE),
+        (["dist", "--a", "super:1,100001", "--b", "fock:0", "--grid-max", "3"], None, EXIT_USAGE),
+        (["dist", "--a", "fock:1", "--b", "thermal:nbar=1", "--cutoff-b", "100001"],
+         None, EXIT_USAGE),
     ])
     def test_exit_code(self, tmp_path, argv, config, code):
         cfg = tmp_path / "run.json"

@@ -10,8 +10,8 @@ from scipy.stats import poisson
 
 from homlab.bs_core import BALANCED
 from homlab.joint_dist import joint_general
-from homlab.states import (EPS_NORM, DiagonalState, MixedState, Parity, PureState, coherent,
-                           fock, fock_superposition, load_custom, odd_cat,
+from homlab.states import (EPS_NORM, MAX_CUTOFF, DiagonalState, MixedState, Parity, PureState,
+                           coherent, fock, fock_superposition, load_custom, odd_cat,
                            parse_state, photon_added_smss, thermal, validate)
 
 
@@ -230,11 +230,17 @@ def _pasmss_deficit(r, n):
 #: states and 2 cats of 2500 moduli |.| <= 40 give a cutoff one off, at most
 #: 1.5e-13 from EPS_NORM), the thermal weights the rounded ratio raised to the
 #: m-th power (at most nbar 2^-53), and the photon-added weights only the
-#: rounding of their sum at 1.0
+#: rounding of their sum at 1.0.  Bright coherent states and cats (|.| > 37.6,
+#: whose recurrence starts in log space) run up to 1e5 steps, over which the
+#: rounding drifts the built weights by up to 2.1e-12 (|beta| = 266); over the
+#: moduli 38, 41, ..., 311 a cutoff is one off by at most 2.0e-12 (coherent
+#: 266; cat 224, 1.4e-12)
 AUTOMATIC = {"coherent": (coherent, _poisson_deficit, 1e-12),
              "thermal": (thermal, _thermal_deficit, 5e-14),
              "oddcat": (odd_cat, _cat_deficit, 1e-12),
-             "pasmss": (photon_added_smss, _pasmss_deficit, 1e-15)}
+             "pasmss": (photon_added_smss, _pasmss_deficit, 1e-15),
+             "bright coherent": (coherent, _poisson_deficit, 3e-12),
+             "bright oddcat": (odd_cat, _cat_deficit, 3e-12)}
 
 
 class TestAutomaticCutoffs:
@@ -244,9 +250,13 @@ class TestAutomaticCutoffs:
         # 25.16 and the cat's 19.04: log-space Poisson weights left the built
         # state's deficit at 1.004e-10 and 1.000e-10
         *[("coherent", b) for b in (0, 0.5, 2, 5, 10, 15, 20, 25, 25.16, 30, 35, 40)],
+        # a start from m log(mean) - mean - lgamma(m + 1) gave 100 a cutoff
+        # too small for the exact tail, and 281, 300 and 311 none up to MAX_CUTOFF
+        *[("bright coherent", b) for b in (100, 200, 212, 266, 281, 299, 300, 311)],
         # 381.2: the summed weights of the rounded ratio move the closed form's cutoff by one
         *[("thermal", n) for n in (0, 0.01, 0.5, 1, 4, 20, 60, 100, 250, 381.2, 400)],
         *[("oddcat", a) for a in (0.001, 0.01, 0.1, 0.3, 0.6, 1, 2, 3, 5, 10, 19.04, 20, 40)],
+        *[("bright oddcat", a) for a in (224, 300)],
         # 3.44: the exact deficit at N - 2 is within 5e-16 of EPS_NORM
         *[("pasmss", r) for r in (0, 0.05, 0.1, 0.5, 1, 1.5, 2, 2.5, 3, 3.44, 4.4)]])
     def test_cutoff_is_minimal(self, kind, param):
@@ -256,7 +266,7 @@ class TestAutomaticCutoffs:
         assert deficit(param, n) <= EPS_NORM + tol
         assert n == 0 or deficit(param, n - 1) > EPS_NORM - tol
         assert validate(state).deficit <= EPS_NORM
-        if kind in ("oddcat", "pasmss"):
+        if kind.endswith(("oddcat", "pasmss")):
             assert n % 2 == 1 and state.parity_of() is Parity.ODD
 
     def test_pasmss_oracle_sums_the_weights(self):
@@ -275,6 +285,33 @@ class TestAutomaticCutoffs:
         assert _pasmss_deficit(4.5, 100000) > EPS_NORM
         with pytest.raises(ValueError, match=re.escape("pasmss:r=4.5")):
             parse_state("pasmss:r=4.5")
+
+    def test_coherent_beyond_the_bound_is_refused(self):
+        # Poisson mean 102400: the exact tail at MAX_CUTOFF is far above EPS_NORM
+        assert _poisson_deficit(320, MAX_CUTOFF) > EPS_NORM
+        with pytest.raises(ValueError, match=re.escape("no cutoff up to 100000 holds all but "
+                                                       "1e-10 of coherent:beta=320")):
+            parse_state("coherent:beta=320")
+
+
+class TestCutoffBound:
+    """No state is built with a cutoff above MAX_CUTOFF: an explicit cutoff, a
+    Fock number or a superposition's largest photon number beyond it is a
+    ValueError that names it, raised before any array exists."""
+
+    @pytest.mark.parametrize("descriptor", ["fock:1", "coherent:beta=1", "thermal:nbar=1",
+                                            "oddcat:alpha=1", "pasmss:r=0.5", "super:1,3"])
+    def test_explicit_cutoff(self, descriptor):
+        assert parse_state(descriptor, cutoff=MAX_CUTOFF).cutoff == MAX_CUTOFF
+        with pytest.raises(ValueError, match=r"^cutoff=100001 exceeds the cutoff bound"):
+            parse_state(descriptor, cutoff=MAX_CUTOFF + 1)
+
+    def test_photon_numbers(self):
+        assert fock(MAX_CUTOFF).cutoff == MAX_CUTOFF
+        with pytest.raises(ValueError, match=r"^fock number n=100001 exceeds"):
+            parse_state("fock:100001")
+        with pytest.raises(ValueError, match=r"^superposition photon number n=100001 exceeds"):
+            parse_state("super:1,100001")
 
 
 class TestSuperposition:
