@@ -171,9 +171,9 @@ def _grid_document(dist, args) -> dict:
             "tool_version": __version__,
         },
         "grid": dist.grid,
-        "total_mass": dist.total_mass,
+        "total_mass": (mass := dist.total_mass),
         "diagnostics": {
-            "tail_deficit": 1.0 - dist.total_mass,
+            "tail_deficit": 1.0 - mass,
             "cnl_verdict": joint_dist.cnl_scan(dist).verdict,
             "warnings": list(dist.warnings),
         },

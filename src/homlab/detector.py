@@ -84,8 +84,7 @@ def lossy_distribution(dist: JointDistribution, loss: LossConfig) -> JointDistri
     b = a if loss.eta_b == loss.eta_a else bernoulli_matrix(loss.eta_b, k)
     grid = np.zeros(dist.grid.shape)
     np.matmul(a @ dist.grid[:k, :k], b.T, out=grid[:k, :k])
-    label = f"{dist.input_label} | loss eta=({loss.eta_a:g},{loss.eta_b:g})"
-    return JointDistribution(grid=grid, bs=dist.bs, input_label=label, warnings=dist.warnings)
+    return JointDistribution(grid=grid, bs=dist.bs, warnings=dist.warnings)
 
 
 def tmss_prob(n: int, source: SqueezedSource) -> float:

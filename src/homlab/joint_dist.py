@@ -31,7 +31,7 @@ NEGATIVE_TOL = 1e-14
 MASS_TOL = 1e-12
 
 #: most cells a grid may have: 1 GiB of float64, as the loss model holds up to
-#: four grids at once
+#: four grids at once; the engine's amplitude blocks get the same budget
 GRID_CELLS = 1 << 27
 
 
@@ -46,7 +46,6 @@ class JointDistribution:
 
     grid: np.ndarray
     bs: BeamSplitterSetting
-    input_label: str
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -161,7 +160,8 @@ def joint_general(rho_ab, bs: BeamSplitterSetting,
     ``MixedState(rho)``.  ``grid_max`` defaults to the largest photon number
     the input reaches.  ValueError is raised, before any grid exists, for a
     density matrix that is not Hermitian and for a grid that cannot hold the
-    input's lowest total photon number or has more than ``GRID_CELLS`` cells.
+    input's lowest total photon number or has more than ``GRID_CELLS`` cells,
+    and before any block exists when its amplitude blocks would exceed them.
     """
     if not (isinstance(rho_ab, tuple) and len(rho_ab) == 2
             and all(isinstance(state, State) for state in rho_ab)):
@@ -192,11 +192,16 @@ def joint_general(rho_ab, bs: BeamSplitterSetting,
     fewest = int((np.flatnonzero(w_a)[:1] + np.flatnonzero(w_b)[:1]).sum())
     if grid_max < fewest:
         raise ValueError(f"grid_max={grid_max} cannot hold total {fewest} photons")
-    if (grid_max + 1) ** 2 > GRID_CELLS:
-        raise ValueError(f"grid_max={grid_max} needs {(grid_max + 1) ** 2} cells, "
-                         f"more than the budget of {GRID_CELLS}")
-    grid = np.zeros((grid_max + 1, grid_max + 1))
+    # the budget holds the grid's cells, and 7 per entry of the largest block (s + 1) x band(s),
+    # which one step of the recurrence and block_probs holds 6.0-6.2 times over (measured)
     s_max = min(dim_a + dim_b - 2, 2 * grid_max)
+    s = np.arange(s_max + 1)
+    block = int(np.max((s + 1) * (np.minimum(s, dim_a - 1) - np.maximum(s - dim_b + 1, 0) + 1)))
+    for cells, of in (((grid_max + 1) ** 2, "its grid"), (7 * block, "amplitude blocks")):
+        if cells > GRID_CELLS:
+            raise ValueError(f"grid_max={grid_max} needs {cells} cells for {of}, "
+                             f"more than the budget of {GRID_CELLS}")
+    grid = np.zeros((grid_max + 1, grid_max + 1))
     for s, u in enumerate(amplitude_blocks(bs, s_max, (dim_a, dim_b))):
         lo = max(0, s - dim_b + 1)
         probs = block_probs(u, np.arange(lo, lo + u.shape[1]), s)
@@ -205,8 +210,7 @@ def joint_general(rho_ab, bs: BeamSplitterSetting,
     warnings = tuple(f"input trace deficit {deficit:.3e} of mode {mode} ({state.label}) "
                      f"exceeds {EPS_NORM:g}" for mode, state in zip("ab", rho_ab)
                      if (deficit := 1.0 - state.trace) > EPS_NORM)
-    return JointDistribution(grid, bs, input_label=f"{state_a.label} x {state_b.label}",
-                             warnings=warnings)
+    return JointDistribution(grid, bs, warnings=warnings)
 
 
 def _is_diagonal(state: State) -> bool:

@@ -6,14 +6,16 @@ Pure states are Fock-basis amplitude vectors, mixed states Fock-basis density
 matrices or, when diagonal (thermal), only their photon-number ``weights``,
 which every state has.  Constructors never renormalize after truncation: the
 truncated tail is *lost* mass, so every norm / trace lies in [1 - deficit, 1]
-and the deficit is reported by :func:`validate`.  No cutoff exceeds MAX_CUTOFF;
-every automatic one follows one rule: the smallest N with 1 - (w_0 + ... + w_N)
-<= EPS_NORM, over the weights of the sequence each constructor states (a
-coherent state's or cat's amplitudes as built), so an odd state's cutoff is odd.
+and the deficit is reported by :func:`validate`.  Coherent, odd-cat and
+photon-added states are built one way, as amplitudes sqrt(w_m) e^(i phase(m)) of
+the weights and phases they state.  No cutoff exceeds MAX_CUTOFF; every automatic
+one is the smallest N with 1 - (w_0 + ... + w_N) <= EPS_NORM over the weights of
+what is built, each pure state weighed as built, so an odd state's cutoff is odd.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import enum
 import itertools
@@ -175,8 +177,7 @@ def coherent(beta: complex, cutoff: int | None = None) -> PureState:
     beta = complex(beta)
     mean = _mean_photons("coherent amplitude beta", beta)
     label = f"coherent:beta={_fmt_complex(beta)}"
-    return PureState(_truncated(label, _coherent_amplitudes(beta, mean), cutoff, pure=True),
-                     label=label)
+    return _truncated(label, _poisson_weights(mean), cutoff, lambda m: m * cmath.phase(beta))
 
 
 def thermal(nbar: float, cutoff: int | None = None) -> DiagonalState:
@@ -187,7 +188,7 @@ def thermal(nbar: float, cutoff: int | None = None) -> DiagonalState:
     label = f"thermal:nbar={nbar:g}"
     weights = itertools.accumulate(itertools.repeat(nbar / (1.0 + nbar)), operator.mul,
                                    initial=1.0 / (1.0 + nbar))
-    return DiagonalState(_truncated(label, weights, cutoff), label=label)
+    return _truncated(label, weights, cutoff)
 
 
 def odd_cat(alpha: complex, cutoff: int | None = None) -> PureState:
@@ -200,10 +201,9 @@ def odd_cat(alpha: complex, cutoff: int | None = None) -> PureState:
         raise ValueError(f"odd cat state is degenerate at |alpha|^2 = {a2:g}, "
                          f"below {sys.float_info.min:g}")
     label = f"oddcat:alpha={_fmt_complex(alpha)}"
-    norm = math.sqrt(-2.0 * math.expm1(-2.0 * a2))
-    amps = (2.0 * c / norm if m % 2 else 0.0
-            for m, c in enumerate(_coherent_amplitudes(alpha, a2)))
-    return PureState(_truncated(label, amps, cutoff, pure=True), label=label)
+    scale = -2.0 / math.expm1(-2.0 * a2)
+    weights = (w * scale if m % 2 else 0.0 for m, w in enumerate(_poisson_weights(a2)))
+    return _truncated(label, weights, cutoff, lambda m: m * cmath.phase(alpha))
 
 
 def photon_added_smss(r: float, phi: float = 0.0, cutoff: int | None = None) -> PureState:
@@ -222,10 +222,9 @@ def photon_added_smss(r: float, phi: float = 0.0, cutoff: int | None = None) -> 
     if not math.isfinite(phi):
         raise ValueError(f"squeezing phase phi={phi:g} must be finite")
     label = f"pasmss:r={r:g}" + (f",phi={phi:g}" if phi else "")
-    weights = _truncated(label, _pasmss_weights(r), cutoff)
     # phi reduced to [-pi, pi] (itself when it lies there), so k phi stays a float
-    phases = np.exp(1j * math.remainder(phi, 2 * math.pi) * (np.arange(weights.size) // 2))
-    return PureState(np.sqrt(weights) * phases, label=label)
+    phi = math.remainder(phi, 2 * math.pi)
+    return _truncated(label, _pasmss_weights(r), cutoff, lambda m: phi * (m // 2))
 
 
 def fock_superposition(terms: dict[int, complex], cutoff: int | None = None,
@@ -288,11 +287,11 @@ def parse_state(descriptor: str, cutoff: int | None = None) -> State:
         n = int(rest) if not params else int(params["n"])
         return fock(n, cutoff=max(cutoff, n) if cutoff is not None else None)
     if kind == "coherent":
-        return coherent(_parse_complex(params["beta"]), cutoff=cutoff)
+        return coherent(complex(params["beta"].replace(" ", "")), cutoff=cutoff)
     if kind == "thermal":
         return thermal(float(params["nbar"]), cutoff=cutoff)
     if kind == "oddcat":
-        return odd_cat(_parse_complex(params["alpha"]), cutoff=cutoff)
+        return odd_cat(complex(params["alpha"].replace(" ", "")), cutoff=cutoff)
     if kind == "pasmss":
         return photon_added_smss(float(params["r"]),
                                  phi=float(params.get("phi", 0.0)),
@@ -306,16 +305,8 @@ def parse_state(descriptor: str, cutoff: int | None = None) -> State:
 
 
 def _parse_params(rest: str) -> dict[str, str]:
-    params: dict[str, str] = {}
-    for chunk in rest.split(","):
-        if "=" in chunk:
-            key, _, value = chunk.partition("=")
-            params[key.strip()] = value.strip()
-    return params
-
-
-def _parse_complex(text: str) -> complex:
-    return complex(text.replace(" ", ""))
+    pairs = (chunk.partition("=") for chunk in rest.split(","))
+    return {key.strip(): value.strip() for key, sep, value in pairs if sep}
 
 
 def _fmt_complex(z: complex) -> str:
@@ -346,15 +337,15 @@ def _bounded(name: str, n: int) -> int:
 
 def _log_poisson(m: int, mean: float) -> float:
     """log(exp(-mean) mean^m / m!) as -log(2 pi m)/2 - stirlerr(m) - bd0(m, mean),
-    Loader's saddle-point form, within 2e-12 of the exact log at a bright coherent
-    start, where m log(mean) - mean - lgamma(m + 1) cancels terms of order mean
-    (C. Loader, "Fast and accurate computation of binomial probabilities", 2000)."""
+    Loader's saddle-point form, which cancels no terms of order mean (C. Loader,
+    "Fast and accurate computation of binomial probabilities", 2000)."""
     if m == 0 or mean == 0.0:
         return -mean if m == 0 else -math.inf
-    # stirlerr(m) = log m! - log(sqrt(2 pi m) (m/e)^m), by its Stirling series past 15
-    s = 1 / (m * m)
-    stirlerr = ((1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - s / 1188) * s) * s) * s) / m if m > 15
-                else math.lgamma(m + 1) - (m + 0.5) * math.log(m) + m - math.log(2 * math.pi) / 2)
+    # stirlerr(n) = log n! - log(sqrt(2 pi n) (n/e)^n): Stirling's series from 16, below by
+    # stirlerr(k) - stirlerr(k + 1) = (k + 1/2) log(1 + 1/k) - 1
+    s = 1 / (n := max(m, 16)) ** 2
+    stirlerr = ((1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - s / 1188) * s) * s) * s) / n
+                + sum((k + 0.5) * math.log1p(1 / k) - 1 for k in range(m, 16)))
     # bd0 = m log(m/mean) + mean - m, by its series in v where |v| < 0.1
     if abs(v := (m - mean) / (m + mean)) < 0.1:
         bd0 = (m - mean) * v + 2 * m * sum(v ** j / j for j in range(3, 21, 2))
@@ -363,18 +354,17 @@ def _log_poisson(m: int, mean: float) -> float:
     return -math.log(2 * math.pi * m) / 2 - stirlerr - bd0
 
 
-def _coherent_amplitudes(beta: complex, mean: float) -> Iterator[np.complex128]:
-    """A coherent state's amplitudes c_0, c_1, ... by the recurrence
-    c_m = c_(m-1) beta / sqrt(m), in numpy complex128 arithmetic, from each
-    term that is a normal float, found in log space (c_0 underflows once
-    |beta|^2 > 1416)."""
-    c = np.complex128(0.0)
-    for m in itertools.count():
-        if c:
-            c = c * beta / math.sqrt(m)
-        elif (modulus := math.exp(_log_poisson(m, mean) / 2)) >= sys.float_info.min:
-            c = np.complex128(cmath.rect(modulus, m * cmath.phase(beta)))
-        yield c
+def _poisson_weights(mean: float) -> Iterator[float]:
+    """exp(-mean) mean^m / m!, m = 0, 1, ...: 0.0, uncomputed, below the first
+    nonzero one (bisected, as they rise up to the mean) and past the mean from
+    the first that underflows."""
+    start = bisect.bisect(range(int(min(mean, MAX_CUTOFF))), 0.0,
+                          key=lambda m: math.exp(_log_poisson(m, mean)))
+    yield from itertools.repeat(0.0, start)
+    for m in itertools.count(start):
+        yield (w := math.exp(_log_poisson(m, mean)))
+        if not w and m > mean:
+            yield from itertools.repeat(0.0)
 
 
 def _pasmss_weights(r: float) -> Iterator[float]:
@@ -384,34 +374,40 @@ def _pasmss_weights(r: float) -> Iterator[float]:
     power, would move the cutoff from r = 3.5 on (by 6 at r = 4.3)."""
     sech2 = math.cosh(r) ** -2
     log_tanh2 = math.log1p(-sech2) if sech2 < 1.0 else -math.inf
-    c = math.cosh(r) ** -3
+    c, exp = math.cosh(r) ** -3, math.exp
     for k in itertools.count():
         yield 0.0
-        yield c * math.exp(k * log_tanh2) if k else c
+        yield c * exp(k * log_tanh2) if k else c
         c *= (2 * k + 3) / (2 * k + 2)
 
 
-def _truncated(label: str, terms: Iterable, cutoff: int | None = None,
-               pure: bool = False) -> np.ndarray:
-    """t_0 .. t_N of a state's endless weights or, if ``pure``, amplitudes: N
-    is ``cutoff``, if it is at most MAX_CUTOFF, or by the one automatic rule
-    the smallest N <= MAX_CUTOFF with 1 - (w_0 + ... + w_N) <= EPS_NORM; any
-    other case is a ValueError that names the cutoff or the state.
-    Amplitudes are weighed by :attr:`PureState.weights` in blocks of doubling
-    size, bit for bit the built state's weights, and the sum carries its
-    rounding error (Knuth's TwoSum), so N agrees with :func:`validate`."""
+def _truncated(label: str, weights: Iterable[float], cutoff: int | None = None,
+               phase=None) -> PureState | DiagonalState:
+    """The state of a stream of weights w_m or, given each photon number's
+    ``phase`` (a function of an array of them), of amplitudes sqrt(w_m)
+    e^(i phase(m)), built a block at a time up to N: ``cutoff``, if it is at
+    most MAX_CUTOFF, or by the one automatic rule the smallest N <= MAX_CUTOFF
+    with 1 - (w_0 + ... + w_N) <= EPS_NORM over the weights of what is built (of
+    amplitudes, PureState.weights bit for bit), each sum carrying its exact error
+    (Dekker's Fast2Sum), so N agrees with :func:`validate`; else a ValueError."""
+    def built(block, start):  # the weights as they are, or the amplitudes
+        return (np.sqrt(block) * np.exp(1j * phase(np.arange(start, start + len(block))))
+                if phase else block)
+    state = PureState if phase else DiagonalState
     if cutoff is not None:
-        return np.array(list(itertools.islice(terms, _bounded("cutoff", cutoff) + 1)))
-    terms = itertools.islice(terms, MAX_CUTOFF + 1)
-    kept, total, error = [], 0.0, 0.0
-    while block := list(itertools.islice(terms, len(kept) + 32)):
-        kept += block
-        weights = PureState(np.array(block)).weights.tolist() if pure else block
-        for n, w in enumerate(weights, len(kept) - len(block)):
+        return state(built(list(itertools.islice(weights, _bounded("cutoff", cutoff) + 1)), 0),
+                     label=label)
+    weights = itertools.islice(weights, MAX_CUTOFF + 1)
+    blocks, size, total, error, eps = [], 0, 0.0, 0.0, EPS_NORM
+    while block := list(itertools.islice(weights, size // 2 + 32)):
+        blocks.append(terms := built(block, size))
+        for n, w in enumerate((terms * terms.conj()).real.tolist() if phase else block, size):
+            if not w:  # changes no sum
+                continue
             new = total + w
-            part = new - total
-            error += (total - (new - part)) + (w - part)
+            error += w - (new - total) if total >= w else total - (new - w)
             total = new
-            if 1.0 - (total + error) <= EPS_NORM:  # False once a weight is NaN
-                return np.array(kept[:n + 1])
+            if 1.0 - (total + error) <= eps:  # False once a weight is NaN
+                return state((np.concatenate(blocks) if size else terms)[:n + 1], label=label)
+        size += len(block)
     raise ValueError(f"no cutoff up to {MAX_CUTOFF} holds all but {EPS_NORM:g} of {label}")

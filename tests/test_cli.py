@@ -152,37 +152,39 @@ class TestDistCommand:
 
 #: the ``dist`` and ``lossy`` jobs of the benchmark's ``grids`` and
 #: ``lossy-io`` workloads at seed 1, their seeded phases, angles and
-#: efficiencies written out, with the sha256 of each ``-o`` file
+#: efficiencies written out, with the sha256 of each ``-o`` file.  The grids
+#: with a coherent, cat or photon-added mode were re-pinned when their amplitudes
+#: became sqrt(weight) e^(i phase): no cell moved by more than 1.1e-16
 PINNED_GRIDS = {
     "fs_pure": (["dist", "--a", "fock:1",
                  "--b", "coherent:beta=-0.67774177113931389+2.922441802953986j", "--bs", "1/2"],
-                "5e948c9181febdb455210bcc751ffaa0bfc7fe04426df4b25683aec96a9dbf1e"),
+                "fca62ff2ce496a49ab71b46f94dd8f7de8e351f1a03b1292703894773df3299f"),
     "fs_mixed": (["dist", "--a", "fock:3", "--b", "thermal:nbar=4.0", "--bs", "1/2"],
                  "f864b0efcaaf5a868c4e2666dc48916ec84f9490689d3916abb02a1627f45616"),
     "pure_pure-T1/2": (["dist", "--a", "coherent:beta=-1.3954275941874994-2.6557074065830535j",
                         "--b", "coherent:beta=-0.12895276703741362-2.997227249287814j",
                         "--bs", "1/2"],
-                       "9cd37b4548855bcce630f0ce840c2cdbe643bf78e36ed74afb859a8aae1b2e79"),
+                       "83fcc522311a3cc9f78a77d648f979dc09ebd25c6043fd0ff2a01d21c97191c8"),
     "pure_pure-theta": (["dist", "--a", "coherent:beta=-1.3954275941874994-2.6557074065830535j",
                          "--b", "coherent:beta=-0.12895276703741362-2.997227249287814j",
                          "--bs", "theta=1.0913238655534787"],
-                        "3a3b737e9ffa40b1659c3e0a31a4a0db46f0cb5c1d3b26fbf645f4d90041603e"),
+                        "4dde20d9297125216e153c86d6899f10c889e54867fcc9226e7fc0d9bb9c6ebf"),
     "pure_mixed": (["dist", "--a", "oddcat:alpha=1.8701356086698417+0.70893780064620682j",
                     "--b", "thermal:nbar=1.0", "--bs", "1/2"],
-                   "884f276a2faaa8560ff4dd6e4284bb566b30c7f091c6785eaafe7d5606ee09b4"),
+                   "c06ff3350439f5142d972c250083f70d96d8475fdd704378c868b6104fa1442f"),
     "general": (["dist", "--a", "thermal:nbar=1.0", "--b", "thermal:nbar=1.0", "--bs", "1/2"],
                 "e0512d83085530601f6aae93dfc4b8deb46e5425e39324d3088d60fdb213eb0b"),
     "pure_pure-T3/4": (["dist", "--a", "pasmss:r=0.5",
                         "--b", "coherent:beta=0.71421990865528018-1.8681247073149168j",
                         "--bs", "3/4"],
-                       "8535e88c54d45a0818ee2c6209828630512b1750671d1b9760198faf38b3143f"),
+                       "4bd09c2bc38706c49b7cb03aae3cac18b97401ef3e718c63924a51f398a169d7"),
     "fs_fs": (["dist", "--a", "fock:10", "--b", "fock:10", "--bs", "1/2"],
               "1fe4989f8fd7a3066c4becddb37a40cbec61866eeb9622a1eb4cdafceb7850af"),
     "lossy-fock-coherent-500": (
         ["lossy", "--a", "fock:1", "--b", "coherent:beta=-2.0791310227770952+2.1626867988975822j",
          "--bs", "1/2", "--grid-max", "500",
          "--eta-a", "0.8634728013840465", "--eta-b", "0.809275295085482"],
-        "503cdf4589b6b61451673201a22eed0f9e20ab50166644444da41959db2c13e1"),
+        "1eda3ed4849d5ef53808f531e3b0979e65bd01c452a03bca7c15993b885322f6"),
     "lossy-fock-thermal-400-csv": (
         ["lossy", "--a", "fock:1", "--b", "thermal:nbar=1.0", "--bs", "1/2", "--grid-max", "400",
          "--eta-a", "0.9495491338728442", "--eta-b", "0.7134431984535361", "--format", "csv"],
@@ -192,7 +194,7 @@ PINNED_GRIDS = {
          "--b", "coherent:beta=0.51327509184104569+0.85822414327235408j",
          "--bs", "theta=1.0870717421235392", "--grid-max", "300",
          "--eta-a", "0.7532733178523499", "--eta-b", "0.8892423910954655"],
-        "4a129c4e634514b38c1ad7a5fb50d9da5d1cede7a8c9516c512fe1e46cef4254"),
+        "04b9554e167a71a5ea3b26d3fbfae4737a518e0bb459075b143ac544c2b253d3"),
     # bright pairs on small grids: thermal:nbar=100 is 2315 weights
     "dist-thermal-thermal-10": (
         ["dist", "--a", "thermal:nbar=100", "--b", "thermal:nbar=100", "--grid-max", "10"],
@@ -200,7 +202,7 @@ PINNED_GRIDS = {
     "lossy-thermal-coherent-30": (
         ["lossy", "--a", "thermal:nbar=100", "--b", "coherent:beta=15", "--bs", "2/7",
          "--grid-max", "30", "--eta-a", "0.9", "--eta-b", "0.8"],
-        "1addd6606bba83a666d3fb69b8e9581a1414dad54332c348f377d2724716d38b"),
+        "cbbbe0a2397cf8db8a744112c935ffe8fcf6ecda1cc2fc2e74ba6e8cda3dcad6"),
 }
 
 
@@ -585,6 +587,9 @@ class TestExitCodes:
         (["dist", "--a", "thermal:nbar=nan", "--b", "fock:0", "--cutoff-a", "5"], None, EXIT_USAGE),
         # an 82170^2 grid, over the budget: refused before it is allocated
         (["dist", "--a", "pasmss:r=4.4", "--b", "fock:0"], None, EXIT_DOMAIN),
+        # an 11585^2 grid within the budget, whose 13828^2 amplitude block is not
+        (["dist", "--a", "thermal:nbar=600", "--b", "thermal:nbar=600", "--grid-max", "11584"],
+         None, EXIT_DOMAIN),
         # a photon number or cutoff above MAX_CUTOFF, refused before any array exists
         (["dist", "--a", "fock:100001", "--b", "fock:0", "--grid-max", "3"], None, EXIT_USAGE),
         (["dist", "--a", "super:1,100001", "--b", "fock:0", "--grid-max", "3"], None, EXIT_USAGE),

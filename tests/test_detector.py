@@ -105,7 +105,7 @@ class TestLossyDistribution:
         grid = rng.random((25, 25))
         grid[-1, 0] = 0.5  # support reaches the last row
         grid /= grid.sum()
-        d = JointDistribution(grid, BALANCED, input_label="random")
+        d = JointDistribution(grid, BALANCED)
         assert self._support(d.grid) == 25
         ea, eb = 0.9, 0.35
         want = bernoulli_matrix(ea, 25) @ d.grid @ bernoulli_matrix(eb, 25).T
@@ -123,7 +123,7 @@ class TestLossyDistribution:
         bernoulli = detector.bernoulli_matrix
         monkeypatch.setattr(detector, "bernoulli_matrix",
                             lambda eta, size: sizes.append(size) or bernoulli(eta, size))
-        d = JointDistribution(grid, BALANCED, input_label="signed zero")
+        d = JointDistribution(grid, BALANCED)
         out = lossy_distribution(d, LossConfig(0.9, 0.6)).grid
         assert sizes == [k, k] == [self._support(grid)] * 2
         assert out.tobytes() == np.zeros((30, 30)).tobytes()

@@ -328,6 +328,15 @@ class TestGridBudget:
         with pytest.raises(ValueError, match=f"^grid_max={states[0].cutoff} needs "):
             joint_general(states, BALANCED)
 
+    def test_over_budget_blocks_are_refused(self, monkeypatch):
+        # 11585^2 grid cells fit, but the largest block is 13828 x 13828 (1459 MiB),
+        # which 7 times over exceeds the budget; neither grid nor block is made
+        pair = (thermal(600), thermal(600))
+        monkeypatch.setattr(np, "zeros", _no_grid)
+        with pytest.raises(ValueError, match=r"^grid_max=11584 needs 1338495088 cells "
+                                             r"for amplitude blocks"):
+            joint_general(pair, BALANCED, grid_max=11584)
+
     def test_budget_edge(self, monkeypatch):
         # 11585^2 cells fit in 2^27, 11586^2 do not
         assert 11585 ** 2 <= joint_dist.GRID_CELLS < 11586 ** 2

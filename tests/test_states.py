@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
+from homlab import states
 from homlab.bs_core import BALANCED
 from homlab.joint_dist import joint_general
 from homlab.states import (EPS_NORM, MAX_CUTOFF, DiagonalState, MixedState, Parity, PureState,
@@ -225,22 +226,20 @@ def _pasmss_deficit(r, n):
 
 #: each automatic kind: its constructor, an exact oracle of the deficit
 #: 1 - (w_0 + ... + w_N), and how far the float weights the cutoff rule sums
-#: may put N on the wrong side of EPS_NORM: the coherent and cat weights carry
-#: the rounding of the amplitude recurrence, about 2^-53 a step (2 coherent
-#: states and 2 cats of 2500 moduli |.| <= 40 give a cutoff one off, at most
-#: 1.5e-13 from EPS_NORM), the thermal weights the rounded ratio raised to the
-#: m-th power (at most nbar 2^-53), and the photon-added weights only the
-#: rounding of their sum at 1.0.  Bright coherent states and cats (|.| > 37.6,
-#: whose recurrence starts in log space) run up to 1e5 steps, over which the
-#: rounding drifts the built weights by up to 2.1e-12 (|beta| = 266); over the
-#: moduli 38, 41, ..., 311 a cutoff is one off by at most 2.0e-12 (coherent
-#: 266; cat 224, 1.4e-12)
-AUTOMATIC = {"coherent": (coherent, _poisson_deficit, 1e-12),
+#: may put N on the wrong side of EPS_NORM: the thermal weights carry the
+#: rounded ratio raised to the m-th power (at most nbar 2^-53), the others only
+#: the rounding of their sum at 1.0, as every coherent and cat weight is a
+#: Poisson weight from Loader's form, within a few ulp of the exact one.  Over
+#: the moduli 0.016 i, i = 1 .. 2500, and 38, 41, ..., 311, each with a seeded
+#: phase, every coherent cutoff is the exact minimum and every cat cutoff meets
+#: its deficit; the amplitude recurrence these weights replaced drifted by up
+#: to 2.1e-12 and left 28 coherent cutoffs off the minimum and 7 cats above it
+AUTOMATIC = {"coherent": (coherent, _poisson_deficit, 1e-15),
              "thermal": (thermal, _thermal_deficit, 5e-14),
-             "oddcat": (odd_cat, _cat_deficit, 1e-12),
+             "oddcat": (odd_cat, _cat_deficit, 1e-15),
              "pasmss": (photon_added_smss, _pasmss_deficit, 1e-15),
-             "bright coherent": (coherent, _poisson_deficit, 3e-12),
-             "bright oddcat": (odd_cat, _cat_deficit, 3e-12)}
+             "bright coherent": (coherent, _poisson_deficit, 1e-15),
+             "bright oddcat": (odd_cat, _cat_deficit, 1e-15)}
 
 
 class TestAutomaticCutoffs:
@@ -250,6 +249,13 @@ class TestAutomaticCutoffs:
         # 25.16 and the cat's 19.04: log-space Poisson weights left the built
         # state's deficit at 1.004e-10 and 1.000e-10
         *[("coherent", b) for b in (0, 0.5, 2, 5, 10, 15, 20, 25, 25.16, 30, 35, 40)],
+        # moduli and phases of the sweep whose recurrence-built cutoff was off the minimum
+        *[("coherent", cmath.rect(r, phi)) for r, phi in (
+            (17.392, 0.908813520413446), (19.824, 0.9865636467613399),
+            (32.96, 2.1564520647667598))],
+        *[("bright coherent", cmath.rect(r, phi)) for r, phi in (
+            (116, -0.008163581955893395), (191, 1.4061345483850047),
+            (278, -1.3003947286289645))],
         # a start from m log(mean) - mean - lgamma(m + 1) gave 100 a cutoff
         # too small for the exact tail, and 281, 300 and 311 none up to MAX_CUTOFF
         *[("bright coherent", b) for b in (100, 200, 212, 266, 281, 299, 300, 311)],
@@ -257,6 +263,10 @@ class TestAutomaticCutoffs:
         *[("thermal", n) for n in (0, 0.01, 0.5, 1, 4, 20, 60, 100, 250, 381.2, 400)],
         *[("oddcat", a) for a in (0.001, 0.01, 0.1, 0.3, 0.6, 1, 2, 3, 5, 10, 19.04, 20, 40)],
         *[("bright oddcat", a) for a in (224, 300)],
+        # cats of the sweep that the recurrence left above EPS_NORM
+        *[("oddcat", cmath.rect(37.312, -1.0034750732682887))],
+        *[("bright oddcat", cmath.rect(r, phi)) for r, phi in (
+            (101, 2.6863390785792154), (173, 2.403624026672216), (251, 1.9266212102686477))],
         # 3.44: the exact deficit at N - 2 is within 5e-16 of EPS_NORM
         *[("pasmss", r) for r in (0, 0.05, 0.1, 0.5, 1, 1.5, 2, 2.5, 3, 3.44, 4.4)]])
     def test_cutoff_is_minimal(self, kind, param):
@@ -285,6 +295,24 @@ class TestAutomaticCutoffs:
         assert _pasmss_deficit(4.5, 100000) > EPS_NORM
         with pytest.raises(ValueError, match=re.escape("pasmss:r=4.5")):
             parse_state("pasmss:r=4.5")
+
+    def test_underflowed_weights_are_not_computed(self, monkeypatch):
+        # past the mean, the Poisson weights stop at the first that underflows
+        # (m = 178 for mean 1); below a bright state's first float weight a
+        # bisection replaces the scan
+        calls = []
+
+        def counted(m, mean):
+            calls.append(m)
+            return log_poisson(m, mean)
+
+        log_poisson = states._log_poisson
+        monkeypatch.setattr(states, "_log_poisson", counted)
+        assert coherent(1, cutoff=MAX_CUTOFF).cutoff == MAX_CUTOFF
+        assert len(calls) < 300
+        calls.clear()
+        assert coherent(300).cutoff == 91915
+        assert len(calls) < 20000
 
     def test_coherent_beyond_the_bound_is_refused(self):
         # Poisson mean 102400: the exact tail at MAX_CUTOFF is far above EPS_NORM
