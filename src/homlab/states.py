@@ -349,15 +349,15 @@ def _log_poisson(m: int, mean: float) -> float:
     # bd0 = m log(m/mean) + mean - m, by its series in v where |v| < 0.1
     if abs(v := (m - mean) / (m + mean)) < 0.1:
         bd0 = (m - mean) * v + 2 * m * sum(v ** j / j for j in range(3, 21, 2))
-    else:
-        bd0 = m * math.log1p((m - mean) / mean) - (m - mean)
+    else:  # log(m/mean) below mean/2, where (m - mean)/mean can round to -1
+        log_ratio = math.log1p((m - mean) / mean) if m > mean / 2 else math.log(m / mean)
+        bd0 = m * log_ratio - (m - mean)
     return -math.log(2 * math.pi * m) / 2 - stirlerr - bd0
 
 
 def _poisson_weights(mean: float) -> Iterator[float]:
-    """exp(-mean) mean^m / m!, m = 0, 1, ...: 0.0, uncomputed, below the first
-    nonzero one (bisected, as they rise up to the mean) and past the mean from
-    the first that underflows."""
+    """exp(-mean) mean^m / m!, m = 0, 1, ...: 0.0, uncomputed, below the first nonzero
+    one (bisected, as they rise up to the mean) and past the mean once one underflows."""
     start = bisect.bisect(range(int(min(mean, MAX_CUTOFF))), 0.0,
                           key=lambda m: math.exp(_log_poisson(m, mean)))
     yield from itertools.repeat(0.0, start)

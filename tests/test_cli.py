@@ -158,17 +158,17 @@ class TestDistCommand:
 PINNED_GRIDS = {
     "fs_pure": (["dist", "--a", "fock:1",
                  "--b", "coherent:beta=-0.67774177113931389+2.922441802953986j", "--bs", "1/2"],
-                "fca62ff2ce496a49ab71b46f94dd8f7de8e351f1a03b1292703894773df3299f"),
+                "70363865c9a2d2dde0e980e9af627f3bcfa05b9c1d8ded315ada900a911d02a5"),
     "fs_mixed": (["dist", "--a", "fock:3", "--b", "thermal:nbar=4.0", "--bs", "1/2"],
                  "f864b0efcaaf5a868c4e2666dc48916ec84f9490689d3916abb02a1627f45616"),
     "pure_pure-T1/2": (["dist", "--a", "coherent:beta=-1.3954275941874994-2.6557074065830535j",
                         "--b", "coherent:beta=-0.12895276703741362-2.997227249287814j",
                         "--bs", "1/2"],
-                       "83fcc522311a3cc9f78a77d648f979dc09ebd25c6043fd0ff2a01d21c97191c8"),
+                       "538064022a2d85e6c668550f76b16397b62419012bc1f489d89166e135219f8b"),
     "pure_pure-theta": (["dist", "--a", "coherent:beta=-1.3954275941874994-2.6557074065830535j",
                          "--b", "coherent:beta=-0.12895276703741362-2.997227249287814j",
                          "--bs", "theta=1.0913238655534787"],
-                        "4dde20d9297125216e153c86d6899f10c889e54867fcc9226e7fc0d9bb9c6ebf"),
+                        "573dc535f1f936c2591f6180618c05139e586e03d966fa416c7eb3782e564d24"),
     "pure_mixed": (["dist", "--a", "oddcat:alpha=1.8701356086698417+0.70893780064620682j",
                     "--b", "thermal:nbar=1.0", "--bs", "1/2"],
                    "c06ff3350439f5142d972c250083f70d96d8475fdd704378c868b6104fa1442f"),
@@ -184,7 +184,7 @@ PINNED_GRIDS = {
         ["lossy", "--a", "fock:1", "--b", "coherent:beta=-2.0791310227770952+2.1626867988975822j",
          "--bs", "1/2", "--grid-max", "500",
          "--eta-a", "0.8634728013840465", "--eta-b", "0.809275295085482"],
-        "1eda3ed4849d5ef53808f531e3b0979e65bd01c452a03bca7c15993b885322f6"),
+        "4f92729728614400b536dd52181cd609bd2ace874e11fbeaf84a01329f53cf72"),
     "lossy-fock-thermal-400-csv": (
         ["lossy", "--a", "fock:1", "--b", "thermal:nbar=1.0", "--bs", "1/2", "--grid-max", "400",
          "--eta-a", "0.9495491338728442", "--eta-b", "0.7134431984535361", "--format", "csv"],
@@ -202,7 +202,7 @@ PINNED_GRIDS = {
     "lossy-thermal-coherent-30": (
         ["lossy", "--a", "thermal:nbar=100", "--b", "coherent:beta=15", "--bs", "2/7",
          "--grid-max", "30", "--eta-a", "0.9", "--eta-b", "0.8"],
-        "cbbbe0a2397cf8db8a744112c935ffe8fcf6ecda1cc2fc2e74ba6e8cda3dcad6"),
+        "7dff306cda3a12e032a3d35f2d882599c7c877a79c216d3b358efaed77cd91ce"),
 }
 
 

@@ -320,6 +320,9 @@ class TestAutomaticCutoffs:
         with pytest.raises(ValueError, match=re.escape("no cutoff up to 100000 holds all but "
                                                        "1e-10 of coherent:beta=320")):
             parse_state("coherent:beta=320")
+        # (m - mean) / mean rounds to -1 here, where log1p raised "math domain error"
+        with pytest.raises(ValueError, match=re.escape("of coherent:beta=1e+11")):
+            parse_state("coherent:beta=1e11")
 
 
 class TestCutoffBound:
