@@ -57,51 +57,25 @@ def _emit(document: dict, path: str | None, fmt: str) -> None:
         _atomic_write(path, chunks)
 
 
-# the text json writes for a str, by its C encoder
-_json_key = json.encoder.encode_basestring_ascii
-
-
 def _to_json(document: dict):
-    """The chunks of ``json.dumps(document, indent=2) + "\\n"``: one per
-    top-level item, and one per row of a ``"grid"`` of floats, which is
-    written directly.  With an indent, json runs its pure-Python encoder,
-    which costs more than the rest of a large grid command; ``_json_text``
-    writes the other values.  ``float.__repr__`` is the text json writes for
-    a finite float; ``JointDistribution`` admits no NaN or infinity."""
+    """The chunks of ``document`` as JSON: one line per top-level item, and
+    one per element of a top-level list, so that a family, a zero or a grid
+    row is one line.  Each value is ``json.dumps`` text without an indent,
+    written by json's C encoder (an indent selects its pure-Python one)."""
     if not document:
         yield "{}\n"
         return
     for i, (key, value) in enumerate(document.items()):
-        yield f"{',' if i else '{'}\n  {_json_key(key)}: "
-        if key == "grid":
-            yield from _grid_json(value)
+        yield f"{',' if i else '{'}\n  {json.dumps(key)}: "
+        if key == "grid" or isinstance(value, (list, tuple)):
+            lines = _grid_json(value) if key == "grid" else map(json.dumps, value)
+            yield "["
+            for j, line in enumerate(lines):
+                yield f"{',' if j else ''}\n    {line}"
+            yield "\n  ]" if len(value) else "]"
         else:
-            yield _json_text(value, "\n  ")
+            yield json.dumps(value)
     yield "\n}\n"
-
-
-def _json_text(value, indent: str) -> str:
-    """``json.dumps(value, indent=2)`` for a value of a document with string
-    keys, on a line that starts with ``indent`` (a line break and spaces).
-    Dicts, lists and tuples are expanded level by level, a plain int, alone
-    or in a list of them, is written by ``str``, and every other scalar goes
-    through ``json.dumps``, so that bools, NaN, strings and float subclasses
-    read as json writes them (``repr`` of a numpy float is not its json)."""
-    if type(value) is int:
-        return str(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [f"{_json_key(k)}: {_json_text(v, inner)}" for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = (map(str, value) if all(type(v) is int for v in value)
-                 else [_json_text(v, inner) for v in value])
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    return json.dumps(value)
 
 
 def _heads(grid):
@@ -113,21 +87,15 @@ def _heads(grid):
 
 
 def _grid_json(grid):
-    """The text of a grid (rows of floats) at the first indent level, one
-    chunk per row.  Every item of a row is written as ",\\n      " + its
-    repr, so a row's zero tail is a slice of one precomputed run of zero
-    items."""
-    if not len(grid):
-        yield "[]"
-        return
-    zero_item = ",\n      0.0"
-    zero_run = zero_item * max(map(len, grid))
-    for i, (row, head) in enumerate(zip(grid, _heads(grid))):
-        items = "".join(f",\n      {v!r}" for v in head) \
-            + zero_run[:len(zero_item) * (len(row) - len(head))]
-        # "[" + the items without their leading comma
-        yield (",\n    " if i else "[\n    ") + ("[" + items[1:] + "\n    ]" if items else "[]")
-    yield "\n  ]"
+    """Each row of a grid of floats as ``json.dumps(row)`` writes it: the
+    reprs of its head, then a slice of one precomputed run of zero items.
+    ``float.__repr__`` is json's text for a finite float, and
+    ``JointDistribution`` admits no NaN or infinity."""
+    zero = ", 0.0"
+    zero_run = zero * max(map(len, grid), default=0)
+    for row, head in zip(grid, _heads(grid)):
+        text = ", ".join(map(repr, head)) + zero_run[:len(zero) * (len(row) - len(head))]
+        yield "[" + text.removeprefix(", ") + "]"
 
 
 def _to_csv(document: dict):

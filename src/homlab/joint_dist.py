@@ -19,7 +19,7 @@ engine applied to their input classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,6 +47,8 @@ class JointDistribution:
     grid: np.ndarray
     bs: BeamSplitterSetting
     warnings: tuple[str, ...] = ()
+    #: the sum of the grid, taken once, when it is checked
+    total_mass: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -57,14 +59,11 @@ class JointDistribution:
         if not (low >= -NEGATIVE_TOL and mass <= 1.0 + MASS_TOL):
             raise ValueError(f"grid is not a distribution: lowest entry {low:.3e}, "
                              f"total mass {mass!r}")
+        object.__setattr__(self, "total_mass", mass)
 
     @property
     def grid_max(self) -> int:
         return self.grid.shape[0] - 1
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.grid.sum())
 
     def diagonal(self) -> np.ndarray:
         return np.diag(self.grid).copy()
@@ -109,10 +108,10 @@ class CnlReport:
         return all(self.passes)
 
 
-def cnl_scan(dist: JointDistribution, tol: float = 1e-14) -> CnlReport:
-    """Check every diagonal entry of the distribution against ``tol``: the
-    central nodal line is dark when every entry passes."""
-    return CnlReport(diagonal=tuple(float(v) for v in dist.diagonal()), tol=tol)
+def cnl_scan(dist: JointDistribution) -> CnlReport:
+    """Check every diagonal entry of the distribution against ``NEGATIVE_TOL``:
+    the central nodal line is dark when every entry passes."""
+    return CnlReport(diagonal=tuple(float(v) for v in dist.diagonal()), tol=NEGATIVE_TOL)
 
 
 def joint_fs_fs(n: int, m: int, bs: BeamSplitterSetting,

@@ -227,8 +227,7 @@ def photon_added_smss(r: float, phi: float = 0.0, cutoff: int | None = None) -> 
     return _truncated(label, _pasmss_weights(r), cutoff, lambda m: phi * (m // 2))
 
 
-def fock_superposition(terms: dict[int, complex], cutoff: int | None = None,
-                       label: str | None = None) -> PureState:
+def fock_superposition(terms: dict[int, complex], cutoff: int | None = None) -> PureState:
     """Normalized superposition of Fock states, e.g. {1: 1, 3: 1}."""
     if min(terms) < 0 or not any(terms.values()):
         raise ValueError("superposition needs non-negative photon numbers "
@@ -238,9 +237,7 @@ def fock_superposition(terms: dict[int, complex], cutoff: int | None = None,
     for n, c in terms.items():
         amps[n] = c
     amps /= np.linalg.norm(amps)
-    if label is None:
-        label = "super:" + ",".join(str(n) for n in sorted(terms))
-    return PureState(amps, label=label)
+    return PureState(amps, label="super:" + ",".join(str(n) for n in sorted(terms)))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +281,7 @@ def parse_state(descriptor: str, cutoff: int | None = None) -> State:
     kind = kind.strip().lower()
     params = _parse_params(rest)
     if kind == "fock":
-        n = int(rest) if not params else int(params["n"])
+        n = int(rest)
         return fock(n, cutoff=max(cutoff, n) if cutoff is not None else None)
     if kind == "coherent":
         return coherent(complex(params["beta"].replace(" ", "")), cutoff=cutoff)

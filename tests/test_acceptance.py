@@ -228,3 +228,69 @@ def test_criterion_10_collective_spin_analogue():
     assert worst < 1e-14
     print(f"\nPASS: criterion 10 — collective-spin central probability "
           f"max {worst:.2e} < 1e-14 over 100 odd-support trials, J <= 10")
+
+
+def test_criterion_11_pseudo_nodal_curves():
+    # fock:n in mode a: grid(m_a, m_b) is the partner's weight w_b(s - n) times
+    # |U_s[m_a, n]|^2, a positive multiple of g(m_a, m_b | n)^2, so g's real
+    # zero curves are valleys of the grid whatever the partner.  At each sign
+    # change of g along an anti-diagonal, a cell beside it is a local minimum,
+    # except at the pinned low-s cells (s, m_a left of the change)
+    misses_by_n = {2: [], 3: [(3, 1), (4, 0), (4, 3), (5, 2)],
+                   4: [(4, 1), (4, 2), (6, 0), (6, 5)]}
+    counts, zeros = [], 0
+    for n, pinned in misses_by_n.items():
+        for partner in (h.coherent(3), h.thermal(4)):
+            d = h.joint_general((h.fock(n), partner), h.BALANCED)
+            grid, changes, misses = d.grid, 0, []
+            for s in range(n, d.grid_max + 1):
+                g = [h.g_poly(m_a, s - m_a, n, h.BALANCED) for m_a in range(s + 1)]
+                p = [grid[m_a, s - m_a] for m_a in range(s + 1)]
+
+                def is_minimum(i):
+                    return all(p[i] <= p[j] for j in (i - 1, i + 1) if 0 <= j <= s)
+
+                for m_a in range(s):
+                    if g[m_a] * g[m_a + 1] < 0:
+                        changes += 1
+                        if not (is_minimum(m_a) or is_minimum(m_a + 1)):
+                            misses.append((s, m_a))
+                for m_a in range(s + 1):
+                    if g[m_a] == 0:
+                        zeros += 1
+                        assert grid[m_a, s - m_a] <= 1e-14 * grid.max(), (n, s, m_a)
+            assert misses == pinned, (n, partner.label, misses)
+            counts.append(f"{changes - len(misses)}/{changes}")
+    print(f"\nPASS: criterion 11 — pseudo-nodal curves: a local minimum beside "
+          f"every sign change of g for n = 2, 3, 4 (coherent:beta=3, thermal:nbar=4): "
+          f"{', '.join(counts)}; the same {len(misses_by_n[3]) + len(misses_by_n[4])} "
+          f"low-s misses for both partners; all {zeros} exact zeros of g are cells "
+          f"<= 1e-14 of the grid's maximum")
+
+
+def test_criterion_12_noise_partly_fills_the_central_nodal_line():
+    # the paper's "small amount of noise": the depth max(diagonal) / max(grid)
+    # of |1> x coherent(beta=2) at T = 1/2 is 0 without noise and rises as
+    # equal loss grows; a heralded t = 1 photon (weights from the posterior)
+    # fills it in to the depths measured for demo 04
+    partner = h.coherent(2)
+
+    def depth(dist):
+        return float(dist.diagonal().max() / dist.grid.max())
+
+    single = h.joint_fs_pure(1, partner, h.BALANCED)
+    etas = (1.0, 0.99, 0.95, 0.9, 0.8, 0.6)
+    lossy = [depth(h.lossy_distribution(single, h.LossConfig(eta, eta))) for eta in etas]
+    assert lossy[0] == 0.0
+    assert all(a < b for a, b in zip(lossy, lossy[1:]))
+    heralded = {}
+    for (eta_h, r), measured in {(0.6, 0.1): 5.28e-3, (0.6, 0.3): 4.38e-2,
+                                 (0.9, 0.5): 2.79e-2}.items():
+        source = h.SqueezedSource(r=r)
+        weights = [0.0] + [h.herald_posterior(k, 1, eta_h, source) for k in range(1, 30)]
+        state = h.DiagonalState(weights, label="heralded")
+        heralded[eta_h, r] = depth(h.joint_general((state, partner), h.BALANCED))
+        assert heralded[eta_h, r] == pytest.approx(measured, rel=0.1)
+    print(f"\nPASS: criterion 12 — CNL depth 0 at eta = 1, rising strictly to "
+          f"{', '.join(f'{d:.3g}' for d in lossy[1:])} at eta = {etas[1:]}; heralded t = 1 "
+          f"{', '.join(f'{d:.3g} at (eta_h, r) = {k}' for k, d in heralded.items())}")

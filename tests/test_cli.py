@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -154,37 +155,39 @@ class TestDistCommand:
 #: ``lossy-io`` workloads at seed 1, their seeded phases, angles and
 #: efficiencies written out, with the sha256 of each ``-o`` file.  The grids
 #: with a coherent, cat or photon-added mode were re-pinned when their amplitudes
-#: became sqrt(weight) e^(i phase): no cell moved by more than 1.1e-16
+#: became sqrt(weight) e^(i phase): no cell moved by more than 1.1e-16.  The
+#: JSON files were re-pinned when a grid row became one line; each parses to
+#: the same bits as before
 PINNED_GRIDS = {
     "fs_pure": (["dist", "--a", "fock:1",
                  "--b", "coherent:beta=-0.67774177113931389+2.922441802953986j", "--bs", "1/2"],
-                "70363865c9a2d2dde0e980e9af627f3bcfa05b9c1d8ded315ada900a911d02a5"),
+                "f501b16e00a58a9458f3973818194b21b0bcf098c84cefc7cc1d6643554169eb"),
     "fs_mixed": (["dist", "--a", "fock:3", "--b", "thermal:nbar=4.0", "--bs", "1/2"],
-                 "f864b0efcaaf5a868c4e2666dc48916ec84f9490689d3916abb02a1627f45616"),
+                 "b690fcb5621d4de27764cd4ca586a3b639ad5b54db6a8ae84a59aba22fe0f27b"),
     "pure_pure-T1/2": (["dist", "--a", "coherent:beta=-1.3954275941874994-2.6557074065830535j",
                         "--b", "coherent:beta=-0.12895276703741362-2.997227249287814j",
                         "--bs", "1/2"],
-                       "538064022a2d85e6c668550f76b16397b62419012bc1f489d89166e135219f8b"),
+                       "91ba524a4c83190b13fc1545d78bd122d0e3084ec4bdc0075cc82cb47b3f7213"),
     "pure_pure-theta": (["dist", "--a", "coherent:beta=-1.3954275941874994-2.6557074065830535j",
                          "--b", "coherent:beta=-0.12895276703741362-2.997227249287814j",
                          "--bs", "theta=1.0913238655534787"],
-                        "573dc535f1f936c2591f6180618c05139e586e03d966fa416c7eb3782e564d24"),
+                        "8ec7b55aed6f130002663adef04a4c9af0d23295278a77db889912dd5a4e00a1"),
     "pure_mixed": (["dist", "--a", "oddcat:alpha=1.8701356086698417+0.70893780064620682j",
                     "--b", "thermal:nbar=1.0", "--bs", "1/2"],
-                   "c06ff3350439f5142d972c250083f70d96d8475fdd704378c868b6104fa1442f"),
+                   "f9c0fdd5e1d14c7059e1c6ccee0fd92e0ba52e745927f87c54ba1b5facf314a8"),
     "general": (["dist", "--a", "thermal:nbar=1.0", "--b", "thermal:nbar=1.0", "--bs", "1/2"],
-                "e0512d83085530601f6aae93dfc4b8deb46e5425e39324d3088d60fdb213eb0b"),
+                "76052ebefac2c2e4aa0c50be916f74889dd4d56ec48983381c58716e9098315f"),
     "pure_pure-T3/4": (["dist", "--a", "pasmss:r=0.5",
                         "--b", "coherent:beta=0.71421990865528018-1.8681247073149168j",
                         "--bs", "3/4"],
-                       "4bd09c2bc38706c49b7cb03aae3cac18b97401ef3e718c63924a51f398a169d7"),
+                       "a32fdc2dd596d612ba8e0d3f10367ba626ad86720b0c376d61c1c6f0e065c052"),
     "fs_fs": (["dist", "--a", "fock:10", "--b", "fock:10", "--bs", "1/2"],
-              "1fe4989f8fd7a3066c4becddb37a40cbec61866eeb9622a1eb4cdafceb7850af"),
+              "a198ea5d8efccdeb34981f9aaa41192a51f63fc2bfe90cdf282eb18bc8d410b3"),
     "lossy-fock-coherent-500": (
         ["lossy", "--a", "fock:1", "--b", "coherent:beta=-2.0791310227770952+2.1626867988975822j",
          "--bs", "1/2", "--grid-max", "500",
          "--eta-a", "0.8634728013840465", "--eta-b", "0.809275295085482"],
-        "4f92729728614400b536dd52181cd609bd2ace874e11fbeaf84a01329f53cf72"),
+        "d9f65b2cbff4589d3defe5737a4ea9faa1aef7299ca2ffc73d00dbef037a47f0"),
     "lossy-fock-thermal-400-csv": (
         ["lossy", "--a", "fock:1", "--b", "thermal:nbar=1.0", "--bs", "1/2", "--grid-max", "400",
          "--eta-a", "0.9495491338728442", "--eta-b", "0.7134431984535361", "--format", "csv"],
@@ -194,15 +197,15 @@ PINNED_GRIDS = {
          "--b", "coherent:beta=0.51327509184104569+0.85822414327235408j",
          "--bs", "theta=1.0870717421235392", "--grid-max", "300",
          "--eta-a", "0.7532733178523499", "--eta-b", "0.8892423910954655"],
-        "04b9554e167a71a5ea3b26d3fbfae4737a518e0bb459075b143ac544c2b253d3"),
+        "7f02034cad6d61d07c1d6bd2d40b37c455e7c5014780d6bbe8767de5c0eb2f0e"),
     # bright pairs on small grids: thermal:nbar=100 is 2315 weights
     "dist-thermal-thermal-10": (
         ["dist", "--a", "thermal:nbar=100", "--b", "thermal:nbar=100", "--grid-max", "10"],
-        "22d1557b258d394b83c0409edb26c4d8eb84b0d7080b39bcae12229829655fa1"),
+        "876d0a7f272ab57048ab4e1c181d76a1a556b3adbb1d623db0bda76801ea2c74"),
     "lossy-thermal-coherent-30": (
         ["lossy", "--a", "thermal:nbar=100", "--b", "coherent:beta=15", "--bs", "2/7",
          "--grid-max", "30", "--eta-a", "0.9", "--eta-b", "0.8"],
-        "7dff306cda3a12e032a3d35f2d882599c7c877a79c216d3b358efaed77cd91ce"),
+        "e79967a8d7cd11a566afb1353cb6283db299278a7e9aa08da0c1e2acea81533c"),
 }
 
 
@@ -301,8 +304,45 @@ class TestLossyCommand:
             json.loads(ref.read_text())["total_mass"], abs=1e-12)
 
 
+def _json_layout(doc) -> str:
+    """``doc`` in the writer's layout, built from json.dumps of each element
+    alone: one line per top-level item and per element of a top-level list
+    (a grid array as the list of its rows)."""
+    items = []
+    for key, value in doc.items():
+        if isinstance(value, (list, tuple, np.ndarray)):
+            elements = value.tolist() if isinstance(value, np.ndarray) else value
+            text = ("[" + ",".join(f"\n    {json.dumps(v)}" for v in elements)
+                    + ("\n  ]" if len(elements) else "]"))
+        else:
+            text = json.dumps(value)
+        items.append(f"\n  {json.dumps(key)}: {text}")
+    return "{" + ",".join(items) + ("\n}\n" if items else "}\n")
+
+
+def _bits(value):
+    """A parsed JSON value with each float as its bits and each scalar tagged
+    with its type, so that == tells -0.0 from 0.0 and 1 from 1.0."""
+    if isinstance(value, dict):
+        return [(key, _bits(v)) for key, v in value.items()]
+    if isinstance(value, list):
+        return [_bits(v) for v in value]
+    if type(value) is float:
+        return struct.pack("<d", value)
+    return type(value).__name__, value
+
+
+def _assert_json(doc) -> None:
+    """The writer's text of ``doc`` is its layout built from json.dumps, and
+    reads back as json.dumps(doc) does, bit for bit."""
+    text = "".join(_to_json(doc))
+    assert text == _json_layout(doc)
+    assert _bits(json.loads(text)) == _bits(json.loads(json.dumps(doc, default=np.ndarray.tolist)))
+
+
 class TestJsonWriter:
-    """The grid writer must reproduce json.dumps(doc, indent=2) byte for byte."""
+    """Every value is json.dumps text, one line per top-level item and per
+    element of a top-level list, and the document reads back unchanged."""
 
     @pytest.mark.parametrize("doc", [
         {"meta": {"state_a": '"grid": null', "eta_a": None, "bs": {}},
@@ -328,7 +368,7 @@ class TestJsonWriter:
         {"mixed": [1, 2.5, "3", None, True, [4], {"five": 5}], "float_int": [1.0, 2]},
     ])
     def test_matches_json_dumps(self, doc):
-        assert "".join(_to_json(doc)) == json.dumps(doc, indent=2) + "\n"
+        _assert_json(doc)
 
     @pytest.mark.parametrize("argv", [
         ["parametric", "--n", "3", "--T", "1/2", "--coeff-min", "-2", "--coeff-max", "2"],
@@ -346,24 +386,14 @@ class TestJsonWriter:
         monkeypatch.setattr(cli, "_emit", lambda doc, path, fmt: docs.append(doc))
         main([*argv, "-o", str(tmp_path / "out.json")])
         assert len(docs) == 1
-        assert "".join(_to_json(docs[0])) == json.dumps(docs[0], indent=2) + "\n"
+        _assert_json(docs[0])
 
     def test_cli_grid_file(self, tmp_path):
         out = tmp_path / "g.json"
         assert main(["lossy", "--a", "fock:1", "--b", "coherent:beta=2",
                      "--eta-a", "0.9", "--eta-b", "0.8", "-o", str(out)]) == EXIT_OK
         text = out.read_text()
-        assert text == json.dumps(json.loads(text), indent=2) + "\n"
-
-
-def _json_reference(grid) -> str:
-    """``{"grid": grid}`` as json.dumps(indent=2) writes it, cell by cell."""
-    rows = []
-    for row in grid:
-        cells = [f"      {float.__repr__(float(v))}" for v in row]
-        rows.append("[\n" + ",\n".join(cells) + "\n    ]" if cells else "[]")
-    body = "[\n" + ",\n".join(f"    {r}" for r in rows) + "\n  ]" if rows else "[]"
-    return '{\n  "grid": ' + body + "\n}\n"
+        assert text == _json_layout(json.loads(text))
 
 
 def _csv_reference(grid) -> str:
@@ -376,7 +406,7 @@ def _csv_reference(grid) -> str:
 class TestGridWriters:
     """The writers format each row up to its last entry that is not +0.0 and
     emit the rest from a precomputed zero tail; every byte must stay that of
-    the per-cell writers."""
+    json.dumps(row) per row and of the per-cell CSV writer."""
 
     GRIDS = {
         "signed-zeros-and-tiny": [[0.5, -0.0, 0.0, 0.0], [0.0, 0.0, 5e-324, 0.0],
@@ -395,14 +425,14 @@ class TestGridWriters:
     @pytest.mark.parametrize("name", GRIDS)
     def test_lists_match_per_cell_writers(self, name):
         grid = self.GRIDS[name]
-        assert _json_reference(grid) == json.dumps({"grid": grid}, indent=2) + "\n"
-        assert "".join(_to_json({"grid": grid})) == _json_reference(grid)
+        assert _bits(json.loads(_json_layout({"grid": grid}))) == _bits({"grid": grid})
+        _assert_json({"grid": grid})
         assert "".join(_to_csv({"grid": grid})) == _csv_reference(grid)
 
     @pytest.mark.parametrize("name", [n for n in GRIDS if n != "empty"])
     def test_arrays_match_per_cell_writers(self, name):
         grid = np.array(self.GRIDS[name])
-        assert "".join(_to_json({"grid": grid})) == _json_reference(grid)
+        _assert_json({"grid": grid})
         assert "".join(_to_csv({"grid": grid})) == _csv_reference(grid)
 
     def test_padded_lossy_grid(self):
@@ -410,7 +440,7 @@ class TestGridWriters:
                                                 grid_max=60), LossConfig(0.9, 0.8))
         grid = dist.grid
         assert grid[-1].sum() == 0.0 and grid[0, 1] > 0.0
-        assert "".join(_to_json({"grid": grid})) == _json_reference(grid)
+        _assert_json({"grid": grid})
         assert "".join(_to_csv({"grid": grid})) == _csv_reference(grid)
 
 
@@ -584,6 +614,7 @@ class TestExitCodes:
         (["herald", "--t", "2", "--eta", "0.87", "--r", "nan"], None, EXIT_DOMAIN),
         (["herald", "--t", "2", "--eta", "0.87", "--r", "400"], None, EXIT_DOMAIN),
         (["dist", "--a", "fock:-1", "--b", "fock:1"], None, EXIT_USAGE),
+        (["dist", "--a", "fock:n=3", "--b", "fock:1"], None, EXIT_USAGE),
         (["dist", "--a", "thermal:nbar=nan", "--b", "fock:0", "--cutoff-a", "5"], None, EXIT_USAGE),
         # an 82170^2 grid, over the budget: refused before it is allocated
         (["dist", "--a", "pasmss:r=4.4", "--b", "fock:0"], None, EXIT_DOMAIN),
@@ -689,9 +720,9 @@ class TestStreamedWriter:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_memory_is_one_row(self, tmp_path, fmt):
-        # 1500 x 1500 cells with a zero tail after 100 columns: tens of MB
-        grid = np.zeros((1500, 1500))
-        grid[:, :100] = np.random.default_rng(5).random((1500, 100))
+        # 2000 x 2000 cells with a zero tail after 100 columns: over 20 MB
+        grid = np.zeros((2000, 2000))
+        grid[:, :100] = np.random.default_rng(5).random((2000, 100))
         out = tmp_path / f"g.{fmt}"
         tracemalloc.start()
         try:

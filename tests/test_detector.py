@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from homlab import detector
-from homlab.bs_core import BALANCED
+from homlab.bs_core import BALANCED, BeamSplitterSetting
 from homlab.detector import (LossConfig, SqueezedSource, bernoulli_matrix,
                              herald_posterior, lossy_distribution,
                              spdc_detection_prob, squeezing_db, tmss_prob)
 from homlab.joint_dist import JointDistribution, joint_fs_fs, joint_fs_pure, joint_general
-from homlab.states import coherent, fock, thermal
+from homlab.states import DiagonalState, coherent, fock, thermal
 
 
 class TestBernoulliMatrix:
@@ -70,6 +70,38 @@ def _traced_peak(call):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _thermal_cutoff(nbar: float) -> int:
+    """The smallest N whose thermal tail (nbar / (1 + nbar))^(N + 1) is below 1e-20."""
+    return math.ceil(math.log(1e-20) / math.log(nbar / (1.0 + nbar)))
+
+
+def _poisson_cutoff(mean: float) -> int:
+    """An N >= mean whose Poisson tail, at most p_(N+1) / (1 - mean / (N + 2)),
+    is below 1e-20."""
+    n = math.ceil(mean)
+    while (math.exp((n + 1) * math.log(mean) - mean - math.lgamma(n + 2))
+           / (1.0 - mean / (n + 2)) >= 1e-20):
+        n += 1
+    return n
+
+
+def _with_loss(kind: str, value, eta: float):
+    """A mode's input and, built apart from the loss model, that input after
+    loss eta: Fock |n> thinned binomially, thermal nbar as thermal(eta nbar),
+    coherent beta as coherent(sqrt(eta) beta); each cut where its tail is below
+    1e-20."""
+    if kind == "fock":
+        return fock(value), DiagonalState(
+            [math.comb(value, k) * eta ** k * (1.0 - eta) ** (value - k)
+             for k in range(value + 1)])
+    if kind == "thermal":
+        return (thermal(value, _thermal_cutoff(value)),
+                thermal(eta * value, _thermal_cutoff(eta * value)))
+    mean = abs(value) ** 2
+    return (coherent(value, _poisson_cutoff(mean)),
+            coherent(math.sqrt(eta) * value, _poisson_cutoff(eta * mean)))
 
 
 class TestLossyDistribution:
@@ -166,6 +198,29 @@ class TestLossyDistribution:
     def test_efficiency_validation(self):
         with pytest.raises(ValueError):
             LossConfig(1.2, 0.5)
+
+    # Loss of equal efficiency on both outputs is the same as that loss on
+    # both inputs, so the lossy grid must be the engine's grid of the
+    # attenuated inputs.  Both sides get explicit cutoffs: with automatic ones
+    # they truncate differently and differ by up to 6.7e-12.
+    @pytest.mark.parametrize("eta", [0.83, 0.5])
+    @pytest.mark.parametrize("bs", [BALANCED,
+                                    BeamSplitterSetting.from_transmittance(Fraction(2, 7)),
+                                    BeamSplitterSetting.from_angle(1.1)],
+                             ids=["T1/2", "T2/7", "theta1.1"])
+    @pytest.mark.parametrize("a, b", [
+        (("fock", 1), ("thermal", 5.0)), (("fock", 3), ("thermal", 20.0)),
+        (("fock", 1), ("coherent", 2.0)), (("fock", 3), ("coherent", 3 + 1j)),
+        (("thermal", 2.0), ("thermal", 3.0)), (("coherent", 1.5), ("thermal", 2.0))],
+        ids=["fock1-thermal5", "fock3-thermal20", "fock1-coherent2", "fock3-coherent3+1j",
+             "thermal2-thermal3", "coherent1.5-thermal2"])
+    def test_equal_loss_is_loss_on_the_inputs(self, a, b, bs, eta):
+        (state_a, lost_a), (state_b, lost_b) = _with_loss(*a, eta), _with_loss(*b, eta)
+        full = joint_general((state_a, state_b), bs,
+                             grid_max=max(30, state_a.cutoff + state_b.cutoff))
+        got = lossy_distribution(full, LossConfig(eta, eta)).grid[:31, :31]
+        want = joint_general((lost_a, lost_b), bs, grid_max=30).grid
+        assert np.max(np.abs(got - want)) <= 1e-15
 
 
 class TestSqueezedSource:
