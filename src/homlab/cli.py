@@ -233,16 +233,18 @@ def _parse_states(args):
 
 
 def cmd_dist(args) -> int:
-    """The output grid; for ``lossy``, the grid seen by detectors of
-    efficiencies --eta-a and --eta-b, which are checked before it is computed."""
+    """The output grid, cropped or padded to --grid-max; for ``lossy``, the
+    grid seen by detectors of efficiencies --eta-a and --eta-b (checked
+    before it is computed), which thin every latent count before the crop."""
     from . import joint_dist
     state_a, state_b, bs = _parse_states(args)
     if args.command == "lossy":
         from . import detector
         loss = detector.LossConfig(eta_a=args.eta_a, eta_b=args.eta_b)
-    dist = joint_dist.joint_general((state_a, state_b), bs, grid_max=args.grid_max)
-    if args.command == "lossy":
-        dist = detector.lossy_distribution(dist, loss)
+        latent = joint_dist.joint_general((state_a, state_b), bs)
+        dist = detector.lossy_distribution(latent, loss, args.grid_max)
+    else:
+        dist = joint_dist.joint_general((state_a, state_b), bs, grid_max=args.grid_max)
     _emit(_grid_document(dist, args), args.output, args.format)
     return EXIT_OK
 

@@ -66,24 +66,31 @@ def bernoulli_matrix(eta: float, size: int) -> np.ndarray:
     return at.T
 
 
-def lossy_distribution(dist: JointDistribution, loss: LossConfig) -> JointDistribution:
-    """Joint distribution seen by lossy detectors; total mass is preserved.
+def lossy_distribution(dist: JointDistribution, loss: LossConfig,
+                       grid_max: int | None = None) -> JointDistribution:
+    """Joint distribution seen by lossy detectors, cropped or padded last to
+    counts 0 .. ``grid_max`` (default: those of ``dist``); total mass is
+    preserved unless the crop drops some.
 
     Loss only lowers counts (A[m, M] = 0 for m > M), so it keeps the input's
     support, the smallest square [0, k)^2 outside which every entry is +0.0
     (:func:`~homlab.joint_dist.row_ends`).  Only that block is multiplied, by
     the loss matrices of size k, which are the top-left blocks of those of the
     full grid bit for bit, since each Pascal column depends only on the one
-    before it.  Nothing writes the padding, so a large output grid's pages
-    outside the block stay unmapped."""
+    before it; a crop keeps their first rows.  Nothing writes the padding, so
+    a large output grid's pages outside the block stay unmapped."""
     import numpy as np
     from .joint_dist import JointDistribution, row_ends
+    grid_max = dist.grid_max if grid_max is None else grid_max
+    if grid_max < 0:
+        raise ValueError(f"grid_max={grid_max} must be non-negative")
     ends = row_ends(dist.grid)
     k = max(len(np.trim_zeros(ends, "b")), int(ends.max()))
+    rows = min(k, grid_max + 1)
     a = bernoulli_matrix(loss.eta_a, k)
     b = a if loss.eta_b == loss.eta_a else bernoulli_matrix(loss.eta_b, k)
-    grid = np.zeros(dist.grid.shape)
-    np.matmul(a @ dist.grid[:k, :k], b.T, out=grid[:k, :k])
+    grid = np.zeros((grid_max + 1, grid_max + 1))
+    np.matmul(a[:rows] @ dist.grid[:k, :k], b[:rows].T, out=grid[:rows, :rows])
     return JointDistribution(grid=grid, bs=dist.bs, warnings=dist.warnings)
 
 

@@ -175,10 +175,8 @@ def joint_general(rho_ab, bs: BeamSplitterSetting,
             amp = np.einsum("pn,n->p", u, state_a.amplitudes[n] * state_b.amplitudes[s - n])
             return amp.real ** 2 + amp.imag ** 2
     elif _is_diagonal(state_a) or _is_diagonal(state_b):
-        # diag(rho_s) is read as a strided view of complex products, so
-        # einsum sums it in the order that keeps every bit of the grid
         def block_probs(u, n, s):
-            return np.einsum("pn,n->p", u * u, (w_a[n] * w_b[s - n]).astype(complex).real)
+            return np.einsum("pn,n->p", u * u, w_a[n] * w_b[s - n])
     else:
         rho_a, rho_b = state_a.rho, state_b.rho
 

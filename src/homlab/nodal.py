@@ -441,28 +441,28 @@ def _search_strip(n: int, num: int, rnum: int, degree: int, lo: int, hi: int) ->
 
     Three zeros fix a pair: a_2 = (a(1) + a(-1)) / 2 - a_0 and a_1 + a_3 =
     (a(1) - a(-1)) / 2, likewise for b, with (a_3, b_3) = (0, 0) or a lead.
-    So the zeros of g are listed on the box ``near`` of every a(+-1) and on
-    the box ``far`` of every a(+-2), by the residue scan ``_candidates`` and
-    an exact ``_g_int`` check of each candidate.
+    So the zeros of g are listed on the box ``near`` of every a(+-1), by the
+    residue scan ``_candidates`` and an exact ``_g_int`` check of each
+    candidate.
 
     The zeros certify the pair.  g has degree n and top homogeneous part
     (num x - rnum y)^n, so G has degree <= n D and its k^(n D) coefficient
     is (num a_D - rnum b_D)^n = 0: G has degree < n D <= n * degree.  The
-    pair is kept when G is 0 at the n * degree points k = -2 .. 2 and, by an
-    exact ``_g_int``, k = 3 .. n * degree - 3; more zeros than its degree
-    make G the zero polynomial.  Conversely a family vanishes at every k.
+    pair is kept when G is 0 at the n * degree points k = -2 .. n * degree -
+    3: k = -1, 0, 1 from the box, and every other k by one cached exact
+    ``_g_int``; more zeros than its degree make G the zero polynomial.
+    Conversely a family vanishes at every k.
 
     k -> -k swaps (a(1), b(1)) with (a(-1), b(-1)) and negates a_1, b_1, a_3
     and b_3; it maps G to G(-k), so a pair is a family exactly when its
     mirror is.  The split with (a(1), b(1)) < (a(-1), b(-1)) is dropped when
     the mirror's coefficients lie in [lo, hi] too (each negated one up to
     D): the mirror's split has the reverse order and is kept."""
-    near, far = (range(min(ends), max(ends) + 1) for ends in (
-        [sum(f(lo * k ** j, hi * k ** j) for j in range(top + 1))
-         for k in ks for top in range(1, degree + 1) for f in (min, max)]
-        for ks in ((1, -1), (2, -2))))
-    zeros, far_zeros = ({(x, y) for x, y in _candidates(n, num, rnum, box, box)
-                         if not _g_int(x, y, n, num, rnum)} for box in (near, far))
+    ends = [sum(f(lo * k ** j, hi * k ** j) for j in range(top + 1))
+            for k in (1, -1) for top in range(1, degree + 1) for f in (min, max)]
+    near = range(min(ends), max(ends) + 1)
+    zeros = {(x, y) for x, y in _candidates(n, num, rnum, near, near)
+             if not _g_int(x, y, n, num, rnum)}
     coeffs = range(lo, hi + 1)
     tops = [(p, q) for p in coeffs for q in coeffs
             if degree == 3 and (p, q) != (0, 0) and num * p == rnum * q] + [(0, 0)]
@@ -478,7 +478,7 @@ def _search_strip(n: int, num: int, rnum: int, degree: int, lo: int, hi: int) ->
                 if da - a3 in coeffs and db - b3 in coeffs
                 and not (mirrored and a3 - da in coeffs and b3 - db in coeffs
                          and (not a3 or -a3 in coeffs and -b3 in coeffs)))
-    # the hits share few of their points k = 3 .. n * degree - 3: g is
+    # the hits share few of their points k = +-2, 3 .. n * degree - 3: g is
     # evaluated once at each
     zero = functools.cache(lambda x, y: not _g_int(x, y, n, num, rnum))
     extra = range(3, n * degree - 2)
@@ -498,7 +498,7 @@ def _search_strip(n: int, num: int, rnum: int, degree: int, lo: int, hi: int) ->
                     continue
                 # a(+-2) = ea +- oa
                 oa, ob = 2 * a1 + 8 * a3, 2 * b1 + 8 * b3
-                if ((ea + oa, eb + ob) in far_zeros and (ea - oa, eb - ob) in far_zeros
+                if (zero(ea + oa, eb + ob) and zero(ea - oa, eb - ob)
                         and all(zero(a0 + k * (a1 + k * (a2 + k * a3)),
                                      b0 + k * (b1 + k * (b2 + k * b3))) for k in extra)):
                     hits.append(((a0, a1, a2, a3)[:top + 1], (b0, b1, b2, b3)[:top + 1]))

@@ -398,6 +398,8 @@ def _truncated(label: str, weights: Iterable[float], cutoff: int | None = None,
     blocks, size, total, error, eps = [], 0, 0.0, 0.0, EPS_NORM
     while block := list(itertools.islice(weights, size // 2 + 32)):
         blocks.append(terms := built(block, size))
+        # weighed in numpy, as PureState.weights is: numpy rounds Re(z z*) as fma(a, a, b b),
+        # and Python's complex product differs in the last bit for 1 z in 6, moving cutoffs
         for n, w in enumerate((terms * terms.conj()).real.tolist() if phase else block, size):
             if not w:  # changes no sum
                 continue

@@ -157,7 +157,10 @@ class TestDistCommand:
 #: with a coherent, cat or photon-added mode were re-pinned when their amplitudes
 #: became sqrt(weight) e^(i phase): no cell moved by more than 1.1e-16.  The
 #: JSON files were re-pinned when a grid row became one line; each parses to
-#: the same bits as before
+#: the same bits as before.  The grids with a diagonal mode and a wide band
+#: (pure_mixed, general, dist-thermal-thermal-10) were re-pinned when their
+#: weights reached einsum as a contiguous real array: no cell moved by more
+#: than 3.5e-18
 PINNED_GRIDS = {
     "fs_pure": (["dist", "--a", "fock:1",
                  "--b", "coherent:beta=-0.67774177113931389+2.922441802953986j", "--bs", "1/2"],
@@ -174,9 +177,9 @@ PINNED_GRIDS = {
                         "8ec7b55aed6f130002663adef04a4c9af0d23295278a77db889912dd5a4e00a1"),
     "pure_mixed": (["dist", "--a", "oddcat:alpha=1.8701356086698417+0.70893780064620682j",
                     "--b", "thermal:nbar=1.0", "--bs", "1/2"],
-                   "f9c0fdd5e1d14c7059e1c6ccee0fd92e0ba52e745927f87c54ba1b5facf314a8"),
+                   "0459db8615014919872bef476512daa319e86b80fc88a9ee96910a6e95ba1a23"),
     "general": (["dist", "--a", "thermal:nbar=1.0", "--b", "thermal:nbar=1.0", "--bs", "1/2"],
-                "76052ebefac2c2e4aa0c50be916f74889dd4d56ec48983381c58716e9098315f"),
+                "bb46ee6885ed3af9f4234de325bee1ee033c915df909f3f805c4bb97e95629cd"),
     "pure_pure-T3/4": (["dist", "--a", "pasmss:r=0.5",
                         "--b", "coherent:beta=0.71421990865528018-1.8681247073149168j",
                         "--bs", "3/4"],
@@ -201,11 +204,12 @@ PINNED_GRIDS = {
     # bright pairs on small grids: thermal:nbar=100 is 2315 weights
     "dist-thermal-thermal-10": (
         ["dist", "--a", "thermal:nbar=100", "--b", "thermal:nbar=100", "--grid-max", "10"],
-        "876d0a7f272ab57048ab4e1c181d76a1a556b3adbb1d623db0bda76801ea2c74"),
-    "lossy-thermal-coherent-30": (
-        ["lossy", "--a", "thermal:nbar=100", "--b", "coherent:beta=15", "--bs", "2/7",
-         "--grid-max", "30", "--eta-a", "0.9", "--eta-b", "0.8"],
-        "e79967a8d7cd11a566afb1353cb6283db299278a7e9aa08da0c1e2acea81533c"),
+        "bf51adba2da93a1be7eb1ab09bff11b43921b817bf0cd1b72c91b00208f0c06d"),
+    # a crop below the input's support of 34: the loss acts on every latent count
+    "lossy-fock-thermal-crop-10": (
+        ["lossy", "--a", "fock:1", "--b", "thermal:nbar=1", "--grid-max", "10",
+         "--eta-a", "0.95", "--eta-b", "0.9"],
+        "2b68f8914d70a05c2fb7ed257a839080c9ffdac9b922b5e00a95bd483e17a76c"),
 }
 
 
@@ -289,6 +293,35 @@ class TestLossyCommand:
     def test_bad_eta_exits_3(self):
         assert main(["lossy", "--a", "fock:1", "--b", "fock:1", "--bs", "1/2",
                      "--eta-a", "1.5", "--eta-b", "1.0"]) == EXIT_DOMAIN
+
+    def test_grid_max_below_the_fewest_photons(self, tmp_path):
+        # loss lowers counts: five photons in, and all five lost with
+        # probability 0.1^5, whatever the splitter did
+        out = tmp_path / "g.json"
+        assert main(["lossy", "--a", "fock:2", "--b", "fock:3", "--grid-max", "2",
+                     "--eta-a", "0.9", "--eta-b", "0.9", "-o", str(out)]) == EXIT_OK
+        grid = json.loads(out.read_text())["grid"]
+        assert len(grid) == 3 and grid[0][0] == pytest.approx(1e-5, rel=1e-12)
+
+    @pytest.mark.parametrize("command", ["dist", "lossy"])
+    def test_grid_max_only_crops(self, tmp_path, command):
+        # the input's support is 34: every latent count above a crop still
+        # reaches the lossy detectors, so each cell is that of the full grid
+        argv = [command, "--a", "fock:1", "--b", "thermal:nbar=1"]
+        if command == "lossy":
+            argv += ["--eta-a", "0.95", "--eta-b", "0.9"]
+        out = tmp_path / "g.json"
+        assert main([*argv, "-o", str(out)]) == EXIT_OK
+        full = np.array(json.loads(out.read_text())["grid"])
+        assert full.shape == (35, 35)
+        for g in (10, 20, 33):
+            assert main([*argv, "--grid-max", str(g), "-o", str(out)]) == EXIT_OK
+            crop, want = np.array(json.loads(out.read_text())["grid"]), full[:g + 1, :g + 1]
+            assert crop.shape == want.shape
+            if command == "dist":
+                assert np.array_equal(crop.view(np.int64), want.view(np.int64)), g
+            else:
+                assert np.all(np.abs(crop - want) <= 1e-12 * np.abs(want)), g
 
     def test_grid_above_1030(self, tmp_path):
         # C(M, m) overflows a float above M ~ 1030; the recurrence never forms it
@@ -621,6 +654,12 @@ class TestExitCodes:
         # an 11585^2 grid within the budget, whose 13828^2 amplitude block is not
         (["dist", "--a", "thermal:nbar=600", "--b", "thermal:nbar=600", "--grid-max", "11584"],
          None, EXIT_DOMAIN),
+        # lossy thins every latent count: a 23038^2 latent grid is over the
+        # budget, however small the written one
+        (["lossy", "--a", "thermal:nbar=1000", "--b", "fock:0", "--grid-max", "10", *ETAS],
+         None, EXIT_DOMAIN),
+        (["lossy", *GRID, *ETAS, "--grid-max", "-1"], None, EXIT_DOMAIN),
+        (["lossy", *GRID, *ETAS, "--grid-max", "-5"], None, EXIT_DOMAIN),
         # a photon number or cutoff above MAX_CUTOFF, refused before any array exists
         (["dist", "--a", "fock:100001", "--b", "fock:0", "--grid-max", "3"], None, EXIT_USAGE),
         (["dist", "--a", "super:1,100001", "--b", "fock:0", "--grid-max", "3"], None, EXIT_USAGE),

@@ -164,6 +164,16 @@ class TestSearchParametric:
         assert [(s.a_coeffs, s.b_coeffs) for s in sols] == sorted(set(canonical))
         assert len(sols) == 1007
 
+    @pytest.mark.parametrize("n, t, bound", [(2, THREE_Q, 40), (3, HALF, 6), (3, THREE_Q, 10)])
+    def test_one_residue_scan(self, monkeypatch, n, t, bound):
+        # the benchmark's searches: the zeros at k = -1, 0, 1 come from one
+        # scan of one box, g at every other k from an exact evaluation
+        calls = []
+        real = nodal._candidates
+        monkeypatch.setattr(nodal, "_candidates", lambda *args: calls.append(args) or real(*args))
+        search_parametric(n, t, 2, (-bound, bound))
+        assert len(calls) == 1
+
     def test_constant_polynomials_excluded(self):
         # (m_a, m_b) = (0, 0) solves g = 0 trivially but is not a family
         for sol in search_parametric(3, HALF, 2, (-1, 1)):
@@ -418,8 +428,8 @@ class TestExactKernelsAgainstOracles:
         text = json.dumps([s.to_json() for s in sols])
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
-    # ranges without 0 or lopsided about it move the boxes of a(+-1) and
-    # a(+-2) off centre; at degree 2 on (1, 6) the line a = b = 1 + 6 k has
+    # ranges without 0 or lopsided about it move the box of a(+-1) and the
+    # points a(+-2) off centre; at degree 2 on (1, 6) the line a = b = 1 + 6 k has
     # a(-1) = -5, below every a(-1) of a quadratic; T = 2/3 and 2/7 have an
     # even numerator; T = 0 and 1 have no family at all
     @pytest.mark.parametrize("n, t, degree, lo, hi", [
