@@ -78,12 +78,15 @@ def lossy_distribution(dist: JointDistribution, loss: LossConfig,
     the loss matrices of size k, which are the top-left blocks of those of the
     full grid bit for bit, since each Pascal column depends only on the one
     before it; a crop keeps their first rows.  Nothing writes the padding, so
-    a large output grid's pages outside the block stay unmapped."""
+    a large output grid's pages outside the block stay unmapped.  ValueError
+    is raised, before the grid exists, for a negative ``grid_max`` and for an
+    output grid of more than ``GRID_CELLS`` cells."""
     import numpy as np
-    from .joint_dist import JointDistribution, row_ends
+    from .joint_dist import JointDistribution, check_budget, row_ends
     grid_max = dist.grid_max if grid_max is None else grid_max
     if grid_max < 0:
         raise ValueError(f"grid_max={grid_max} must be non-negative")
+    check_budget(grid_max)
     ends = row_ends(dist.grid)
     k = max(len(np.trim_zeros(ends, "b")), int(ends.max()))
     rows = min(k, grid_max + 1)

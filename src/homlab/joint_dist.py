@@ -194,10 +194,7 @@ def joint_general(rho_ab, bs: BeamSplitterSetting,
     s_max = min(dim_a + dim_b - 2, 2 * grid_max)
     s = np.arange(s_max + 1)
     block = int(np.max((s + 1) * (np.minimum(s, dim_a - 1) - np.maximum(s - dim_b + 1, 0) + 1)))
-    for cells, of in (((grid_max + 1) ** 2, "its grid"), (7 * block, "amplitude blocks")):
-        if cells > GRID_CELLS:
-            raise ValueError(f"grid_max={grid_max} needs {cells} cells for {of}, "
-                             f"more than the budget of {GRID_CELLS}")
+    check_budget(grid_max, block)
     grid = np.zeros((grid_max + 1, grid_max + 1))
     for s, u in enumerate(amplitude_blocks(bs, s_max, (dim_a, dim_b))):
         lo = max(0, s - dim_b + 1)
@@ -208,6 +205,15 @@ def joint_general(rho_ab, bs: BeamSplitterSetting,
                      f"exceeds {EPS_NORM:g}" for mode, state in zip("ab", rho_ab)
                      if (deficit := 1.0 - state.trace) > EPS_NORM)
     return JointDistribution(grid, bs, warnings=warnings)
+
+
+def check_budget(grid_max: int, block: int = 0) -> None:
+    """Refuse, by ValueError, a (grid_max + 1)^2 grid or 7 copies of a block
+    of ``block`` entries when either has more than ``GRID_CELLS`` cells."""
+    for cells, of in (((grid_max + 1) ** 2, "its grid"), (7 * block, "amplitude blocks")):
+        if cells > GRID_CELLS:
+            raise ValueError(f"grid_max={grid_max} needs {cells} cells for {of}, "
+                             f"more than the budget of {GRID_CELLS}")
 
 
 def _is_diagonal(state: State) -> bool:

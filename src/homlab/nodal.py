@@ -448,10 +448,10 @@ def _search_strip(n: int, num: int, rnum: int, degree: int, lo: int, hi: int) ->
     The zeros certify the pair.  g has degree n and top homogeneous part
     (num x - rnum y)^n, so G has degree <= n D and its k^(n D) coefficient
     is (num a_D - rnum b_D)^n = 0: G has degree < n D <= n * degree.  The
-    pair is kept when G is 0 at the n * degree points k = -2 .. n * degree -
-    3: k = -1, 0, 1 from the box, and every other k by one cached exact
-    ``_g_int``; more zeros than its degree make G the zero polynomial.
-    Conversely a family vanishes at every k.
+    pair is kept when G is 0 at the points k = -2 .. max(2, n * degree - 3),
+    at least n * degree of them: k = -1, 0, 1 from the box, and every other k
+    by one cached exact ``_g_int``; more zeros than its degree make G the
+    zero polynomial.  Conversely a family vanishes at every k.
 
     k -> -k swaps (a(1), b(1)) with (a(-1), b(-1)) and negates a_1, b_1, a_3
     and b_3; it maps G to G(-k), so a pair is a family exactly when its

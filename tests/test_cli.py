@@ -658,6 +658,9 @@ class TestExitCodes:
         # budget, however small the written one
         (["lossy", "--a", "thermal:nbar=1000", "--b", "fock:0", "--grid-max", "10", *ETAS],
          None, EXIT_DOMAIN),
+        # an output grid over the budget, however small the latent one
+        (["lossy", "--a", "fock:1", "--b", "fock:0", "--grid-max", "11585", *ETAS],
+         None, EXIT_DOMAIN),
         (["lossy", *GRID, *ETAS, "--grid-max", "-1"], None, EXIT_DOMAIN),
         (["lossy", *GRID, *ETAS, "--grid-max", "-5"], None, EXIT_DOMAIN),
         # a photon number or cutoff above MAX_CUTOFF, refused before any array exists

@@ -175,6 +175,19 @@ class TestLossyDistribution:
         out = lossy_distribution(d, LossConfig(1.0, 1.0))
         assert out.grid.tobytes() == d.grid.tobytes()
 
+    @pytest.mark.parametrize("grid_max, match", [
+        (11585, "^grid_max=11585 needs 134235396 cells for its grid"),
+        (-1, "^grid_max=-1 must be non-negative")])
+    def test_output_grid_is_checked_before_it_exists(self, monkeypatch, grid_max, match):
+        # the output grid counts against GRID_CELLS however small the input's
+        d = joint_fs_fs(1, 0, BALANCED)
+
+        def no_grid(shape, *args, **kwargs):
+            raise AssertionError(f"allocated {shape}")
+        monkeypatch.setattr(np, "zeros", no_grid)
+        with pytest.raises(ValueError, match=match):
+            lossy_distribution(d, LossConfig(0.9, 0.9), grid_max)
+
     def test_mass_preserved(self):
         d = joint_fs_pure(1, coherent(1.5), BALANCED)
         out = lossy_distribution(d, LossConfig(0.7, 0.9))
