@@ -15,8 +15,8 @@ import homlab as h
 # The photon pair (1, 1) is the Dicke state |J=1, M=0>.
 print("mode picture -> spin picture:")
 for n, m in [(1, 1), (3, 1), (2, 2), (1, 0)]:
-    s = h.fock_to_jm(n, m)
-    print(f"  |{n}, {m}>  ->  |J={s.j}, M={s.m}>")
+    big_j, big_m = h.fock_to_jm(n, m)
+    print(f"  |{n}, {m}>  ->  |J={big_j}, M={big_m}>")
 
 # Sweep P(M' = 0) after a pi/2 rotation: odd J vanish exactly.
 print("\nP(M'=0) after a pi/2 rotation of |J, 0>:")

@@ -16,10 +16,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # annotations only; numpy is imported by amplitude_blocks
-    import numpy as np
 
 
 class BeamSplitterSetting(namedtuple("BeamSplitterSetting", "exact_t theta")):
@@ -94,8 +90,10 @@ BALANCED = BeamSplitterSetting.from_transmittance(Fraction(1, 2))
 
 
 def amplitude_blocks(bs: BeamSplitterSetting, s_max: int, dims: tuple[int, int] | None = None):
-    """Yield the orthogonal blocks U_s of :func:`amplitude_block` (the Wigner
-    matrices d^{s/2}(theta)) for s = 0 .. s_max, keeping only the last one.
+    """Yield the orthogonal s-photon blocks of the splitter (the Wigner
+    matrices d^{s/2}(theta)) for s = 0 .. s_max, keeping only the last one:
+    U_s[p, n] = <p, s-p| B |n, s-n> is the amplitude f^(n, s-n)_p of |p, s-p>
+    in the transformed input |n, s-n>.
 
     Each block adds a photon to the previous one,
     |n, s-n> = (sqrt(n) a^dag |n-1, s-n> + sqrt(s-n) b^dag |n, s-n-1>) / s,
@@ -130,17 +128,6 @@ def amplitude_blocks(bs: BeamSplitterSetting, s_max: int, dims: tuple[int, int] 
             u = u[:, new - lo:min(dim_a, s + 1) - lo] / s
             lo = new
         yield u
-
-
-def amplitude_block(bs: BeamSplitterSetting, s: int) -> np.ndarray:
-    """The s-photon block of the splitter, U_s[p, n] = <p, s-p| B |n, s-n>:
-    entry [p, n] is the amplitude f^(n, s-n)_p of |p, s-p> in the
-    transformed input |n, s-n>."""
-    if s < 0:
-        raise ValueError("photon number must be non-negative")
-    for u in amplitude_blocks(bs, s):
-        pass
-    return u
 
 
 def measured_amplitude(n: int, m_a: int, m_b: int, bs: BeamSplitterSetting) -> float:

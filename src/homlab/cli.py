@@ -241,7 +241,10 @@ def cmd_dist(args) -> int:
     if args.command == "lossy":
         from . import detector
         loss = detector.LossConfig(eta_a=args.eta_a, eta_b=args.eta_b)
-        latent = joint_dist.joint_general((state_a, state_b), bs)
+        try:
+            latent = joint_dist.joint_general((state_a, state_b), bs)
+        except ValueError as exc:
+            raise ValueError(f"latent grid before loss: {exc}") from None
         dist = detector.lossy_distribution(latent, loss, args.grid_max)
     else:
         dist = joint_dist.joint_general((state_a, state_b), bs, grid_max=args.grid_max)

@@ -97,13 +97,6 @@ def lossy_distribution(dist: JointDistribution, loss: LossConfig,
     return JointDistribution(grid=grid, bs=dist.bs, warnings=dist.warnings)
 
 
-def tmss_prob(n: int, source: SqueezedSource) -> float:
-    """Photon-pair weight p_n = tanh^(2n)(r) / cosh^2(r)."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return math.tanh(source.r) ** (2 * n) / math.cosh(source.r) ** 2
-
-
 def spdc_detection_prob(t: int, eta: float, source: SqueezedSource) -> float:
     """Total probability of registering t photons in the heralding arm, the
     Bernoulli factor times the pair weight summed over every latent n' >= t:
@@ -130,10 +123,11 @@ def herald_posterior(n_prime: int, t: int, eta: float, source: SqueezedSource) -
     if not (0.0 <= eta <= 1.0):
         raise ValueError("efficiency must lie in [0, 1]")
     if eta == 0.0:
-        # degenerate: nothing can be registered, the posterior is the prior
+        # degenerate: nothing can be registered, the posterior is the prior,
+        # the pair weight tanh^(2n') r / cosh^2 r
         if t != 0:
             raise ValueError("with eta = 0 only t = 0 is observable")
-        return tmss_prob(n_prime, source)
+        return math.tanh(source.r) ** (2 * n_prime) / math.cosh(source.r) ** 2
     x, sech2 = math.tanh(source.r) ** 2, 1.0 / math.cosh(source.r) ** 2
     q, q_bar = (1.0 - eta) * x, eta * x + sech2
     if q == 0.0:

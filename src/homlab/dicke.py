@@ -9,75 +9,49 @@ vanishing rotation amplitudes of symmetric Dicke states.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 
 from .bs_core import BALANCED, BeamSplitterSetting, bs_prob_exact, measured_amplitude
 
 
-class AngularState(namedtuple("AngularState", "twice_j twice_m")):
-    """|J, M> stored as doubled integers so half-integer spin stays exact."""
-
-    __slots__ = ()
-
-    def __new__(cls, twice_j: int, twice_m: int):
-        if twice_j < 0:
-            raise ValueError("J must be non-negative")
-        if abs(twice_m) > twice_j:
-            raise ValueError("|M| must not exceed J")
-        if (twice_j - twice_m) % 2:
-            raise ValueError("J - M must be an integer")
-        return super().__new__(cls, twice_j, twice_m)
-
-    @classmethod
-    def make(cls, j, m) -> "AngularState":
-        tj, tm = Fraction(j) * 2, Fraction(m) * 2
-        if tj.denominator != 1 or tm.denominator != 1:
-            raise ValueError("J and M must be integers or half-integers")
-        return cls(twice_j=int(tj), twice_m=int(tm))
-
-    @property
-    def j(self) -> Fraction:
-        return Fraction(self.twice_j, 2)
-
-    @property
-    def m(self) -> Fraction:
-        return Fraction(self.twice_m, 2)
-
-    def to_fock_pair(self) -> tuple[int, int]:
-        """(n, m) photon numbers: n = J + M, m = J - M."""
-        return ((self.twice_j + self.twice_m) // 2,
-                (self.twice_j - self.twice_m) // 2)
+def _photon_numbers(j, m) -> tuple[int, int]:
+    """Photon numbers (n, m) = (J + M, J - M) of the two-mode image of |J, M>."""
+    j, m = Fraction(j), Fraction(m)
+    if (2 * j).denominator != 1 or (2 * m).denominator != 1:
+        raise ValueError("J and M must be integers or half-integers")
+    if j < 0:
+        raise ValueError("J must be non-negative")
+    if abs(m) > j:
+        raise ValueError("|M| must not exceed J")
+    if (j - m).denominator != 1:
+        raise ValueError("J - M must be an integer")
+    return int(j + m), int(j - m)
 
 
-def jm_to_fock(j, m) -> tuple[int, int]:
-    """Photon numbers (n, m) of the two-mode image of |J, M>."""
-    return AngularState.make(j, m).to_fock_pair()
-
-
-def fock_to_jm(n: int, m: int) -> AngularState:
-    """Angular-momentum image of the photon pair (n, m)."""
+def fock_to_jm(n: int, m: int) -> tuple[Fraction, Fraction]:
+    """(J, M) = ((n + m)/2, (n - m)/2), the angular-momentum image of the
+    photon pair (n, m)."""
     if n < 0 or m < 0:
         raise ValueError("photon numbers must be non-negative")
-    return AngularState(twice_j=n + m, twice_m=n - m)
+    return Fraction(n + m, 2), Fraction(n - m, 2)
 
 
 def wigner_d(j, m_out, m_in, bs: BeamSplitterSetting) -> float:
     """Wigner small-d element d^J_{M', M}(theta) = <J, M'| exp(-i theta Jy) |J, M>
     at the mixing angle of ``bs``: the entry U_2J[J + M', J + M] of the
     beam-splitter block."""
-    n = AngularState.make(j, m_in).to_fock_pair()[0]
-    return measured_amplitude(n, *AngularState.make(j, m_out).to_fock_pair(), bs)
+    n = _photon_numbers(j, m_in)[0]
+    return measured_amplitude(n, *_photon_numbers(j, m_out), bs)
 
 
 def central_probability_exact(j, m_in, t) -> Fraction:
     """Exact-rational P(M' = 0) at rational transmittance t (integer J)."""
-    src = AngularState.make(j, m_in)
-    if src.twice_j % 2:
+    n, m = _photon_numbers(j, m_in)
+    if (n + m) % 2:
         raise ValueError("M' = 0 requires integer J")
     # the measured pair (J, J) carries the input's 2J photons
-    half = src.twice_j // 2
-    return bs_prob_exact(src.to_fock_pair()[0], half, half, t)
+    half = (n + m) // 2
+    return bs_prob_exact(n, half, half, t)
 
 
 def central_zero_sweep(j_max: int, bs: BeamSplitterSetting = BALANCED) -> list[float]:

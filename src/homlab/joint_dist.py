@@ -68,15 +68,6 @@ class JointDistribution:
     def diagonal(self) -> np.ndarray:
         return np.diag(self.grid).copy()
 
-    def marginal_a(self) -> np.ndarray:
-        return self.grid.sum(axis=1)
-
-    def marginal_b(self) -> np.ndarray:
-        return self.grid.sum(axis=0)
-
-    def mean_total_photons(self) -> float:
-        return float(np.arange(self.grid.shape[0]) @ (self.marginal_a() + self.marginal_b()))
-
 
 def row_ends(grid: np.ndarray) -> np.ndarray:
     """Where each row's +0.0 padding starts: one past its last entry that is
@@ -100,25 +91,14 @@ class CnlReport:
     tol: float
 
     @property
-    def passes(self) -> tuple[bool, ...]:
-        return tuple(v <= self.tol for v in self.diagonal)
-
-    @property
     def verdict(self) -> bool:
-        return all(self.passes)
+        return all(v <= self.tol for v in self.diagonal)
 
 
 def cnl_scan(dist: JointDistribution) -> CnlReport:
     """Check every diagonal entry of the distribution against ``NEGATIVE_TOL``:
     the central nodal line is dark when every entry passes."""
     return CnlReport(diagonal=tuple(float(v) for v in dist.diagonal()), tol=NEGATIVE_TOL)
-
-
-def joint_fs_fs(n: int, m: int, bs: BeamSplitterSetting,
-                grid_max: int | None = None) -> JointDistribution:
-    """Fock |n> in a, Fock |m> in b: mass lives on the anti-diagonal
-    m_a + m_b = n + m."""
-    return joint_general((fock(n), fock(m)), bs, grid_max)
 
 
 def joint_fs_fs_exact(n: int, m: int, t) -> dict[tuple[int, int], "object"]:
@@ -138,18 +118,6 @@ def joint_fs_mixed(n: int, rho_b: State, bs: BeamSplitterSetting,
                    grid_max: int | None = None) -> JointDistribution:
     """Fock |n> in a, mixed state in b."""
     return joint_general((fock(n), rho_b), bs, grid_max)
-
-
-def joint_pure_pure(psi_a: PureState, phi_b: PureState, bs: BeamSplitterSetting,
-                    grid_max: int | None = None) -> JointDistribution:
-    """Pure states in both modes."""
-    return joint_general((psi_a, phi_b), bs, grid_max)
-
-
-def joint_pure_mixed(psi_a: PureState, rho_b: State, bs: BeamSplitterSetting,
-                     grid_max: int | None = None) -> JointDistribution:
-    """Pure state in a, mixed state in b."""
-    return joint_general((psi_a, rho_b), bs, grid_max)
 
 
 def joint_general(rho_ab, bs: BeamSplitterSetting,

@@ -6,18 +6,17 @@ Pure states are Fock-basis amplitude vectors, mixed states Fock-basis density
 matrices or, when diagonal (thermal), only their photon-number ``weights``,
 which every state has.  Constructors never renormalize after truncation: the
 truncated tail is *lost* mass, so every norm / trace lies in [1 - deficit, 1]
-and the deficit is reported by :func:`validate`.  Coherent, odd-cat and
-photon-added states are built one way, as amplitudes sqrt(w_m) e^(i phase(m)) of
-the weights and phases they state.  No cutoff exceeds MAX_CUTOFF; every automatic
-one is the smallest N with 1 - (w_0 + ... + w_N) <= EPS_NORM over the weights of
-what is built, each pure state weighed as built, so an odd state's cutoff is odd.
+and the deficit is 1 - ``trace``.  Coherent, odd-cat and photon-added states
+are built one way, as amplitudes sqrt(w_m) e^(i phase(m)) of the weights and
+phases they state.  No cutoff exceeds MAX_CUTOFF; every automatic one is the
+smallest N with 1 - (w_0 + ... + w_N) <= EPS_NORM over the weights of what is
+built, each pure state weighed as built, so an odd state's cutoff is odd.
 """
 
 from __future__ import annotations
 
 import bisect
 import cmath
-import enum
 import itertools
 import json
 import math
@@ -31,18 +30,12 @@ import numpy as np
 #: largest norm / trace deficit tolerated by default
 EPS_NORM = 1e-10
 
-#: largest Hermiticity residual max|rho - rho^dag| of a density matrix, for
-#: :func:`validate` and the joint-distribution engine alike
+#: largest Hermiticity residual max|rho - rho^dag| of a density matrix, its
+#: ``hermiticity_residual()``, that the joint-distribution engine accepts
 HERMITICITY_TOL = 1e-10
 
 #: largest cutoff (highest photon number) of any state a constructor builds
 MAX_CUTOFF = 100000
-
-
-class Parity(enum.Enum):
-    EVEN = "even"
-    ODD = "odd"
-    MIXED = "mixed"
 
 
 class _Weighted:
@@ -60,13 +53,6 @@ class _Weighted:
     @property
     def mean_photon_number(self) -> float:
         return float(np.dot(np.arange(self.cutoff + 1), self.weights))
-
-    def parity_of(self) -> Parity:
-        weights = self.weights
-        odd_mass, even_mass = float(np.sum(weights[1::2])), float(np.sum(weights[0::2]))
-        if even_mass == 0.0 and odd_mass > 0.0:
-            return Parity.ODD
-        return Parity.EVEN if odd_mass == 0.0 else Parity.MIXED
 
     def hermiticity_residual(self) -> float:
         return 0.0
@@ -93,8 +79,6 @@ class PureState(_Weighted):
     @property
     def rho(self) -> np.ndarray:
         return np.outer(self.amplitudes, self.amplitudes.conj())
-
-    norm_squared = _Weighted.trace
 
 
 @dataclass(frozen=True)
@@ -136,23 +120,6 @@ class DiagonalState(_Weighted):
 
 
 State = PureState | MixedState | DiagonalState
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    deficit: float
-    hermiticity_residual: float
-    parity: Parity
-
-    def ok(self) -> bool:
-        return self.deficit < EPS_NORM and self.hermiticity_residual <= HERMITICITY_TOL
-
-
-def validate(state: State) -> ValidationReport:
-    """Norm/trace deficit, Hermiticity residual, parity classification."""
-    return ValidationReport(deficit=1.0 - state.trace,
-                            hermiticity_residual=state.hermiticity_residual(),
-                            parity=state.parity_of())
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +353,7 @@ def _truncated(label: str, weights: Iterable[float], cutoff: int | None = None,
     most MAX_CUTOFF, or by the one automatic rule the smallest N <= MAX_CUTOFF
     with 1 - (w_0 + ... + w_N) <= EPS_NORM over the weights of what is built (of
     amplitudes, PureState.weights bit for bit), each sum carrying its exact error
-    (Dekker's Fast2Sum), so N agrees with :func:`validate`; else a ValueError."""
+    (Dekker's Fast2Sum), so N agrees with 1 - ``trace``; else a ValueError."""
     def built(block, start):  # the weights as they are, or the amplitudes
         return (np.sqrt(block) * np.exp(1j * phase(np.arange(start, start + len(block))))
                 if phase else block)

@@ -28,6 +28,21 @@ def test_criterion_1_hom_limit():
           f"{elapsed * 1e6:.0f} us")
 
 
+def _odd_support_states(rng, count, dim=9):
+    """``count`` random pairs of states on odd photon numbers below ``dim``:
+    a dense rho of rank 3 with odd-odd coherences, then a diagonal state."""
+    odd = np.arange(dim) % 2 == 1
+    for _ in range(count):
+        rho = np.zeros((dim, dim), dtype=complex)
+        for w in rng.dirichlet(np.ones(3)):
+            v = np.where(odd, rng.normal(size=dim) + 1j * rng.normal(size=dim), 0)
+            rho += w * np.outer(v, v.conj()) / np.vdot(v, v).real
+        yield h.MixedState(rho, label="odd-mixed")
+        weights = np.zeros(dim)
+        weights[odd] = rng.dirichlet(np.ones(dim // 2))
+        yield h.DiagonalState(weights, label="odd-diagonal")
+
+
 def test_criterion_2_central_nodal_line():
     a_states = [h.fock(1), h.fock(3), h.fock(5),
                 h.fock_superposition({1: 1, 3: 1}),
@@ -43,11 +58,40 @@ def test_criterion_2_central_nodal_line():
     for n in (1, 3, 5):
         for mp in range(41):
             assert h.bs_prob_exact(n, mp, mp, HALF) == 0
+    # the parity claim for any state on odd photon numbers, in either mode:
+    # U_s[s/2, n] is exactly 0.0 for odd n at T = 1/2, so every diagonal cell
+    # is exactly 0.0, on the dense-rho path and the weights path alike
+    coherent = h.coherent(1.7)
+    partners = [coherent, h.thermal(2), h.photon_added_smss(0.6),
+                h.MixedState(coherent.rho, label="dense-coherent")]
+    cases = 0
+    for odd in _odd_support_states(np.random.default_rng(2), 5):
+        for partner in partners:
+            for pair in ((odd, partner), (partner, odd)):
+                d = h.joint_general(pair, h.BALANCED)
+                assert not d.diagonal().any(), (pair[0].label, pair[1].label)
+                cases += 1
     elapsed = time.perf_counter() - t0
     assert worst < 1e-14
     assert elapsed < 30.0
     print(f"\nPASS: criterion 2 — CNL: max diagonal {worst:.2e} over 18 "
-          f"input combinations (grid_max=40) in {elapsed:.1f} s")
+          f"input combinations (grid_max=40); every diagonal cell exactly 0.0 in {cases} grids "
+          f"of 10 random odd-support states, in mode a and in mode b, against coherent, "
+          f"thermal, pasmss and dense coherent partners; in {elapsed:.1f} s")
+
+
+def _double_factorial(k):
+    return math.prod(range(k, 0, -2))  # 1 for k <= 0
+
+
+def _central_closed_form(n, big_n):
+    """P(N/2, N/2) of fock:n x fock:N-n at T = 1/2, |d^(N/2)_(0, N/2-n)(pi/2)|^2
+    from the associated Legendre values at 0: n!/(N-n)! ((N-n-1)!!/n!!)^2 for
+    even n, 0 for odd n."""
+    if n % 2:
+        return Fraction(0)
+    return Fraction(math.factorial(n), math.factorial(big_n - n)) \
+        * Fraction(_double_factorial(big_n - n - 1), _double_factorial(n)) ** 2
 
 
 def test_criterion_3_even_n_no_cnl():
@@ -55,8 +99,23 @@ def test_criterion_3_even_n_no_cnl():
     peaks = [float(np.max(h.joint_general((h.fock(2), partner), h.BALANCED).diagonal()))
              for partner in (h.coherent(3), h.thermal(9))]
     assert min(peaks) > 1e-4
+    # the central cell in closed form, exactly, for every even N < 60 and n <= N
+    for big_n in range(0, 60, 2):
+        for n in range(big_n + 1):
+            assert h.bs_prob_exact(n, big_n // 2, big_n // 2, HALF) \
+                == _central_closed_form(n, big_n), (n, big_n)
+    # and the float diagonal of fock:2 x fock:N-2, whose one cell off 0 is the central one
+    worst = 0.0
+    for big_n in range(2, 60, 2):
+        diagonal = h.joint_general((h.fock(2), h.fock(big_n - 2)), h.BALANCED).diagonal()
+        want = np.zeros_like(diagonal)
+        want[big_n // 2] = float(_central_closed_form(2, big_n))
+        worst = max(worst, float(np.max(np.abs(diagonal - want))))
+    assert worst <= 1e-12
     print(f"\nPASS: criterion 3 — even n=2 diagonal reaches {peaks[0]:.3e} with "
-          f"coherent:beta=3 and {peaks[1]:.3e} with thermal:nbar=9, both > 1e-4")
+          f"coherent:beta=3 and {peaks[1]:.3e} with thermal:nbar=9, both > 1e-4; "
+          f"P(N/2, N/2) of fock:n x fock:N-n equals its closed form exactly for even "
+          f"N < 60, and the float diagonal of fock:2 x fock:N-2 within {worst:.1e}")
 
 
 def test_criterion_4_table_certification():
@@ -130,8 +189,7 @@ def test_criterion_8_loss_sanity():
 def test_criterion_9_property_suites():
     # unitarity, n + m <= 30
     for bs in (h.BALANCED, h.BeamSplitterSetting.from_angle(1.0)):
-        for s in range(31):
-            u = h.amplitude_block(bs, s)
+        for s, u in enumerate(h.amplitude_blocks(bs, 30)):
             for n in range(max(0, s - 15), min(s, 15) + 1):
                 assert float((u[:, n] ** 2).sum()) == pytest.approx(1.0, abs=1e-9)
     # parity symmetry, exact, n <= 6
@@ -143,8 +201,10 @@ def test_criterion_9_property_suites():
                 for m_b in range(13):
                     assert h.g_poly(m_b, m_a, n, swapped) == \
                         (-1) ** n * h.g_poly(m_a, m_b, n, bs)
-    # five specialized paths against the general bipartite formula, 50 trials
-    from test_joint_dist import _random_mixed, _random_pure
+    # five specialized paths against the general bipartite formula, 50 trials;
+    # the pairs that joint_general reads directly are computed by another path
+    from test_joint_dist import (_as_pure_mixture, _dense, _mean_total_photons, _random_mixed,
+                                 _random_pure)
     rng = np.random.default_rng(987)
     settings = [h.BALANCED, h.BeamSplitterSetting.from_transmittance(THREE_Q),
                 h.BeamSplitterSetting.from_angle(0.9)]
@@ -153,8 +213,8 @@ def test_criterion_9_property_suites():
         kind = trial % 5
         if kind == 0:
             n, m = int(rng.integers(0, 4)), int(rng.integers(0, 4))
-            got = h.joint_fs_fs(n, m, bs)
             ref = h.joint_general((h.fock(n), h.fock(m)), bs)
+            got = h.joint_general((_dense(h.fock(n)), _dense(h.fock(m))), bs)
         elif kind == 1:
             n = int(rng.integers(0, 4))
             phi = _random_pure(rng, int(rng.integers(1, 5)))
@@ -171,20 +231,19 @@ def test_criterion_9_property_suites():
         elif kind == 3:
             psi = _random_pure(rng, int(rng.integers(1, 4)))
             phi = _random_pure(rng, int(rng.integers(1, 4)))
-            got = h.joint_pure_pure(psi, phi, bs)
-            ref = h.joint_general((psi, phi), bs, grid_max=got.grid_max)
+            ref = h.joint_general((psi, phi), bs)
+            got = h.joint_general((_dense(psi), _dense(phi)), bs)
         else:
             psi = _random_pure(rng, int(rng.integers(1, 4)))
             mixed = _random_mixed(rng, int(rng.integers(1, 4)))
-            got = h.joint_pure_mixed(psi, mixed, bs)
-            ref = h.joint_general((psi, mixed), bs, grid_max=got.grid_max)
+            ref = h.joint_general((psi, mixed), bs)
+            got = _as_pure_mixture(psi, mixed, bs, ref.grid_max)
         assert float(np.max(np.abs(got.grid - ref.grid))) < 1e-10
     # symbolic-expansion oracle for the amplitudes, n + m <= 12
     from test_bs_core import _amplitude_oracle
     for t in (HALF, THREE_Q):
         bs = h.BeamSplitterSetting.from_transmittance(t)
-        for s in range(13):
-            u = h.amplitude_block(bs, s)
+        for s, u in enumerate(h.amplitude_blocks(bs, 12)):
             for n in range(s + 1):
                 for p in range(s + 1):
                     assert u[p, n] == pytest.approx(
@@ -204,10 +263,9 @@ def test_criterion_9_property_suites():
     for bs in settings:
         psi = h.odd_cat(1.2)
         phi = h.coherent(1.1)
-        d = h.joint_pure_pure(psi, phi, bs)
-        assert d.total_mass == pytest.approx(
-            psi.norm_squared * phi.norm_squared, abs=1e-9)
-        assert d.mean_total_photons() == pytest.approx(
+        d = h.joint_general((psi, phi), bs)
+        assert d.total_mass == pytest.approx(psi.trace * phi.trace, abs=1e-9)
+        assert _mean_total_photons(d) == pytest.approx(
             psi.mean_photon_number + phi.mean_photon_number, abs=1e-9)
     print("\nPASS: criterion 9 — unitarity, parity symmetry, five-path oracle "
           "equivalence (50 trials), amplitude expansion oracle, rotation "

@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from homlab.bs_core import (BALANCED, BeamSplitterSetting, amplitude_block,
-                            amplitude_blocks, bs_prob_exact, measured_amplitude)
+from homlab.bs_core import (BALANCED, BeamSplitterSetting, amplitude_blocks, bs_prob_exact,
+                            measured_amplitude)
 from homlab.nodal import cos_factor_residual, g_poly
 
 
@@ -116,15 +116,21 @@ def _amplitude_oracle(n, m, p, t):
     return sign * math.sqrt(float(norm2 * rational ** 2 * t ** ea * r ** eb))
 
 
+def _last_block(bs, s):
+    """U_s, the last block of ``amplitude_blocks(bs, s)``."""
+    for u in amplitude_blocks(bs, s):
+        pass
+    return u
+
+
 class TestAmplitudes:
-    """Single amplitudes f^(n,m)_p, read as U_{n+m}[p, n] off ``amplitude_block``."""
+    """Single amplitudes f^(n,m)_p, read as U_{n+m}[p, n] off ``amplitude_blocks``."""
 
     def test_symbolic_expansion_oracle(self):
         # every amplitude up to n + m <= 12 against the exact-root expansion
         for t in (Fraction(1, 2), Fraction(3, 4)):
             bs = BeamSplitterSetting.from_transmittance(t)
-            for s in range(13):
-                u = amplitude_block(bs, s)
+            for s, u in enumerate(amplitude_blocks(bs, 12)):
                 for n in range(s + 1):
                     for p in range(s + 1):
                         want = _amplitude_oracle(n, s - n, p, t)
@@ -133,9 +139,10 @@ class TestAmplitudes:
     def test_compact_and_expanded_agree_at_angle(self):
         bs = BeamSplitterSetting.from_angle(0.777)
         t = Fraction(bs.transmittance).limit_denominator(10 ** 15)
+        blocks = list(amplitude_blocks(bs, 12))
         for n in range(7):
             for m in range(7):
-                u = amplitude_block(bs, n + m)
+                u = blocks[n + m]
                 for p in range(n + m + 1):
                     want = float(bs_prob_exact(n, p, n + m - p, t))
                     assert u[p, n] ** 2 == pytest.approx(want, abs=1e-10)
@@ -144,26 +151,23 @@ class TestAmplitudes:
         # each column is a transformed input |n, s - n>, so has unit norm
         for bs in (BALANCED, BeamSplitterSetting.from_angle(1.0),
                    BeamSplitterSetting.from_transmittance(Fraction(2, 7))):
-            for s in range(31):
-                u = amplitude_block(bs, s)
+            for s, u in enumerate(amplitude_blocks(bs, 30)):
                 for n in range(max(0, s - 15), min(s, 15) + 1):
                     assert float((u[:, n] ** 2).sum()) == pytest.approx(1.0, abs=1e-9)
 
     def test_degenerate_angles(self):
         # theta = 0: perfect transmission, |n, m> stays put (p = n)
         bs0 = BeamSplitterSetting.from_transmittance(Fraction(1))
-        assert amplitude_block(bs0, 5)[2, 2] == pytest.approx(1.0)
-        assert amplitude_block(bs0, 5)[4, 2] == pytest.approx(0.0)
+        assert _last_block(bs0, 5)[2, 2] == pytest.approx(1.0)
+        assert _last_block(bs0, 5)[4, 2] == pytest.approx(0.0)
         bs1 = BeamSplitterSetting.from_transmittance(Fraction(0))
-        assert abs(amplitude_block(bs1, 5)[3, 2]) == pytest.approx(1.0)
+        assert abs(_last_block(bs1, 5)[3, 2]) == pytest.approx(1.0)
         assert measured_amplitude(2, 3, 2, bs1) ** 2 == pytest.approx(1.0)
 
     def test_rejects_negative_photon_numbers(self):
         for n, m_a, m_b in ((-1, 3, 0), (2, -1, 0), (1, -1, 0), (1, 0, -1)):
             with pytest.raises(ValueError):
                 measured_amplitude(n, m_a, m_b, BALANCED)
-        with pytest.raises(ValueError):
-            amplitude_block(BALANCED, -1)
 
     def test_measured_amplitude_below_threshold(self):
         assert measured_amplitude(3, 1, 1, BALANCED) == 0.0
@@ -200,7 +204,7 @@ class TestAmplitudeBlocks:
     def test_central_element_at_200_photons_per_mode(self):
         # d^J_00(pi/2) = P_J(0) = C(J, J/2) / 2^J for J = 200
         want = math.comb(200, 100) / 2 ** 200
-        assert amplitude_block(BALANCED, 400)[200, 200] == pytest.approx(want, rel=1e-12)
+        assert _last_block(BALANCED, 400)[200, 200] == pytest.approx(want, rel=1e-12)
 
     def test_mpmath_wigner_sum(self):
         mpmath = pytest.importorskip("mpmath")

@@ -599,7 +599,8 @@ ETAS = ["--eta-a", "0.9", "--eta-b", "0.9"]
 class TestExitCodes:
     """Malformed input ends in one ``error:`` line and the documented exit
     code, never a traceback.  ``{config}`` stands for a file holding the
-    row's JSON text, as a config file or as a custom state file."""
+    row's JSON text, as a config file or as a custom state file.  A row's
+    code may come with the start of its error line, ``(code, start)``."""
 
     @pytest.mark.parametrize("argv, config, code", [
         (["dist", "--a", "super:1,-1", "--b", "fock:0"], None, EXIT_USAGE),
@@ -655,9 +656,9 @@ class TestExitCodes:
         (["dist", "--a", "thermal:nbar=600", "--b", "thermal:nbar=600", "--grid-max", "11584"],
          None, EXIT_DOMAIN),
         # lossy thins every latent count: a 23038^2 latent grid is over the
-        # budget, however small the written one
+        # budget, however small the written one, and the error says so
         (["lossy", "--a", "thermal:nbar=1000", "--b", "fock:0", "--grid-max", "10", *ETAS],
-         None, EXIT_DOMAIN),
+         None, (EXIT_DOMAIN, "error: latent grid before loss: grid_max=23037 needs ")),
         # an output grid over the budget, however small the latent one
         (["lossy", "--a", "fock:1", "--b", "fock:0", "--grid-max", "11585", *ETAS],
          None, EXIT_DOMAIN),
@@ -670,6 +671,7 @@ class TestExitCodes:
          None, EXIT_USAGE),
     ])
     def test_exit_code(self, tmp_path, argv, config, code):
+        code, start = code if isinstance(code, tuple) else (code, "error: ")
         cfg = tmp_path / "run.json"
         if config is not None:
             cfg.write_text(config)
@@ -679,7 +681,7 @@ class TestExitCodes:
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
         errors = [line for line in proc.stderr.splitlines() if "error:" in line]
-        assert len(errors) == 1 and errors[0].startswith("error: "), proc.stderr
+        assert len(errors) == 1 and errors[0].startswith(start), proc.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["zeros", "--n", "3", "--max", "5"],

@@ -10,8 +10,8 @@ from homlab import detector
 from homlab.bs_core import BALANCED, BeamSplitterSetting
 from homlab.detector import (LossConfig, SqueezedSource, bernoulli_matrix,
                              herald_posterior, lossy_distribution,
-                             spdc_detection_prob, squeezing_db, tmss_prob)
-from homlab.joint_dist import JointDistribution, joint_fs_fs, joint_fs_pure, joint_general
+                             spdc_detection_prob, squeezing_db)
+from homlab.joint_dist import JointDistribution, joint_fs_pure, joint_general
 from homlab.states import DiagonalState, coherent, fock, thermal
 
 
@@ -180,7 +180,7 @@ class TestLossyDistribution:
         (-1, "^grid_max=-1 must be non-negative")])
     def test_output_grid_is_checked_before_it_exists(self, monkeypatch, grid_max, match):
         # the output grid counts against GRID_CELLS however small the input's
-        d = joint_fs_fs(1, 0, BALANCED)
+        d = joint_general((fock(1), fock(0)), BALANCED)
 
         def no_grid(shape, *args, **kwargs):
             raise AssertionError(f"allocated {shape}")
@@ -237,16 +237,18 @@ class TestLossyDistribution:
 
 
 class TestSqueezedSource:
+    """The source's pair weights, read as the posterior at eta = 0, which is the prior."""
+
     def test_pair_weights_normalized(self):
         src = SqueezedSource(r=1.5)
-        total = sum(tmss_prob(n, src) for n in range(401))
+        total = sum(herald_posterior(n, 0, 0.0, src) for n in range(401))
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_geometric_form(self):
         src = SqueezedSource(r=0.8)
         x = math.tanh(0.8) ** 2
         for n in range(5):
-            assert tmss_prob(n, src) == pytest.approx(x ** n / math.cosh(0.8) ** 2)
+            assert herald_posterior(n, 0, 0.0, src) == pytest.approx(x ** n / math.cosh(0.8) ** 2)
 
     def test_validation(self):
         with pytest.raises(ValueError):

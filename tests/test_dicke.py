@@ -1,35 +1,39 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from homlab.bs_core import (BALANCED, BeamSplitterSetting, amplitude_block,
-                            amplitude_blocks, measured_amplitude)
-from homlab.dicke import (AngularState, central_probability_exact,
-                          central_zero_sweep, fock_to_jm, jm_to_fock, wigner_d)
+from homlab.bs_core import BALANCED, BeamSplitterSetting, amplitude_blocks, measured_amplitude
+from homlab.dicke import (_photon_numbers, central_probability_exact, central_zero_sweep,
+                          fock_to_jm, wigner_d)
 
 
 class TestMapping:
     def test_round_trip(self):
         for n in range(6):
             for m in range(6):
-                state = fock_to_jm(n, m)
-                assert state.to_fock_pair() == (n, m)
+                j, m_spin = fock_to_jm(n, m)
+                assert type(j) is Fraction and type(m_spin) is Fraction
+                assert _photon_numbers(j, m_spin) == (n, m)
 
     def test_known_pairs(self):
-        assert jm_to_fock(1, 0) == (1, 1)
-        assert jm_to_fock(Fraction(1, 2), Fraction(1, 2)) == (1, 0)
-        assert jm_to_fock(2, -1) == (1, 3)
+        assert _photon_numbers(1, 0) == (1, 1)
+        assert _photon_numbers(Fraction(1, 2), Fraction(1, 2)) == (1, 0)
+        assert _photon_numbers(2, -1) == (1, 3)
+        assert fock_to_jm(3, 0) == (Fraction(3, 2), Fraction(3, 2))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            AngularState.make(1, 2)
-        with pytest.raises(ValueError):
-            AngularState.make(1, Fraction(1, 2))
-        with pytest.raises(ValueError):
-            AngularState.make(Fraction(1, 3), 0)
+        for j, m, message in [(1, 2, "|M| must not exceed J"),
+                              (1, Fraction(1, 2), "J - M must be an integer"),
+                              (Fraction(1, 3), 0, "J and M must be integers or half-integers"),
+                              (-1, 0, "J must be non-negative")]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                _photon_numbers(j, m)
+        with pytest.raises(ValueError, match="photon numbers must be non-negative"):
+            fock_to_jm(-1, 2)
 
 
 def _jy_matrix(tj: int) -> tuple[np.ndarray, list[Fraction]]:
@@ -73,8 +77,9 @@ class TestWignerD:
         # rotating |J, 0> spreads it over M' = -J .. J with total weight 1:
         # the column J of the block U_2J
         bs = BeamSplitterSetting.from_angle(0.6)
+        blocks = list(amplitude_blocks(bs, 6))
         for j in (1, 2, 3):
-            column = amplitude_block(bs, 2 * j)[:, j]
+            column = blocks[2 * j][:, j]
             assert float(np.sum(column ** 2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_mismatched_j_rejected(self):

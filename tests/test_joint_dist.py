@@ -9,10 +9,8 @@ import pytest
 
 from homlab import joint_dist
 from homlab.bs_core import BALANCED, BeamSplitterSetting, bs_prob_exact, measured_amplitude
-from homlab.joint_dist import (JointDistribution, cnl_scan, joint_fs_fs,
-                               joint_fs_fs_exact, joint_fs_mixed,
-                               joint_fs_pure, joint_general, joint_pure_mixed,
-                               joint_pure_pure, row_ends)
+from homlab.joint_dist import (JointDistribution, cnl_scan, joint_fs_fs_exact, joint_fs_mixed,
+                               joint_fs_pure, joint_general, row_ends)
 from homlab.states import (DiagonalState, MixedState, PureState, coherent, fock,
                            load_custom, odd_cat, parse_state, thermal)
 
@@ -38,6 +36,26 @@ def _random_mixed(rng, cutoff, rank=3):
     return MixedState(rho, label="random-mixed")
 
 
+def _dense(state):
+    """The state as a dense density matrix, which the engine reads as rho, or
+    as weights when rho is diagonal, rather than as amplitudes."""
+    return MixedState(state.rho, label=state.label)
+
+
+def _as_pure_mixture(psi, mixed, bs, grid_max):
+    """The grid of psi x mixed as the eigenvalue-weighted sum of the pure-pair
+    grids of psi and each eigenvector of the mixed state's rho."""
+    values, vectors = np.linalg.eigh(mixed.rho)
+    return JointDistribution(sum(w * joint_general((psi, PureState(v)), bs, grid_max).grid
+                                 for w, v in zip(values, vectors.T)), bs)
+
+
+def _mean_total_photons(dist):
+    """sum over cells of (m_a + m_b) P(m_a, m_b)."""
+    idx = np.arange(dist.grid_max + 1)
+    return float(np.sum((idx[:, None] + idx[None, :]) * dist.grid))
+
+
 class TestFockFock:
     def test_hom_exact(self):
         table = joint_fs_fs_exact(1, 1, Fraction(1, 2))
@@ -46,7 +64,7 @@ class TestFockFock:
         assert table[(0, 2)] == Fraction(1, 2)
 
     def test_antidiagonal_support(self):
-        d = joint_fs_fs(2, 3, BALANCED)
+        d = joint_general((fock(2), fock(3)), BALANCED)
         for m_a in range(d.grid_max + 1):
             for m_b in range(d.grid_max + 1):
                 if m_a + m_b != 5:
@@ -55,7 +73,7 @@ class TestFockFock:
 
     def test_22_frozen(self):
         # [DERIVED] |2,2> balanced: 3/8, 0, 1/4, 0, 3/8 across the anti-diagonal
-        d = joint_fs_fs(2, 2, BALANCED)
+        d = joint_general((fock(2), fock(2)), BALANCED)
         assert d.grid[0, 4] == pytest.approx(3 / 8, abs=1e-12)
         assert d.grid[1, 3] == pytest.approx(0.0, abs=1e-14)
         assert d.grid[2, 2] == pytest.approx(1 / 4, abs=1e-12)
@@ -63,7 +81,7 @@ class TestFockFock:
 
     def test_grid_max_too_small(self):
         with pytest.raises(ValueError):
-            joint_fs_fs(2, 3, BALANCED, grid_max=4)
+            joint_general((fock(2), fock(3)), BALANCED, grid_max=4)
 
     def test_lowest_total_is_each_modes_first_weight_summed(self):
         # fock:2 x fock:3 reaches only s = 5; a mode with no weight reaches none
@@ -82,20 +100,20 @@ class TestFockFock:
         assert d.total_mass == 0.0
 
     def test_vacuum(self):
-        d = joint_fs_fs(0, 0, BALANCED)
+        d = joint_general((fock(0), fock(0)), BALANCED)
         assert d.grid.shape == (1, 1)
         assert d.grid[0, 0] == 1.0
 
     @pytest.mark.parametrize("n", [20, 60])
     def test_large_pairs_match_exact_probabilities(self, n):
-        d = joint_fs_fs(n, n, BALANCED)
+        d = joint_general((fock(n), fock(n)), BALANCED)
         for m_a in range(2 * n + 1):
             want = float(bs_prob_exact(n, m_a, 2 * n - m_a, Fraction(1, 2)))
             assert abs(d.grid[m_a, 2 * n - m_a] - want) <= 1e-12, m_a
 
     @pytest.mark.parametrize("n", [60, 200])
     def test_large_pairs_keep_unit_mass(self, n):
-        assert abs(joint_fs_fs(n, n, BALANCED).total_mass - 1.0) <= 1e-12
+        assert abs(joint_general((fock(n), fock(n)), BALANCED).total_mass - 1.0) <= 1e-12
 
 
 class TestCoherentPair:
@@ -107,7 +125,7 @@ class TestCoherentPair:
         c, s = math.cos(theta / 2), math.sin(theta / 2)
         mu_a, mu_b = abs(c * alpha - s * beta) ** 2, abs(s * alpha + c * beta) ** 2
         # cutoffs far past the 1e-10 default, so truncation is below rounding
-        d = joint_pure_pure(coherent(alpha, cutoff=50), coherent(beta, cutoff=50), bs)
+        d = joint_general((coherent(alpha, cutoff=50), coherent(beta, cutoff=50)), bs)
         k = np.arange(d.grid_max + 1)
         lg = np.array([math.lgamma(x + 1) for x in k])
         pa = np.exp(k * math.log(mu_a) - mu_a - lg)
@@ -119,9 +137,10 @@ class TestAgainstGeneralOracle:
     """Every specialized path must reproduce the full bipartite formula."""
 
     def test_fs_fs(self):
+        # the pair as dense diagonal densities takes the weights path
         for bs in SETTINGS:
             ref = joint_general((fock(2), fock(3)), bs)
-            got = joint_fs_fs(2, 3, bs)
+            got = joint_general((_dense(fock(2)), _dense(fock(3))), bs)
             assert np.max(np.abs(got.grid - ref.grid)) < 1e-10
 
     def test_random_trials(self):
@@ -131,8 +150,8 @@ class TestAgainstGeneralOracle:
             kind = trial % 5
             if kind == 0:
                 n, m = rng.integers(0, 4, size=2)
-                got = joint_fs_fs(int(n), int(m), bs)
                 ref = joint_general((fock(int(n)), fock(int(m))), bs)
+                got = joint_general((_dense(fock(int(n))), _dense(fock(int(m)))), bs)
             elif kind == 1:
                 n = int(rng.integers(0, 4))
                 phi = _random_pure(rng, int(rng.integers(1, 5)))
@@ -146,15 +165,17 @@ class TestAgainstGeneralOracle:
                 got = joint_fs_mixed(n, rho, bs)
                 ref = joint_general((fock(n), rho), bs, grid_max=got.grid_max)
             elif kind == 3:
+                # pure amplitudes against the dense-density path
                 psi = _random_pure(rng, int(rng.integers(1, 4)))
                 phi = _random_pure(rng, int(rng.integers(1, 4)))
-                got = joint_pure_pure(psi, phi, bs)
-                ref = joint_general((psi, phi), bs, grid_max=got.grid_max)
+                ref = joint_general((psi, phi), bs)
+                got = joint_general((_dense(psi), _dense(phi)), bs)
             else:
+                # the dense-density path against the pure pairs of rho's eigenvectors
                 psi = _random_pure(rng, int(rng.integers(1, 4)))
                 rho = _random_mixed(rng, int(rng.integers(1, 4)))
-                got = joint_pure_mixed(psi, rho, bs)
-                ref = joint_general((psi, rho), bs, grid_max=got.grid_max)
+                ref = joint_general((psi, rho), bs)
+                got = _as_pure_mixture(psi, rho, bs, ref.grid_max)
             assert np.max(np.abs(got.grid - ref.grid)) < 1e-10, trial
 
 
@@ -175,7 +196,7 @@ class TestMixturesAgainstPurePath:
             wa, wb = rng.dirichlet(np.ones(2)), rng.dirichlet(np.ones(3))
             got = joint_general((_mixture([v.amplitudes for v in va], wa),
                                  _mixture([v.amplitudes for v in vb], wb)), bs)
-            want = sum(x * y * joint_pure_pure(a, b, bs).grid
+            want = sum(x * y * joint_general((a, b), bs).grid
                        for a, x in zip(va, wa) for b, y in zip(vb, wb))
             assert np.max(np.abs(got.grid - want)) < 1e-12
 
@@ -184,9 +205,9 @@ class TestMixturesAgainstPurePath:
         for bs in SETTINGS:
             psi = _random_pure(rng, 3)
             weights = rng.dirichlet(np.ones(4))
-            got = joint_pure_mixed(
-                psi, _mixture([fock(k, cutoff=3).amplitudes for k in range(4)], weights), bs)
-            want = sum(w * joint_pure_pure(psi, fock(k, cutoff=3), bs).grid
+            got = joint_general(
+                (psi, _mixture([fock(k, cutoff=3).amplitudes for k in range(4)], weights)), bs)
+            want = sum(w * joint_general((psi, fock(k, cutoff=3)), bs).grid
                        for k, w in enumerate(weights))
             assert np.max(np.abs(got.grid - want)) < 1e-12
 
@@ -238,26 +259,15 @@ class TestConservation:
             for state_b in (coherent(1.5), thermal(2), fock(3)):
                 d = joint_fs_pure(1, state_b, bs) if isinstance(state_b, PureState) \
                     else joint_fs_mixed(1, state_b, bs)
-                input_mass = state_b.norm_squared if isinstance(state_b, PureState) \
-                    else state_b.trace
-                assert d.total_mass == pytest.approx(input_mass, abs=1e-9)
+                assert d.total_mass == pytest.approx(state_b.trace, abs=1e-9)
 
     def test_energy_conservation(self):
         for bs in SETTINGS:
             psi = odd_cat(1.2)
             phi = coherent(1.1)
-            d = joint_pure_pure(psi, phi, bs)
+            d = joint_general((psi, phi), bs)
             want = psi.mean_photon_number + phi.mean_photon_number
-            assert d.mean_total_photons() == pytest.approx(want, abs=1e-9)
-
-    @pytest.mark.parametrize("pair", [(fock(1), thermal(4)), (odd_cat(1.2), coherent(1.1))],
-                             ids=["fock-thermal", "cat-coherent"])
-    def test_mean_total_photons_is_the_cell_sum(self, pair):
-        # summed over the marginals, not cell by cell: equal to 1e-12 relative
-        d = joint_general(pair, SETTINGS[1])
-        idx = np.arange(d.grid_max + 1)
-        want = float(np.sum((idx[:, None] + idx[None, :]) * d.grid))
-        assert d.mean_total_photons() == pytest.approx(want, rel=1e-12)
+            assert _mean_total_photons(d) == pytest.approx(want, abs=1e-9)
 
 
 class TestDiagonalStructure:
@@ -291,11 +301,6 @@ class TestPlumbing:
         got = joint_general((fock(1), dense), BALANCED)
         assert np.array_equal(got.grid, joint_general((fock(1), DiagonalState(weights)), BALANCED).grid)
 
-    def test_marginals_sum_to_mass(self):
-        d = joint_fs_pure(1, coherent(1), BALANCED)
-        assert d.marginal_a().sum() == pytest.approx(d.total_mass)
-        assert d.marginal_b().sum() == pytest.approx(d.total_mass)
-
     def test_grid_guard(self):
         with pytest.raises(ValueError, match="lowest entry -1"):
             JointDistribution(np.array([[0.5, -1e-13], [0.0, 0.5]]), BALANCED, "x")
@@ -322,7 +327,7 @@ class TestPlumbing:
     def test_hermiticity_guard(self):
         bad = MixedState(np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex))
         with pytest.raises(ValueError):
-            joint_pure_mixed(fock(1, cutoff=2), bad, BALANCED)
+            joint_general((fock(1, cutoff=2), bad), BALANCED)
         # a diagonal partner does not spare the dense mode its check
         with pytest.raises(ValueError, match="Hermitian"):
             joint_general((bad, thermal(1)), BALANCED)
@@ -406,12 +411,6 @@ class TestWorkingMemory:
         dist, peak = _traced_peak(lambda: joint_general((thermal(20), thermal(20)), BALANCED))
         assert peak - dist.grid.nbytes < 15e6
 
-    def test_mean_total_photons(self):
-        dist = joint_general((fock(1), thermal(60)), BALANCED)
-        mean, peak = _traced_peak(dist.mean_total_photons)
-        assert mean == pytest.approx(61.0, abs=1e-6)
-        assert peak < 1e6
-
     def test_single_amplitude(self):
         amp, peak = _traced_peak(lambda: measured_amplitude(1, 300, 300, BALANCED))
         assert amp == 0.0
@@ -451,7 +450,7 @@ class TestCnlScan:
         assert cnl_scan(d).verdict
 
     def test_vacuum_fails(self):
-        d = joint_fs_fs(0, 0, BALANCED)
+        d = joint_general((fock(0), fock(0)), BALANCED)
         report = cnl_scan(d)
         assert not report.verdict
-        assert report.passes == (False,)
+        assert report.diagonal == (1.0,) and report.tol == joint_dist.NEGATIVE_TOL

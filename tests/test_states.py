@@ -11,18 +11,28 @@ from scipy.stats import poisson
 from homlab import states
 from homlab.bs_core import BALANCED
 from homlab.joint_dist import joint_general
-from homlab.states import (EPS_NORM, MAX_CUTOFF, DiagonalState, MixedState, Parity, PureState,
-                           coherent, fock, fock_superposition, load_custom, odd_cat,
-                           parse_state, photon_added_smss, thermal, validate)
+from homlab.states import (EPS_NORM, HERMITICITY_TOL, MAX_CUTOFF, DiagonalState, MixedState,
+                           PureState, coherent, fock, fock_superposition, load_custom, odd_cat,
+                           parse_state, photon_added_smss, thermal)
+
+
+def _odd_support(s):
+    """All of the state's weight is on odd photon numbers, and some of it is."""
+    return not s.weights[0::2].any() and s.weights[1::2].any()
+
+
+def _ok(s):
+    """Trace deficit below EPS_NORM and Hermiticity residual within HERMITICITY_TOL."""
+    return 1.0 - s.trace < EPS_NORM and s.hermiticity_residual() <= HERMITICITY_TOL
 
 
 class TestFock:
     def test_basic(self):
         s = fock(3)
         assert s.cutoff == 3
-        assert s.norm_squared == 1.0
+        assert s.trace == 1.0
         assert s.mean_photon_number == 3.0
-        assert s.parity_of() is Parity.ODD
+        assert _odd_support(s)
 
     def test_validation(self):
         # a negative n is refused before the cutoff, which defaults to n
@@ -44,7 +54,7 @@ class TestCoherent:
 
     def test_norm_and_mean(self):
         s = coherent(3)
-        assert 1.0 - s.norm_squared < EPS_NORM
+        assert 1.0 - s.trace < EPS_NORM
         assert s.mean_photon_number == pytest.approx(9.0, abs=1e-6)
 
     def test_vacuum(self):
@@ -54,7 +64,7 @@ class TestCoherent:
 
     def test_complex_amplitude(self):
         s = coherent(1 + 1j)
-        assert 1.0 - s.norm_squared < EPS_NORM
+        assert 1.0 - s.trace < EPS_NORM
         assert s.mean_photon_number == pytest.approx(2.0, abs=1e-7)
 
     @pytest.mark.parametrize("modulus", [5, 27, 28, 40])
@@ -65,7 +75,7 @@ class TestCoherent:
         s = coherent(modulus)
         deficit = poisson.sf(s.cutoff, mean)
         assert deficit < EPS_NORM <= poisson.sf(s.cutoff - 1, mean)
-        assert abs(s.norm_squared - (1.0 - deficit)) <= 1e-12
+        assert abs(s.trace - (1.0 - deficit)) <= 1e-12
 
     def test_amplitude_ratios(self):
         # c_m / c_(m-1) = beta / sqrt(m), phase included
@@ -93,15 +103,15 @@ class TestThermal:
         s = thermal(9)
         assert 1.0 - s.trace < EPS_NORM
         assert s.mean_photon_number == pytest.approx(9.0, abs=1e-6)
-        assert s.parity_of() is Parity.MIXED
+        assert s.weights[0::2].any() and s.weights[1::2].any()
 
     def test_is_its_weights(self):
         s = thermal(1)
         assert isinstance(s, DiagonalState)
         assert s.weights.dtype == float and s.weights.shape == (s.cutoff + 1,)
         assert np.array_equal(s.rho, np.diag(s.weights))
-        assert validate(s).ok()
-        assert validate(s).deficit == pytest.approx(validate(MixedState(s.rho)).deficit, abs=1e-15)
+        assert _ok(s)
+        assert 1.0 - s.trace == pytest.approx(1.0 - MixedState(s.rho).trace, abs=1e-15)
 
     def test_zero_temperature(self):
         s = thermal(0)
@@ -113,8 +123,8 @@ class TestOddCat:
     def test_odd_support_and_norm(self):
         s = odd_cat(2)
         assert np.all(s.amplitudes[0::2] == 0)
-        assert 1.0 - s.norm_squared < EPS_NORM
-        assert s.parity_of() is Parity.ODD
+        assert 1.0 - s.trace < EPS_NORM
+        assert _odd_support(s)
 
     def test_frozen_amplitude(self):
         # [DERIVED] c_1 = 2 e^{-a^2/2} a / sqrt(2 - 2 e^{-2 a^2}), a = 2
@@ -153,15 +163,15 @@ class TestOddCat:
         odd = np.arange(1, s.cutoff + 1, 2)
         np.testing.assert_allclose(np.abs(s.amplitudes[odd]) ** 2,
                                    2 * poisson.pmf(odd, modulus ** 2), rtol=1e-11, atol=1e-300)
-        assert 0.0 <= 1.0 - s.norm_squared < EPS_NORM
+        assert 0.0 <= 1.0 - s.trace < EPS_NORM
 
 
 class TestPhotonAddedSqueezed:
     def test_odd_support_and_norm(self):
         s = photon_added_smss(0.5)
         assert np.all(s.amplitudes[0::2] == 0)
-        assert 1.0 - s.norm_squared < EPS_NORM
-        assert s.parity_of() is Parity.ODD
+        assert 1.0 - s.trace < EPS_NORM
+        assert _odd_support(s)
 
     def test_frozen_amplitudes(self):
         # [DERIVED] c_{2k+1} = tanh^k r sqrt((2k+1)!) / (2^k k!) / cosh^{3/2} r
@@ -182,7 +192,7 @@ class TestPhotonAddedSqueezed:
     def test_huge_phase_is_a_phase(self):
         # k phi passes the float range at phi = 1e308
         s = photon_added_smss(0.5, phi=1e308)
-        assert validate(s).deficit <= EPS_NORM
+        assert 1.0 - s.trace <= EPS_NORM
         np.testing.assert_allclose(np.abs(s.amplitudes), np.abs(photon_added_smss(0.5).amplitudes),
                                    rtol=1e-15, atol=0)
 
@@ -275,9 +285,9 @@ class TestAutomaticCutoffs:
         n = state.cutoff
         assert deficit(param, n) <= EPS_NORM + tol
         assert n == 0 or deficit(param, n - 1) > EPS_NORM - tol
-        assert validate(state).deficit <= EPS_NORM
+        assert 1.0 - state.trace <= EPS_NORM
         if kind.endswith(("oddcat", "pasmss")):
-            assert n % 2 == 1 and state.parity_of() is Parity.ODD
+            assert n % 2 == 1 and _odd_support(state)
 
     def test_pasmss_oracle_sums_the_weights(self):
         # (2k+1)! / (4^k k!^2) tanh^(2k) r / cosh^3 r, summed term by term
@@ -348,9 +358,9 @@ class TestCutoffBound:
 class TestSuperposition:
     def test_normalized(self):
         s = fock_superposition({1: 1, 3: 1})
-        assert s.norm_squared == pytest.approx(1.0)
+        assert s.trace == pytest.approx(1.0)
         assert abs(s.amplitudes[1]) ** 2 == pytest.approx(0.5)
-        assert s.parity_of() is Parity.ODD
+        assert _odd_support(s)
 
     def test_rejects_negative_photon_numbers_and_zero_weight(self):
         # amps[-1] would alias the top photon number; all-zero weights give NaN
@@ -361,35 +371,34 @@ class TestSuperposition:
             parse_state("super:1,-1")
 
 
-class TestValidate:
-    def test_pure_report(self):
-        rep = validate(coherent(2))
-        assert rep.ok()
-        assert rep.deficit < EPS_NORM
+class TestTraceAndHermiticity:
+    def test_pure_state(self):
+        s = coherent(2)
+        assert _ok(s)
+        assert 1.0 - s.trace < EPS_NORM
 
-    def test_mixed_report(self):
-        rep = validate(thermal(3))
-        assert rep.ok()
-        assert rep.hermiticity_residual == 0.0
+    def test_mixed_state(self):
+        s = thermal(3)
+        assert _ok(s)
+        assert s.hermiticity_residual() == 0.0
 
     def test_hermiticity_verdict_matches_the_engine(self):
-        # residual 5e-11: within the one tolerance, for validate and joint_general alike
+        # residual 5e-11: within the one tolerance, HERMITICITY_TOL, that joint_general reads
         rho = np.diag([0.5, 0.5]).astype(complex)
         rho[0, 1] = 5e-11
         state = MixedState(rho)
         assert state.hermiticity_residual() == 5e-11
-        assert validate(state).ok()
+        assert _ok(state)
         assert joint_general((fock(1), state), BALANCED).total_mass == pytest.approx(1.0)
         rho[0, 1] = 2e-10
-        assert not validate(MixedState(rho)).ok()
+        assert not _ok(MixedState(rho))
         with pytest.raises(ValueError, match="Hermitian"):
             joint_general((fock(1), MixedState(rho)), BALANCED)
 
     def test_truncation_deficit_detected(self):
         clipped = coherent(3, cutoff=4)
-        rep = validate(clipped)
-        assert not rep.ok()
-        assert rep.deficit > 1e-3
+        assert not _ok(clipped)
+        assert 1.0 - clipped.trace > 1e-3
 
 
 #: descriptors refused with a message that names the parameter, and the
@@ -413,7 +422,7 @@ class TestParseState:
         assert parse_state("thermal:nbar=9").label == "thermal:nbar=9"
         assert parse_state("oddcat:alpha=2").label == "oddcat:alpha=2"
         assert parse_state("pasmss:r=0.5").label == "pasmss:r=0.5"
-        assert parse_state("super:1,3").norm_squared == pytest.approx(1.0)
+        assert parse_state("super:1,3").trace == pytest.approx(1.0)
 
     def test_cutoff_override(self):
         s = parse_state("coherent:beta=1", cutoff=5)
