@@ -269,6 +269,16 @@ class TestConservation:
             want = psi.mean_photon_number + phi.mean_photon_number
             assert _mean_total_photons(d) == pytest.approx(want, abs=1e-9)
 
+    @pytest.mark.parametrize("pair", [(fock(1), thermal(4)), (odd_cat(1.2), coherent(1.1))],
+                             ids=["fock-thermal", "cat-coherent"])
+    def test_mean_total_photons_is_the_cell_sum(self, pair):
+        # each block s keeps its mass: the cell sum is <n_a> tr_b + <n_b> tr_a
+        # of the truncated inputs, to 1e-12 relative
+        a, b = pair
+        want = a.mean_photon_number * b.trace + b.mean_photon_number * a.trace
+        for bs in SETTINGS:
+            assert _mean_total_photons(joint_general(pair, bs)) == pytest.approx(want, rel=1e-12)
+
 
 class TestDiagonalStructure:
     def test_odd_fock_zero_diagonal(self):
@@ -300,6 +310,16 @@ class TestPlumbing:
         assert isinstance(dense, MixedState) and joint_dist._is_diagonal(dense)
         got = joint_general((fock(1), dense), BALANCED)
         assert np.array_equal(got.grid, joint_general((fock(1), DiagonalState(weights)), BALANCED).grid)
+
+    def test_marginals_sum_to_mass(self):
+        # fock:1 has no coherence, so each balanced output holds (1 + |beta|^2)/2 photons
+        d = joint_fs_pure(1, coherent(1), BALANCED)
+        idx = np.arange(d.grid_max + 1)
+        marginal_a, marginal_b = d.grid.sum(axis=1), d.grid.sum(axis=0)
+        assert marginal_a.sum() == pytest.approx(d.total_mass)
+        assert marginal_b.sum() == pytest.approx(d.total_mass)
+        assert idx @ marginal_a == pytest.approx(1.0, abs=1e-9)
+        assert idx @ marginal_b == pytest.approx(1.0, abs=1e-9)
 
     def test_grid_guard(self):
         with pytest.raises(ValueError, match="lowest entry -1"):
@@ -410,6 +430,16 @@ class TestWorkingMemory:
         # band of up to 472 columns, but no 472^2 table or index array beside it
         dist, peak = _traced_peak(lambda: joint_general((thermal(20), thermal(20)), BALANCED))
         assert peak - dist.grid.nbytes < 15e6
+
+    def test_mean_total_photons(self):
+        # thermal:60's 16 MB grid holds 61 photons; its check and its diagonal
+        # scan read the grid in place rather than copying it
+        dist = joint_general((fock(1), thermal(60)), BALANCED)
+        assert _mean_total_photons(dist) == pytest.approx(61.0, abs=1e-6)
+        report, peak = _traced_peak(
+            lambda: (JointDistribution(dist.grid, BALANCED), cnl_scan(dist))[1])
+        assert report.verdict
+        assert peak < 1e6
 
     def test_single_amplitude(self):
         amp, peak = _traced_peak(lambda: measured_amplitude(1, 300, 300, BALANCED))
