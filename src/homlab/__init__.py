@@ -3,6 +3,11 @@ and heralding, and exact-rational certification of interference zeros."""
 
 __version__ = "1.0.0"
 
+#: largest cutoff or photon number of a state, of 2J in the collective-spin
+#: sweep and of the latent pair number in heralding; here, so that every module
+#: reads it without loading numpy or fractions
+MAX_CUTOFF = 100000
+
 #: public name -> the module that defines it, imported on first use (PEP 562)
 _MODULE_OF = {name: module for module, names in [
     ("bs_core", "BALANCED BeamSplitterSetting amplitude_blocks bs_prob_exact measured_amplitude"),

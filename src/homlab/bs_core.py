@@ -14,7 +14,7 @@ are read from the zero polynomial g of :mod:`homlab.nodal` by
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import deque, namedtuple
 from fractions import Fraction
 
 
@@ -89,7 +89,13 @@ class BeamSplitterSetting(namedtuple("BeamSplitterSetting", "exact_t theta")):
 BALANCED = BeamSplitterSetting.from_transmittance(Fraction(1, 2))
 
 
-def amplitude_blocks(bs: BeamSplitterSetting, s_max: int, dims: tuple[int, int] | None = None):
+def band(s: int, d_a: int, d_b: int) -> range:
+    """The photon numbers k of the pairs |k, s-k> with k < d_a and s-k < d_b."""
+    return range(max(0, s - d_b + 1), min(d_a, s + 1))
+
+
+def amplitude_blocks(bs: BeamSplitterSetting, s_max: int, dims: tuple[int, int] | None = None,
+                     window: tuple[int, int] | None = None):
     """Yield the orthogonal s-photon blocks of the splitter (the Wigner
     matrices d^{s/2}(theta)) for s = 0 .. s_max, keeping only the last one:
     U_s[p, n] = <p, s-p| B |n, s-n> is the amplitude f^(n, s-n)_p of |p, s-p>
@@ -102,32 +108,30 @@ def amplitude_blocks(bs: BeamSplitterSetting, s_max: int, dims: tuple[int, int] 
     the mirror symmetry U_s[s-p, n] = (-1)^(s-n) U_s[p, n] holds bit for bit,
     so the central zeros come out as exact 0.0.
 
-    With input dims ``(dim_a, dim_b)``, block s holds only the band of
-    columns n = max(0, s - dim_b + 1) .. min(dim_a - 1, s) of the inputs
-    |n, s-n> (s_max <= dim_a + dim_b - 2).  Column n reads only columns n-1
-    and n of U_{s-1}, so each band keeps the bits of the full block's columns.
+    Block s holds only the rows p in ``band(s, *window)`` of the outputs
+    |p, s-p> and the columns n in ``band(s, *dims)`` of the inputs |n, s-n>,
+    all s + 1 by default (s_max <= d_a + d_b - 2 for both).  Row p of U_s
+    reads rows p-1 and p of U_{s-1} only, and column n columns n-1 and n, so
+    each band closes under the recurrence and keeps the full block's bits.
     """
     import numpy as np
-    dim_a, dim_b = dims or (s_max + 1, s_max + 1)
-    c, sn = bs.cos_half, bs.sin_half
-    lo, u = 0, np.ones((1, 1))
+    dims, window = dims or (s_max + 1,) * 2, window or (s_max + 1,) * 2
+    c, sn, root = bs.cos_half, bs.sin_half, np.sqrt(np.arange(s_max + 1.0))
+    # U_s between zero rows: its rows -1 and s + 1, where the window reaches them
+    rows, cols, padded = range(1), range(1), np.array([[0.0], [1.0], [0.0]])
     for s in range(s_max + 1):
         if s:
-            top = lo + u.shape[1]  # U_{s-1} holds the columns lo .. top-1
-            root = np.sqrt(np.arange(s + 1.0))
-            up = np.zeros((s + 1, top - lo))    # up[p] = sqrt(p) U_{s-1}[p-1]
-            up[1:] = root[1:, None] * u
-            down = np.zeros((s + 1, top - lo))  # down[p] = sqrt(s-p) U_{s-1}[p]
-            down[:-1] = root[:0:-1, None] * u
-            u = np.zeros((s + 1, top - lo + 1))  # columns lo .. top of U_s
-            u[:, 1:] = (c * up + sn * down) * root[lo + 1:top + 1]       # a^dag images
-            u[:, :-1] += (c * down - sn * up) * root[s - lo:s - top:-1]  # b^dag images
-            # column lo > 0 lacks its a^dag image and column top < s its b^dag
-            # image; neither is in the band of U_s
-            new = max(0, s - dim_b + 1)
-            u = u[:, new - lo:min(dim_a, s + 1) - lo] / s
-            lo = new
-        yield u
+            new, lo, toor = band(s, *window), cols.start, root[s::-1]  # toor[k] = sqrt(s-k)
+            prev = padded[new.start - rows.start:]  # from row new.start-1 of U_{s-1}
+            up = root[new.start:new.stop, None] * prev[:len(new)]          # sqrt(p) U_{s-1}[p-1]
+            down = toor[new.start:new.stop, None] * prev[1:len(new) + 1]  # sqrt(s-p) U_{s-1}[p]
+            u = np.zeros((len(new) + 2, len(cols) + 1))  # columns lo .. cols.stop of U_s
+            u[1:-1, 1:] = (c * up + sn * down) * root[lo + 1:cols.stop + 1]  # a^dag images
+            u[1:-1, :-1] += (c * down - sn * up) * toor[lo:cols.stop]       # b^dag images
+            # column lo > 0 lacks its a^dag image, column cols.stop < s its b^dag one: both go
+            rows, cols = new, band(s, *dims)
+            padded = u[:, cols.start - lo:cols.stop - lo] / s
+        yield padded[1:-1]
 
 
 def measured_amplitude(n: int, m_a: int, m_b: int, bs: BeamSplitterSetting) -> float:
@@ -138,9 +142,8 @@ def measured_amplitude(n: int, m_a: int, m_b: int, bs: BeamSplitterSetting) -> f
         raise ValueError("photon numbers must be non-negative")
     if m_a + m_b < n:
         return 0.0
-    for u in amplitude_blocks(bs, m_a + m_b, (n + 1, m_a + m_b - n + 1)):
-        pass
-    return float(u[m_a, 0])
+    blocks = amplitude_blocks(bs, m_a + m_b, (n + 1, m_a + m_b - n + 1), (m_a + 1, m_b + 1))
+    return float(deque(blocks, maxlen=1)[0][0, 0])  # the last block is 1 x 1
 
 
 def bs_prob_exact(n: int, m_a: int, m_b: int, t) -> Fraction:

@@ -16,6 +16,8 @@ import sys
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
+from . import MAX_CUTOFF
+
 if TYPE_CHECKING:  # heralding needs only math: numpy is imported by the loss model
     import numpy as np
     from .joint_dist import JointDistribution
@@ -115,18 +117,20 @@ def herald_posterior(n_prime: int, t: int, eta: float, source: SqueezedSource) -
     """Posterior probability that t registered photons came from the latent
     pair state with n' photons (Bayes over the pair-weight prior):
     C(n', t) q^(n'-t) (1 - q)^(t+1), in log space where a factor leaves the
-    float range."""
+    float range; n' is at most MAX_CUTOFF."""
     if t < 0:
         raise ValueError("t must be non-negative")
     if n_prime < t:
         raise ValueError("n_prime must be at least the detected count t")
+    if n_prime > MAX_CUTOFF:
+        raise ValueError(f"n_prime={n_prime} exceeds the cutoff bound MAX_CUTOFF={MAX_CUTOFF}")
     if not (0.0 <= eta <= 1.0):
         raise ValueError("efficiency must lie in [0, 1]")
+    if t and (eta == 0.0 or source.r == 0.0):
+        # nothing is registered, so no count t > 0 can be conditioned on
+        raise ValueError(f"with {'eta' if eta == 0.0 else 'r'} = 0 only t = 0 is observable")
     if eta == 0.0:
-        # degenerate: nothing can be registered, the posterior is the prior,
-        # the pair weight tanh^(2n') r / cosh^2 r
-        if t != 0:
-            raise ValueError("with eta = 0 only t = 0 is observable")
+        # the posterior is the prior, the pair weight tanh^(2n') r / cosh^2 r
         return math.tanh(source.r) ** (2 * n_prime) / math.cosh(source.r) ** 2
     x, sech2 = math.tanh(source.r) ** 2, 1.0 / math.cosh(source.r) ** 2
     q, q_bar = (1.0 - eta) * x, eta * x + sech2

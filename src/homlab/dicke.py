@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import MAX_CUTOFF
 from .bs_core import BALANCED, BeamSplitterSetting, bs_prob_exact, measured_amplitude
 
 
@@ -60,9 +61,12 @@ def central_zero_sweep(j_max: int, bs: BeamSplitterSetting = BALANCED) -> list[f
     d^J_00(theta) is the Legendre polynomial P_J(x) at x = cos(theta) = T - R,
     so the sweep follows (J+1) P_(J+1) = (2J+1) x P_J - J P_(J-1) from
     P_0 = 1, and each probability is P_J * P_J.  At T = 1/2, x is exactly 0.0
-    and every odd J gives 0.0."""
+    and every odd J gives 0.0.  Its 2J photons are at most MAX_CUTOFF."""
     if j_max < 0:
         raise ValueError("j_max must be non-negative")
+    if 2 * j_max > MAX_CUTOFF:
+        raise ValueError(f"j_max={j_max}: 2J={2 * j_max} exceeds the cutoff bound "
+                         f"MAX_CUTOFF={MAX_CUTOFF}")
     x = float(bs.transmittance - bs.reflectance)
     sweep = []
     prev, cur = 0.0, 1.0

@@ -27,15 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import MAX_CUTOFF
+
 #: largest norm / trace deficit tolerated by default
 EPS_NORM = 1e-10
 
 #: largest Hermiticity residual max|rho - rho^dag| of a density matrix, its
 #: ``hermiticity_residual()``, that the joint-distribution engine accepts
 HERMITICITY_TOL = 1e-10
-
-#: largest cutoff (highest photon number) of any state a constructor builds
-MAX_CUTOFF = 100000
 
 
 class _Weighted:

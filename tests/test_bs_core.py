@@ -277,6 +277,24 @@ class TestBandBlocks:
                 for m_a in range(s + 1):
                     assert _same_bits(measured_amplitude(n, m_a, s - m_a, bs), full[m_a, n])
 
+    @pytest.mark.parametrize("bs", [BALANCED, T27, THETA])
+    def test_window_and_band_are_the_full_blocks_slice(self, bs):
+        # random dims and windows: every block is the slice of amplitude_blocks(bs, s_max)
+        # on the window's rows and the band's columns, and a single amplitude is its entry
+        rng = np.random.default_rng(32)
+        full = list(amplitude_blocks(bs, 116))
+        for dims, window in rng.integers(1, 60, (12, 2, 2)).tolist():
+            s_max = min(sum(dims), sum(window)) - 2
+            (w_a, w_b), (d_a, d_b) = window, dims
+            for s, u in enumerate(amplitude_blocks(bs, s_max, dims, window)):
+                want = full[s][max(0, s - w_b + 1):min(w_a, s + 1),
+                               max(0, s - d_b + 1):min(d_a, s + 1)]
+                assert _same_bits(u, want), (dims, window, s)
+            assert s == s_max
+        for n, m_a, m_b in rng.integers(0, 40, (40, 3)).tolist():
+            if n <= m_a + m_b:
+                assert _same_bits(measured_amplitude(n, m_a, m_b, bs), full[m_a + m_b][m_a, n])
+
     def test_lopsided_band_against_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(30):

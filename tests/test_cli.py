@@ -652,7 +652,7 @@ class TestExitCodes:
         (["dist", "--a", "thermal:nbar=nan", "--b", "fock:0", "--cutoff-a", "5"], None, EXIT_USAGE),
         # an 82170^2 grid, over the budget: refused before it is allocated
         (["dist", "--a", "pasmss:r=4.4", "--b", "fock:0"], None, EXIT_DOMAIN),
-        # an 11585^2 grid within the budget, whose 13828^2 amplitude block is not
+        # an 11585^2 grid within the budget, whose 11585^2 amplitude block, 7 times over, is not
         (["dist", "--a", "thermal:nbar=600", "--b", "thermal:nbar=600", "--grid-max", "11584"],
          None, EXIT_DOMAIN),
         # lossy thins every latent count: a 23038^2 latent grid is over the
@@ -669,6 +669,16 @@ class TestExitCodes:
         (["dist", "--a", "super:1,100001", "--b", "fock:0", "--grid-max", "3"], None, EXIT_USAGE),
         (["dist", "--a", "fock:1", "--b", "thermal:nbar=1", "--cutoff-b", "100001"],
          None, EXIT_USAGE),
+        # 2J and n' above MAX_CUTOFF, whose work grows without a grid to bound it
+        (["dicke", "--j-max", "50001"], None, (EXIT_USAGE, "error: j_max=50001: 2J=100002 ")),
+        (["herald", "--t", "1", "--eta", "0.5", "--r", "1", "--n-prime", "100001"],
+         None, (EXIT_DOMAIN, "error: n_prime=100001 exceeds ")),
+        (["herald", "--t", "100001", "--eta", "0.5", "--r", "1"], None, EXIT_DOMAIN),
+        # no pair at r = 0, so no count t > 0 to condition on, as at eta = 0
+        (["herald", "--t", "3", "--eta", "1", "--r", "0"],
+         None, (EXIT_DOMAIN, "error: with r = 0 only t = 0 is observable")),
+        (["herald", "--t", "3", "--eta", "0", "--r", "3"],
+         None, (EXIT_DOMAIN, "error: with eta = 0 only t = 0 is observable")),
     ])
     def test_exit_code(self, tmp_path, argv, config, code):
         code, start = code if isinstance(code, tuple) else (code, "error: ")

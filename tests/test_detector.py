@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from homlab import detector
+from homlab import MAX_CUTOFF, detector
 from homlab.bs_core import BALANCED, BeamSplitterSetting
 from homlab.detector import (LossConfig, SqueezedSource, bernoulli_matrix,
                              herald_posterior, lossy_distribution,
@@ -371,6 +371,15 @@ class TestHeralding:
             herald_posterior(2, 1, 0.0, src)
         with pytest.raises(ValueError, match="t must be non-negative"):
             herald_posterior(-1, -1, 0.5, src)
+        # no pair at r = 0: a count t > 0 has probability 0, as at eta = 0
+        vacuum = SqueezedSource(r=0.0)
+        assert spdc_detection_prob(3, 1.0, vacuum) == 0.0
+        for eta in (1.0, 0.5, 0.0):
+            with pytest.raises(ValueError, match="only t = 0 is observable"):
+                herald_posterior(3, 3, eta, vacuum)
+        assert herald_posterior(0, 0, 0.5, vacuum) == 1.0
+        with pytest.raises(ValueError, match="^n_prime=100001 exceeds the cutoff bound"):
+            herald_posterior(MAX_CUTOFF + 1, 1, 0.5, src)
 
     @pytest.mark.parametrize("eta", [1.5, -0.1, float("nan")])
     def test_posterior_checks_efficiency(self, eta):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from homlab import MAX_CUTOFF
 from homlab.bs_core import BALANCED, BeamSplitterSetting, amplitude_blocks, measured_amplitude
 from homlab.dicke import (_photon_numbers, central_probability_exact, central_zero_sweep,
                           fock_to_jm, wigner_d)
@@ -131,6 +132,12 @@ class TestCentralZero:
         with pytest.raises(ValueError):
             central_zero_sweep(-1)
         assert np.asarray(central_zero_sweep(0)).tolist() == [1.0]
+
+    def test_j_max_bounded_by_max_cutoff(self):
+        # 2J photons at most MAX_CUTOFF, refused before any work
+        with pytest.raises(ValueError, match=re.escape(
+                f"j_max={MAX_CUTOFF // 2 + 1}: 2J={MAX_CUTOFF + 2} exceeds the cutoff bound")):
+            central_zero_sweep(MAX_CUTOFF // 2 + 1)
 
     def test_sweep_is_a_list_of_floats(self):
         sweep = central_zero_sweep(4, BeamSplitterSetting.parse("theta=1.1"))

@@ -353,6 +353,24 @@ class TestPlumbing:
             joint_general((bad, thermal(1)), BALANCED)
 
 
+class TestCrops:
+    """A grid_max crop is the top-left corner of the full grid, bit for bit
+    (uint64 views, so signed zeros count), on each engine path."""
+
+    @pytest.mark.parametrize("bs", [BeamSplitterSetting.from_transmittance(Fraction(2, 7)),
+                                    BeamSplitterSetting.from_angle(1.1)], ids=["T2/7", "theta"])
+    @pytest.mark.parametrize("pair", [
+        (coherent(1.5), parse_state("pasmss:r=0.5")),   # pure
+        (fock(2), thermal(1.5)),                         # diagonal
+        (_dense(coherent(1.2)), _dense(odd_cat(1.3)))],  # dense rho
+        ids=["pure", "diagonal", "dense"])
+    def test_crop_is_the_full_grids_corner(self, pair, bs):
+        full = joint_general(pair, bs).grid
+        for g in (2, 3, 6, 13, full.shape[0] - 2):  # no pair needs more than 2 photons
+            crop = joint_general(pair, bs, grid_max=g).grid
+            assert np.array_equal(crop.view(np.uint64), full[:g + 1, :g + 1].view(np.uint64)), g
+
+
 class _Allocated(Exception):
     pass
 
@@ -373,13 +391,23 @@ class TestGridBudget:
             joint_general(states, BALANCED)
 
     def test_over_budget_blocks_are_refused(self, monkeypatch):
-        # 11585^2 grid cells fit, but the largest block is 13828 x 13828 (1459 MiB),
-        # which 7 times over exceeds the budget; neither grid nor block is made
+        # 11585^2 grid cells fit, but the largest block, the window's 11585 rows by
+        # the input's band of 11585 columns (1024 MiB), 7 times over exceeds the
+        # budget; neither grid nor block is made
         pair = (thermal(600), thermal(600))
         monkeypatch.setattr(np, "zeros", _no_grid)
-        with pytest.raises(ValueError, match=r"^grid_max=11584 needs 1338495088 cells "
+        with pytest.raises(ValueError, match=r"^grid_max=11584 needs 939485575 cells "
                                              r"for amplitude blocks"):
             joint_general(pair, BALANCED, grid_max=11584)
+
+    def test_blocks_count_only_the_windows_rows(self, monkeypatch):
+        # at grid_max=3000 the largest block is 3001 x 3001, 63042007 cells 7 times
+        # over: within the budget, so the grid is allocated (and replaced here);
+        # counted with all s + 1 rows it was 252084007 cells and refused
+        pair = (thermal(600), thermal(600))
+        monkeypatch.setattr(np, "zeros", _no_grid)
+        with pytest.raises(_Allocated):
+            joint_general(pair, BALANCED, grid_max=3000)
 
     def test_budget_edge(self, monkeypatch):
         # 11585^2 cells fit in 2^27, 11586^2 do not
