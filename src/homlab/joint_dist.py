@@ -31,7 +31,7 @@ NEGATIVE_TOL = 1e-14
 MASS_TOL = 1e-12
 
 #: most cells a grid may have: 1 GiB of float64, as the loss model holds up to
-#: four grids at once; the engine's amplitude blocks get the same budget
+#: four grids at once; the engine's blocks, of amplitudes and of rho, get the same budget
 GRID_CELLS = 1 << 27
 
 
@@ -128,7 +128,8 @@ def joint_general(rho_ab, bs: BeamSplitterSetting,
     the input reaches.  ValueError is raised, before any grid exists, for a
     density matrix that is not Hermitian and for a grid that cannot hold the
     input's lowest total photon number or has more than ``GRID_CELLS`` cells,
-    and before any block exists when its amplitude blocks would exceed them.
+    and before any block exists when its blocks, of amplitudes and of a dense
+    rho, would exceed them.
     """
     if not (isinstance(rho_ab, tuple) and len(rho_ab) == 2
             and all(isinstance(state, State) for state in rho_ab)):
@@ -137,7 +138,7 @@ def joint_general(rho_ab, bs: BeamSplitterSetting,
     if not all(state.hermiticity_residual() <= HERMITICITY_TOL for state in rho_ab):
         raise ValueError("density matrix is not Hermitian within tolerance")
     w_a, w_b = state_a.weights, state_b.weights
-    dim_a, dim_b = w_a.size, w_b.size
+    dim_a, dim_b, dense = w_a.size, w_b.size, False
     if isinstance(state_a, PureState) and isinstance(state_b, PureState):
         def block_probs(u, n, s):
             amp = np.einsum("pn,n->p", u, state_a.amplitudes[n] * state_b.amplitudes[s - n])
@@ -146,10 +147,12 @@ def joint_general(rho_ab, bs: BeamSplitterSetting,
         def block_probs(u, n, s):
             return np.einsum("pn,n->p", u * u, w_a[n] * w_b[s - n])
     else:
-        rho_a, rho_b = state_a.rho, state_b.rho
+        dense = True
 
         def block_probs(u, n, s):
-            rho_s = rho_a[np.ix_(n, n)] * rho_b[np.ix_(s - n, s - n)]
+            # rho_s[i, j] = rho_a[n_i, n_j] rho_b[s - n_i, s - n_j], from each mode's band only
+            rho_s = (_band_rho(state_a, n[0], n[-1] + 1)
+                     * _band_rho(state_b, s - n[-1], s - n[0] + 1)[::-1, ::-1])
             return np.einsum("pn,nk,pk->p", u, rho_s, u).real
 
     grid_max = dim_a + dim_b - 2 if grid_max is None else grid_max
@@ -158,10 +161,11 @@ def joint_general(rho_ab, bs: BeamSplitterSetting,
     if grid_max < fewest:
         raise ValueError(f"grid_max={grid_max} cannot hold total {fewest} photons")
     # the budget holds the grid's cells, and 7 per entry of the largest block, which one step
-    # of the recurrence and a pure or diagonal block_probs hold 6.0-6.2 times over (measured)
+    # of the recurrence and a pure or diagonal block_probs hold 6.0-6.2 times over; a dense one
+    # adds rho_s and a pure mode's outer product, 4 cells per band x band entry (measured)
     window, s_max = (grid_max + 1, grid_max + 1), min(dim_a + dim_b - 2, 2 * grid_max)
-    check_budget(grid_max, max(len(band(s, *window)) * len(band(s, dim_a, dim_b))
-                               for s in range(s_max + 1)))
+    check_budget(grid_max, max((len(band(s, *window)) + dense * (n := len(band(s, dim_a, dim_b))))
+                               * n for s in range(s_max + 1)))
     grid, k = np.zeros(window), np.arange(s_max + 1)
     for s, u in enumerate(amplitude_blocks(bs, s_max, (dim_a, dim_b), window)):
         m_a, n = (k[r.start:r.stop] for r in (band(s, *window), band(s, dim_a, dim_b)))
@@ -179,6 +183,13 @@ def check_budget(grid_max: int, block: int = 0) -> None:
         if cells > GRID_CELLS:
             raise ValueError(f"grid_max={grid_max} needs {cells} cells for {of}, "
                              f"more than the budget of {GRID_CELLS}")
+
+
+def _band_rho(state: State, lo: int, hi: int) -> np.ndarray:
+    """rho[lo:hi, lo:hi], a view of a dense rho or a pure state's outer product there."""
+    if isinstance(state, MixedState):
+        return state.rho[lo:hi, lo:hi]
+    return np.outer(state.amplitudes[lo:hi], state.amplitudes[lo:hi].conj())
 
 
 def _is_diagonal(state: State) -> bool:

@@ -39,19 +39,11 @@ HERMITICITY_TOL = 1e-10
 
 class _Weighted:
     """What every state reads from its photon-number weights w_m = <m|rho|m>;
-    its dense ``rho`` is built only when asked, unless it is a MixedState."""
-
-    @property
-    def cutoff(self) -> int:
-        return self.weights.size - 1
+    only a MixedState, which stores it, has a dense ``rho``."""
 
     @property
     def trace(self) -> float:
         return float(np.sum(self.weights))
-
-    @property
-    def mean_photon_number(self) -> float:
-        return float(np.dot(np.arange(self.cutoff + 1), self.weights))
 
     def hermiticity_residual(self) -> float:
         return 0.0
@@ -75,10 +67,6 @@ class PureState(_Weighted):
         # c_m c_m^*, bit for bit the diagonal of rho
         return (self.amplitudes * self.amplitudes.conj()).real
 
-    @property
-    def rho(self) -> np.ndarray:
-        return np.outer(self.amplitudes, self.amplitudes.conj())
-
 
 @dataclass(frozen=True)
 class MixedState(_Weighted):
@@ -98,7 +86,8 @@ class MixedState(_Weighted):
         return np.diagonal(self.rho).real
 
     def hermiticity_residual(self) -> float:
-        return float(np.max(np.abs(self.rho - self.rho.conj().T)))
+        # a row against a column at a time, so the check holds no copy of rho
+        return float(np.max([np.max(np.abs(r - c.conj())) for r, c in zip(self.rho, self.rho.T)]))
 
 
 @dataclass(frozen=True)
@@ -112,10 +101,6 @@ class DiagonalState(_Weighted):
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         if self.weights.ndim != 1 or self.weights.size == 0:
             raise ValueError("weights must be a non-empty vector")
-
-    @property
-    def rho(self) -> np.ndarray:
-        return np.diag(self.weights).astype(complex)
 
 
 State = PureState | MixedState | DiagonalState

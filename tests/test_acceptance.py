@@ -63,7 +63,8 @@ def test_criterion_2_central_nodal_line():
     # is exactly 0.0, on the dense-rho path and the weights path alike
     coherent = h.coherent(1.7)
     partners = [coherent, h.thermal(2), h.photon_added_smss(0.6),
-                h.MixedState(coherent.rho, label="dense-coherent")]
+                h.MixedState(np.outer(coherent.amplitudes, coherent.amplitudes.conj()),
+                             label="dense-coherent")]
     cases = 0
     for odd in _odd_support_states(np.random.default_rng(2), 5):
         for partner in partners:
@@ -203,8 +204,8 @@ def test_criterion_9_property_suites():
                         (-1) ** n * h.g_poly(m_a, m_b, n, bs)
     # five specialized paths against the general bipartite formula, 50 trials;
     # the pairs that joint_general reads directly are computed by another path
-    from test_joint_dist import (_as_pure_mixture, _dense, _mean_total_photons, _random_mixed,
-                                 _random_pure)
+    from test_joint_dist import (_as_pure_mixture, _dense, _mean_photons, _mean_total_photons,
+                                 _random_mixed, _random_pure)
     rng = np.random.default_rng(987)
     settings = [h.BALANCED, h.BeamSplitterSetting.from_transmittance(THREE_Q),
                 h.BeamSplitterSetting.from_angle(0.9)]
@@ -266,7 +267,7 @@ def test_criterion_9_property_suites():
         d = h.joint_general((psi, phi), bs)
         assert d.total_mass == pytest.approx(psi.trace * phi.trace, abs=1e-9)
         assert _mean_total_photons(d) == pytest.approx(
-            psi.mean_photon_number + phi.mean_photon_number, abs=1e-9)
+            _mean_photons(psi) + _mean_photons(phi), abs=1e-9)
     print("\nPASS: criterion 9 — unitarity, parity symmetry, five-path oracle "
           "equivalence (50 trials), amplitude expansion oracle, rotation "
           "oracle, conservation laws")

@@ -655,6 +655,9 @@ class TestExitCodes:
         # an 11585^2 grid within the budget, whose 11585^2 amplitude block, 7 times over, is not
         (["dist", "--a", "thermal:nbar=600", "--b", "thermal:nbar=600", "--grid-max", "11584"],
          None, EXIT_DOMAIN),
+        # a pure mode beside a dense rho: refused with no 91916^2 outer product built
+        (["dist", "--a", "coherent:beta=300", "--b", "custom:file={config}", "--grid-max", "100"],
+         '{"type": "mixed", "rho": [[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]]}', EXIT_DOMAIN),
         # lossy thins every latent count: a 23038^2 latent grid is over the
         # budget, however small the written one, and the error says so
         (["lossy", "--a", "thermal:nbar=1000", "--b", "fock:0", "--grid-max", "10", *ETAS],

@@ -230,7 +230,7 @@ class TestLossyDistribution:
     def test_equal_loss_is_loss_on_the_inputs(self, a, b, bs, eta):
         (state_a, lost_a), (state_b, lost_b) = _with_loss(*a, eta), _with_loss(*b, eta)
         full = joint_general((state_a, state_b), bs,
-                             grid_max=max(30, state_a.cutoff + state_b.cutoff))
+                             grid_max=max(30, state_a.weights.size + state_b.weights.size - 2))
         got = lossy_distribution(full, LossConfig(eta, eta)).grid[:31, :31]
         want = joint_general((lost_a, lost_b), bs, grid_max=30).grid
         assert np.max(np.abs(got - want)) <= 1e-15

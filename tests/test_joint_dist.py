@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from homlab import joint_dist
-from homlab.bs_core import BALANCED, BeamSplitterSetting, bs_prob_exact, measured_amplitude
+from homlab.bs_core import (BALANCED, BeamSplitterSetting, amplitude_blocks, bs_prob_exact,
+                            measured_amplitude)
 from homlab.joint_dist import (JointDistribution, cnl_scan, joint_fs_fs_exact, joint_fs_mixed,
                                joint_fs_pure, joint_general, row_ends)
 from homlab.states import (DiagonalState, MixedState, PureState, coherent, fock,
@@ -37,9 +38,9 @@ def _random_mixed(rng, cutoff, rank=3):
 
 
 def _dense(state):
-    """The state as a dense density matrix, which the engine reads as rho, or
-    as weights when rho is diagonal, rather than as amplitudes."""
-    return MixedState(state.rho, label=state.label)
+    """The pure state as a dense density matrix, which the engine reads as rho,
+    or as weights when rho is diagonal, rather than as amplitudes."""
+    return MixedState(np.outer(state.amplitudes, state.amplitudes.conj()), label=state.label)
 
 
 def _as_pure_mixture(psi, mixed, bs, grid_max):
@@ -48,6 +49,11 @@ def _as_pure_mixture(psi, mixed, bs, grid_max):
     values, vectors = np.linalg.eigh(mixed.rho)
     return JointDistribution(sum(w * joint_general((psi, PureState(v)), bs, grid_max).grid
                                  for w, v in zip(values, vectors.T)), bs)
+
+
+def _mean_photons(state):
+    """sum over m of m w_m, the state's mean photon number as truncated."""
+    return float(np.dot(np.arange(state.weights.size), state.weights))
 
 
 def _mean_total_photons(dist):
@@ -225,7 +231,7 @@ class TestFockThermalOracle:
         d = joint_general((fock(n), b), BeamSplitterSetting.from_transmittance(t))
 
         def weight(m):  # truncated at the thermal cutoff, as the input is
-            return nbar ** m / (1 + nbar) ** (m + 1) if 0 <= m <= b.cutoff else 0
+            return nbar ** m / (1 + nbar) ** (m + 1) if 0 <= m < b.weights.size else 0
 
         for m_a in range(d.grid_max + 1):
             for m_b in range(d.grid_max + 1):
@@ -266,7 +272,7 @@ class TestConservation:
             psi = odd_cat(1.2)
             phi = coherent(1.1)
             d = joint_general((psi, phi), bs)
-            want = psi.mean_photon_number + phi.mean_photon_number
+            want = _mean_photons(psi) + _mean_photons(phi)
             assert _mean_total_photons(d) == pytest.approx(want, abs=1e-9)
 
     @pytest.mark.parametrize("pair", [(fock(1), thermal(4)), (odd_cat(1.2), coherent(1.1))],
@@ -275,7 +281,7 @@ class TestConservation:
         # each block s keeps its mass: the cell sum is <n_a> tr_b + <n_b> tr_a
         # of the truncated inputs, to 1e-12 relative
         a, b = pair
-        want = a.mean_photon_number * b.trace + b.mean_photon_number * a.trace
+        want = _mean_photons(a) * b.trace + _mean_photons(b) * a.trace
         for bs in SETTINGS:
             assert _mean_total_photons(joint_general(pair, bs)) == pytest.approx(want, rel=1e-12)
 
@@ -337,7 +343,7 @@ class TestPlumbing:
             joint_general((doubled, fock(1)), BALANCED)
 
     @pytest.mark.parametrize("rho_ab", [
-        np.einsum("np,mq->nmpq", fock(1).rho, fock(1).rho),  # a four-index table
+        np.einsum("np,mq->nmpq", _dense(fock(1)).rho, _dense(fock(1)).rho),  # a four-index table
         np.eye(2), [fock(1), fock(1)], (fock(1), fock(1), fock(0)), (fock(1), np.eye(2))],
         ids=["table", "matrix", "list", "triple", "bare-rho"])
     def test_only_a_pair_of_states(self, rho_ab):
@@ -371,6 +377,56 @@ class TestCrops:
             assert np.array_equal(crop.view(np.uint64), full[:g + 1, :g + 1].view(np.uint64)), g
 
 
+def _rows_and_band(s, grid_max, dim_a, dim_b):
+    """Block s's window rows m_a (m_a, s - m_a <= grid_max) and its input band n
+    (n < dim_a, s - n < dim_b), written out rather than read from ``band``."""
+    return (np.arange(max(0, s - grid_max), min(grid_max, s) + 1),
+            np.arange(max(0, s - dim_b + 1), min(dim_a - 1, s) + 1))
+
+
+def _full_rho(state):
+    return state.rho if isinstance(state, MixedState) else \
+        np.outer(state.amplitudes, state.amplitudes.conj())
+
+
+def _dense_grid_from_full_rhos(pair, bs, grid_max=None):
+    """The dense-rho grid with each rho_s cut by ``np.ix_`` from the modes' full
+    density matrices, a pure mode's built as np.outer(a, a.conj())."""
+    rho_a, rho_b = map(_full_rho, pair)
+    dim_a, dim_b = len(rho_a), len(rho_b)
+    grid_max = dim_a + dim_b - 2 if grid_max is None else grid_max
+    window, s_max = (grid_max + 1, grid_max + 1), min(dim_a + dim_b - 2, 2 * grid_max)
+    grid = np.zeros(window)
+    for s, u in enumerate(amplitude_blocks(bs, s_max, (dim_a, dim_b), window)):
+        m_a, n = _rows_and_band(s, grid_max, dim_a, dim_b)
+        rho_s = rho_a[np.ix_(n, n)] * rho_b[np.ix_(s - n, s - n)]
+        grid[m_a, s - m_a] = np.einsum("pn,nk,pk->p", u, rho_s, u).real
+    return grid
+
+
+class TestDenseBand:
+    """The dense-rho path builds each rho_s from the modes' band only, a view
+    of a stored rho or the outer product of a pure mode's band amplitudes, and
+    keeps every bit (uint64 views) of rho_s cut from the full matrices."""
+
+    @pytest.mark.parametrize("bs", [BALANCED,
+                                    BeamSplitterSetting.from_transmittance(Fraction(2, 7)),
+                                    BeamSplitterSetting.from_angle(1.1)], ids=["T1/2", "T2/7", "theta"])
+    @pytest.mark.parametrize("kind", ["pure-rho", "rho-pure", "rho-rho"])
+    def test_grid_equals_the_full_rho_products(self, kind, bs):
+        rng = np.random.default_rng(33)
+        pure, mixed = coherent(1.5 + 0.4j), _random_mixed(rng, 11)
+        pair = {"pure-rho": (pure, mixed), "rho-pure": (mixed, parse_state("pasmss:r=0.5")),
+                "rho-rho": (mixed, _dense(odd_cat(1.3)))}[kind]
+        # cropped to 3, the top block keeps 1 row of a band 7 wide
+        rows, n = _rows_and_band(6, 3, *(state.weights.size for state in pair))
+        assert (len(rows), len(n)) == (1, 7)
+        for grid_max in (None, 3, 9):
+            got = joint_general(pair, bs, grid_max).grid
+            want = _dense_grid_from_full_rhos(pair, bs, grid_max)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), grid_max
+
+
 class _Allocated(Exception):
     pass
 
@@ -387,7 +443,7 @@ class TestGridBudget:
     def test_over_budget_input_is_refused(self, monkeypatch, descriptor):
         states = (parse_state(descriptor), fock(0))
         monkeypatch.setattr(np, "zeros", _no_grid)
-        with pytest.raises(ValueError, match=f"^grid_max={states[0].cutoff} needs "):
+        with pytest.raises(ValueError, match=f"^grid_max={states[0].weights.size - 1} needs "):
             joint_general(states, BALANCED)
 
     def test_over_budget_blocks_are_refused(self, monkeypatch):
@@ -408,6 +464,28 @@ class TestGridBudget:
         monkeypatch.setattr(np, "zeros", _no_grid)
         with pytest.raises(_Allocated):
             joint_general(pair, BALANCED, grid_max=3000)
+
+    def test_dense_pure_mode_builds_no_rho(self, monkeypatch):
+        # coherent:30 is 1101 amplitudes: no 1101^2 outer product is built before
+        # the 20001^2 grid is refused
+        pair = (coherent(30), MixedState(np.full((2, 2), 0.5)))
+        monkeypatch.setattr(np, "zeros", _no_grid)
+        refused, peak = _traced_peak(lambda: pytest.raises(ValueError, joint_general, pair,
+                                                           BALANCED, grid_max=20000))
+        refused.match(r"^grid_max=20000 needs 400040001 cells for its grid")
+        assert peak < 1e6
+
+    def test_dense_blocks_count_their_band_squared(self, monkeypatch):
+        # two uniform 3100 x 3100 densities, as broadcast views that hold no
+        # entries: the largest block, 3100 rows by a band of 3100, fits 7 times
+        # over (67270000 cells), but not with its 3100^2 rho_s beside it
+        rho = np.broadcast_to(np.complex128(1 / 3100), (3100, 3100))
+        pair = (MixedState(rho), MixedState(rho))
+        monkeypatch.setattr(np, "zeros", _no_grid)
+        refused, peak = _traced_peak(lambda: pytest.raises(ValueError, joint_general, pair,
+                                                           BALANCED))
+        refused.match(r"^grid_max=6198 needs 134540000 cells for amplitude blocks")
+        assert peak < 1e6
 
     def test_budget_edge(self, monkeypatch):
         # 11585^2 cells fit in 2^27, 11586^2 do not
@@ -468,6 +546,20 @@ class TestWorkingMemory:
             lambda: (JointDistribution(dist.grid, BALANCED), cnl_scan(dist))[1])
         assert report.verdict
         assert peak < 1e6
+
+    @pytest.mark.parametrize("kind, grid_max", [("rho-rho", None), ("rho-rho", 120),
+                                                ("pure-rho", None), ("pure-rho", 60)])
+    def test_dense_blocks_stay_within_the_count(self, kind, grid_max):
+        # coherent:10 is 171 amplitudes; cropped, the band is wider than the
+        # window's rows, so the count holds 7 cells per entry of each block's
+        # rows x band and of its band x band rho_s
+        a = coherent(10) if kind == "pure-rho" else _dense(coherent(10))
+        pair = (a, _dense(coherent(10j)))
+        dist, peak = _traced_peak(lambda: joint_general(pair, BALANCED, grid_max))
+        g, dims = dist.grid_max, [state.weights.size for state in pair]
+        blocks = (_rows_and_band(s, g, *dims) for s in range(min(sum(dims) - 2, 2 * g) + 1))
+        count = max(len(rows) * len(n) + len(n) ** 2 for rows, n in blocks)
+        assert peak - dist.grid.nbytes <= 7 * 8 * count
 
     def test_single_amplitude(self):
         amp, peak = _traced_peak(lambda: measured_amplitude(1, 300, 300, BALANCED))

@@ -3,6 +3,7 @@ it on first use, so ``import homlab`` stays cheap and the names stay the same
 objects as in their modules."""
 
 import ast
+import dataclasses
 import glob
 import importlib
 import os
@@ -61,9 +62,9 @@ NO_CALLER_NEEDED = {
 }
 
 
-def test_every_public_name_has_a_caller():
-    # a whole-word use counts, in the package's modules (but the name's own
-    # and __init__), the demos, the benchmark's scripts or the README
+def _caller_texts():
+    """Path -> text of the package's modules (but __init__), the demos, the
+    benchmark's scripts and the README."""
     package, root = homlab.__path__[0], os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     texts = {}
     for path in [*(os.path.join(package, f"{name}.py") for name in SUBMODULES),
@@ -71,11 +72,38 @@ def test_every_public_name_has_a_caller():
                  *glob.glob(os.path.join(root, "bench", "*.py")), os.path.join(root, "README.md")]:
         with open(path, encoding="utf-8") as fh:
             texts[path] = fh.read()
+    return texts
+
+
+def test_every_public_name_has_a_caller():
+    # a whole-word use counts, in any of those texts but the name's own module
+    texts, package = _caller_texts(), homlab.__path__[0]
     uncalled = [name for name in homlab.__all__
                 if not any(re.search(rf"\b{re.escape(name)}\b", text)
                            for path, text in texts.items()
                            if path != os.path.join(package, f"{homlab._MODULE_OF[name]}.py"))]
     assert uncalled == sorted(NO_CALLER_NEEDED)
+
+
+def _public_members(cls):
+    """The public methods and properties of a class, its own and those of its
+    homlab base classes, but not its record fields."""
+    fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) \
+        else set(getattr(cls, "_fields", ()))
+    return {name for base in cls.__mro__ if base.__module__.startswith("homlab.")
+            for name, value in vars(base).items()
+            if not name.startswith("_") and name not in fields
+            and isinstance(value, (types.FunctionType, property, classmethod, staticmethod))}
+
+
+def test_every_public_member_has_a_caller():
+    # an attribute read .name counts, in any of the texts, its own module included
+    text = "\n".join(_caller_texts().values())
+    classes = [value for name in homlab.__all__ if isinstance(value := getattr(homlab, name), type)]
+    members = {(cls.__name__, name) for cls in classes for name in _public_members(cls)}
+    assert ("PureState", "trace") in members and ("BeamSplitterSetting", "parse") in members
+    assert not [member for member in sorted(members)
+                if not re.search(rf"\.{re.escape(member[1])}\b", text)]
 
 
 def test_unknown_attribute_raises():

@@ -88,8 +88,9 @@ def test_output_formats():
 def test_tolerances_and_limits():
     stated = {}
     for name, value, _ in _rows("Tolerances and limits"):
-        module, constant = _ticks(name)[0].split(".")
-        stated[constant] = (getattr(importlib.import_module(f"homlab.{module}"), constant), value)
+        module, constant = _ticks(name)[0].split(".")  # homlab or one of its modules
+        module = importlib.import_module(module if module == "homlab" else f"homlab.{module}")
+        stated[constant] = (getattr(module, constant), value)
     assert sorted(stated) == sorted(["NEGATIVE_TOL", "MASS_TOL", "EPS_NORM", "HERMITICITY_TOL",
                                      "GRID_CELLS", "MAX_CUTOFF"])
     for constant, (actual, value) in stated.items():

@@ -14,11 +14,17 @@ from homlab.joint_dist import joint_general
 from homlab.states import (EPS_NORM, HERMITICITY_TOL, MAX_CUTOFF, DiagonalState, MixedState,
                            PureState, coherent, fock, fock_superposition, load_custom, odd_cat,
                            parse_state, photon_added_smss, thermal)
+from test_joint_dist import _mean_photons
 
 
 def _odd_support(s):
     """All of the state's weight is on odd photon numbers, and some of it is."""
     return not s.weights[0::2].any() and s.weights[1::2].any()
+
+
+def _cutoff(s):
+    """The state's largest photon number, read from its weights."""
+    return s.weights.size - 1
 
 
 def _ok(s):
@@ -29,9 +35,10 @@ def _ok(s):
 class TestFock:
     def test_basic(self):
         s = fock(3)
-        assert s.cutoff == 3
+        assert _cutoff(s) == 3
+        assert not hasattr(s, "rho")
         assert s.trace == 1.0
-        assert s.mean_photon_number == 3.0
+        assert _mean_photons(s) == 3.0
         assert _odd_support(s)
 
     def test_validation(self):
@@ -55,17 +62,17 @@ class TestCoherent:
     def test_norm_and_mean(self):
         s = coherent(3)
         assert 1.0 - s.trace < EPS_NORM
-        assert s.mean_photon_number == pytest.approx(9.0, abs=1e-6)
+        assert _mean_photons(s) == pytest.approx(9.0, abs=1e-6)
 
     def test_vacuum(self):
         s = coherent(0)
-        assert s.cutoff == 0
+        assert _cutoff(s) == 0
         assert s.amplitudes[0] == 1.0
 
     def test_complex_amplitude(self):
         s = coherent(1 + 1j)
         assert 1.0 - s.trace < EPS_NORM
-        assert s.mean_photon_number == pytest.approx(2.0, abs=1e-7)
+        assert _mean_photons(s) == pytest.approx(2.0, abs=1e-7)
 
     @pytest.mark.parametrize("modulus", [5, 27, 28, 40])
     def test_cutoff_against_poisson_tail(self, modulus):
@@ -73,8 +80,8 @@ class TestCoherent:
         # neither the cutoff nor the amplitudes may start from it
         mean = modulus ** 2
         s = coherent(modulus)
-        deficit = poisson.sf(s.cutoff, mean)
-        assert deficit < EPS_NORM <= poisson.sf(s.cutoff - 1, mean)
+        deficit = poisson.sf(_cutoff(s), mean)
+        assert deficit < EPS_NORM <= poisson.sf(_cutoff(s) - 1, mean)
         assert abs(s.trace - (1.0 - deficit)) <= 1e-12
 
     def test_amplitude_ratios(self):
@@ -94,7 +101,7 @@ class TestThermal:
     def test_geometric_weights(self):
         nbar = 2.0
         s = thermal(nbar)
-        diag = np.real(np.diag(s.rho))
+        diag = s.weights
         for m in range(5):
             want = nbar ** m / (1 + nbar) ** (m + 1)
             assert diag[m] == pytest.approx(want, rel=1e-12)
@@ -102,20 +109,21 @@ class TestThermal:
     def test_trace_and_mean(self):
         s = thermal(9)
         assert 1.0 - s.trace < EPS_NORM
-        assert s.mean_photon_number == pytest.approx(9.0, abs=1e-6)
+        assert _mean_photons(s) == pytest.approx(9.0, abs=1e-6)
         assert s.weights[0::2].any() and s.weights[1::2].any()
 
     def test_is_its_weights(self):
         s = thermal(1)
         assert isinstance(s, DiagonalState)
-        assert s.weights.dtype == float and s.weights.shape == (s.cutoff + 1,)
-        assert np.array_equal(s.rho, np.diag(s.weights))
+        assert s.weights.dtype == float and s.weights.ndim == 1
+        assert not hasattr(s, "rho")  # only a MixedState stores a dense rho
         assert _ok(s)
-        assert 1.0 - s.trace == pytest.approx(1.0 - MixedState(s.rho).trace, abs=1e-15)
+        dense = MixedState(np.diag(s.weights))
+        assert 1.0 - s.trace == pytest.approx(1.0 - dense.trace, abs=1e-15)
 
     def test_zero_temperature(self):
         s = thermal(0)
-        assert s.cutoff == 0
+        assert _cutoff(s) == 0
         assert s.trace == 1.0
 
 
@@ -147,7 +155,7 @@ class TestOddCat:
         # m, so its minimal cutoff is odd; below |alpha| = 0.6 renormalising
         # scales the coherent tail by more than 4
         s = odd_cat(alpha)
-        assert s.cutoff == cutoff
+        assert _cutoff(s) == cutoff
         assert 0.0 <= 1.0 - s.trace <= EPS_NORM
         a2 = abs(alpha) ** 2
         odd = np.arange(1, cutoff + 1, 2)
@@ -160,7 +168,7 @@ class TestOddCat:
         # e^(-|alpha|^2/2), the old start of the recurrence, is subnormal at
         # 38.5 and 0 at 40
         s = odd_cat(modulus)
-        odd = np.arange(1, s.cutoff + 1, 2)
+        odd = np.arange(1, _cutoff(s) + 1, 2)
         np.testing.assert_allclose(np.abs(s.amplitudes[odd]) ** 2,
                                    2 * poisson.pmf(odd, modulus ** 2), rtol=1e-11, atol=1e-300)
         assert 0.0 <= 1.0 - s.trace < EPS_NORM
@@ -282,7 +290,7 @@ class TestAutomaticCutoffs:
     def test_cutoff_is_minimal(self, kind, param):
         build, deficit, tol = AUTOMATIC[kind]
         state = build(param)
-        n = state.cutoff
+        n = _cutoff(state)
         assert deficit(param, n) <= EPS_NORM + tol
         assert n == 0 or deficit(param, n - 1) > EPS_NORM - tol
         assert 1.0 - state.trace <= EPS_NORM
@@ -301,7 +309,7 @@ class TestAutomaticCutoffs:
 
     def test_pasmss_within_the_bound_builds(self):
         # the power-of-two probe refused r = 4.3 and 4.4 at 131072 photons
-        assert parse_state("pasmss:r=4.4").cutoff == 82169
+        assert _cutoff(parse_state("pasmss:r=4.4")) == 82169
         assert _pasmss_deficit(4.5, 100000) > EPS_NORM
         with pytest.raises(ValueError, match=re.escape("pasmss:r=4.5")):
             parse_state("pasmss:r=4.5")
@@ -318,10 +326,10 @@ class TestAutomaticCutoffs:
 
         log_poisson = states._log_poisson
         monkeypatch.setattr(states, "_log_poisson", counted)
-        assert coherent(1, cutoff=MAX_CUTOFF).cutoff == MAX_CUTOFF
+        assert _cutoff(coherent(1, cutoff=MAX_CUTOFF)) == MAX_CUTOFF
         assert len(calls) < 300
         calls.clear()
-        assert coherent(300).cutoff == 91915
+        assert _cutoff(coherent(300)) == 91915
         assert len(calls) < 20000
 
     def test_coherent_beyond_the_bound_is_refused(self):
@@ -343,12 +351,12 @@ class TestCutoffBound:
     @pytest.mark.parametrize("descriptor", ["fock:1", "coherent:beta=1", "thermal:nbar=1",
                                             "oddcat:alpha=1", "pasmss:r=0.5", "super:1,3"])
     def test_explicit_cutoff(self, descriptor):
-        assert parse_state(descriptor, cutoff=MAX_CUTOFF).cutoff == MAX_CUTOFF
+        assert _cutoff(parse_state(descriptor, cutoff=MAX_CUTOFF)) == MAX_CUTOFF
         with pytest.raises(ValueError, match=r"^cutoff=100001 exceeds the cutoff bound"):
             parse_state(descriptor, cutoff=MAX_CUTOFF + 1)
 
     def test_photon_numbers(self):
-        assert fock(MAX_CUTOFF).cutoff == MAX_CUTOFF
+        assert _cutoff(fock(MAX_CUTOFF)) == MAX_CUTOFF
         with pytest.raises(ValueError, match=r"^fock number n=100001 exceeds"):
             parse_state("fock:100001")
         with pytest.raises(ValueError, match=r"^superposition photon number n=100001 exceeds"):
@@ -395,6 +403,16 @@ class TestTraceAndHermiticity:
         with pytest.raises(ValueError, match="Hermitian"):
             joint_general((fock(1), MixedState(rho)), BALANCED)
 
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_nan_anywhere_is_not_hermitian(self, row):
+        # the check reads rho a row at a time; a NaN in any row must not be
+        # dropped by the maximum over rows
+        rho = np.diag([0.25, 0.25, 0.5]).astype(complex)
+        rho[row, 1] = rho[1, row] = np.nan
+        assert math.isnan(MixedState(rho).hermiticity_residual())
+        with pytest.raises(ValueError, match="Hermitian"):
+            joint_general((fock(1), MixedState(rho)), BALANCED)
+
     def test_truncation_deficit_detected(self):
         clipped = coherent(3, cutoff=4)
         assert not _ok(clipped)
@@ -426,7 +444,7 @@ class TestParseState:
 
     def test_cutoff_override(self):
         s = parse_state("coherent:beta=1", cutoff=5)
-        assert s.cutoff == 5
+        assert _cutoff(s) == 5
 
     def test_unknown(self):
         with pytest.raises(ValueError):
@@ -447,7 +465,7 @@ class TestParseState:
             parse_state(descriptor, cutoff=-1)
         # a cutoff below a listed photon number is raised to it, as for fock:
         want = 3 if descriptor == "super:1,3" else 1
-        assert parse_state(descriptor, cutoff=1).cutoff == want
+        assert _cutoff(parse_state(descriptor, cutoff=1)) == want
 
 
 class TestCustomFiles:
